@@ -472,8 +472,18 @@ def _generate_doc(kind: str, rng: random.Random, opts: dict) -> dict:
     raise InputError(f"unknown kind {kind!r}; available: action, graph, orbit, periodic")
 
 
+# The smallest value each generator option admits: a cyclic modulus is at
+# least 2, sizes and heights draw from 1..bound, and a dimension is positive.
+_GENERATE_MINIMA = {"max_n": 2, "max_a": 1, "max_h": 1, "max_layer0": 1,
+                    "max_period": 1, "dim": 1}
+
+
 def _cmd_generate(manifest: RunManifest) -> int:
     opts = manifest.options
+    for key, low in _GENERATE_MINIMA.items():
+        if key in opts and int(opts[key]) < low:
+            raise InputError(f"--{key.replace('_', '-')} must be at least {low} "
+                             f"(got {opts[key]})")
     kind = opts["kind"]
     seed = int(opts.get("seed", 0))
     count = int(opts.get("count", 1))

@@ -261,10 +261,6 @@ class ShiftSystem:
     word: tuple[int, ...]
     clopen: frozenset[int]
 
-    @property
-    def point_measure(self) -> Fraction:
-        return Fraction(1, self.period)
-
     def measure(self, points) -> Fraction:
         pts = frozenset(int(t) % self.period for t in points)
         return Fraction(len(pts), self.period)

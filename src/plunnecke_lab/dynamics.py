@@ -39,7 +39,7 @@ class FinAbGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.moduli or any(n < 1 or not isinstance(n, int) for n in self.moduli):
+        if not self.moduli or any(type(n) is not int or n < 1 for n in self.moduli):
             raise InputError(f"moduli must be positive integers (got {self.moduli})")
 
     @property

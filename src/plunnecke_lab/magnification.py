@@ -121,48 +121,43 @@ def _cutset_scale(g: LayeredMeasureGraph, C: Fraction):
     return {v: int(w * scale) for v, w in wc.items()}, scale
 
 
-def _cutset_flow(g: LayeredMeasureGraph, wci: dict[str, int],
-                 removed: frozenset, infinite: frozenset) -> int:
-    """Min cut between layer 0 and layer h with split-vertex capacities.
+def _cutset_network(g: LayeredMeasureGraph, wci: dict[str, int]):
+    """Split-vertex network for min cuts between layer 0 and layer h.
 
-    ``removed`` vertices are deleted outright (their weight is accounted by
-    the caller); ``infinite`` vertices may not be cut.
+    Node 0 is the source and node 1 the sink; vertex v becomes v_in -> v_out
+    with capacity ``wci[v]``.  Returns the network, each vertex's split arc
+    and the capacity that stands for infinity.  Every path through v crosses
+    its split arc, so pinning that arc to 0 deletes v and pinning it to the
+    infinite capacity bars v from the cut.
     """
     ids = sorted(g.atoms)
     index = {v: i for i, v in enumerate(ids)}
-    inf = 1 + sum(w for v, w in wci.items() if v not in removed)
+    inf = 1 + sum(wci.values())
     net = FlowNetwork(2 + 2 * len(ids))
-    v_in = lambda v: 2 + 2 * index[v]
-    v_out = lambda v: 3 + 2 * index[v]
-    for v in ids:
-        if v in removed:
-            continue
-        net.add_edge(v_in(v), v_out(v), inf if v in infinite else wci[v])
+    split = {v: net.add_edge(2 + 2 * i, 3 + 2 * i, wci[v]) for i, v in enumerate(ids)}
     for t, h in sorted({(t, h) for t, h, _ in g.edges}):
-        if t in removed or h in removed:
-            continue
-        net.add_edge(v_out(t), v_in(h), inf)
+        net.add_edge(3 + 2 * index[t], 2 + 2 * index[h], inf)
     for v in sorted(g.layer_set(0)):
-        if v not in removed:
-            net.add_edge(0, v_in(v), inf)
+        net.add_edge(0, 2 + 2 * index[v], inf)
     for v in sorted(g.layer_set(g.height)):
-        if v not in removed:
-            net.add_edge(v_out(v), 1, inf)
-    return net.max_flow(0, 1)
+        net.add_edge(3 + 2 * index[v], 1, inf)
+    return net, split, inf
 
 
 def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     """A minimum-weight cutset, tie-broken to the lexicographically smallest set.
 
     The minimum value comes from one vertex-splitting min-cut; the canonical
-    witness is then grown greedily with forced in/out feasibility cuts.
+    witness is then grown greedily with forced in/out feasibility cuts, each
+    on the same network with its split arcs pinned.
     """
     C = Fraction(C)
     if C <= 0:
         raise InputError("C must be positive")
     require_valid(g)
     wci, scale = _cutset_scale(g, C)
-    minimum = _cutset_flow(g, wci, frozenset(), frozenset())
+    net, split, inf = _cutset_network(g, wci)
+    minimum = net.max_flow(0, 1)
     ids = sorted(g.atoms)
     included: list[str] = []
     excluded: list[str] = []
@@ -172,10 +167,13 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
             break
         progressed = False
         for idx in range(pos, len(ids)):
-            chosen = frozenset(included) | {ids[idx]}
-            barred = frozenset(excluded) | frozenset(ids[pos:idx])
-            value = _cutset_flow(g, wci, chosen, barred)
-            if value + sum(wci[v] for v in chosen) == minimum:
+            chosen = included + [ids[idx]]
+            net.reset()
+            for v in chosen:
+                net.cap[split[v]] = 0
+            for v in excluded + ids[pos:idx]:
+                net.cap[split[v]] = inf
+            if net.max_flow(0, 1) + sum(wci[v] for v in chosen) == minimum:
                 excluded.extend(ids[pos:idx])
                 included.append(ids[idx])
                 pos = idx + 1

@@ -9,7 +9,6 @@ sets; ties are broken toward the lexicographically smallest witness.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import lcm
 
@@ -17,53 +16,107 @@ from .errors import InputError
 
 
 class FlowNetwork:
-    """Adjacency-list max-flow with BFS augmenting paths."""
+    """Integer max-flow by Dinic's blocking flows, reusable through ``reset()``.
+
+    Arc ``a`` runs to ``head[a]`` with residual capacity ``cap[a]``; its
+    reverse arc is ``a ^ 1`` and ``adj[v]`` lists the arcs leaving ``v``.
+    ``reset()`` restores every arc to the capacity it was added with, so one
+    network answers a series of queries that differ only in a few capacities
+    the caller pins through the arcs ``add_edge`` returns.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self._initial: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        """Add the arc u -> v of capacity ``cap`` and return its index."""
+        arc = len(self.head)
+        self.head += (v, u)
+        self._initial += (cap, 0)
+        self.cap += (cap, 0)
+        self.adj[u].append(arc)
+        self.adj[v].append(arc + 1)
+        return arc
+
+    def reset(self) -> None:
+        """Undo every flow and pin: each arc gets back its added capacity."""
+        self.cap[:] = self._initial
 
     def max_flow(self, s: int, t: int) -> int:
+        adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
-            parent: list[tuple[int, int] | None] = [None] * self.n
-            parent[s] = (s, -1)
-            queue = deque([s])
-            while queue and parent[t] is None:
-                v = queue.popleft()
-                for i, (to, cap, _rev) in enumerate(self.adj[v]):
-                    if cap > 0 and parent[to] is None:
-                        parent[to] = (v, i)
-                        queue.append(to)
-            if parent[t] is None:
+            # BFS levels, stopping once t is labelled: no shortest path
+            # passes a vertex at t's level or beyond.
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            enqueue = queue.append
+            for v in queue:
+                nxt = level[v] + 1
+                for a in adj[v]:
+                    w = head[a]
+                    if level[w] < 0 and cap[a]:
+                        level[w] = nxt
+                        enqueue(w)
+                if level[t] >= 0:
+                    break
+            else:
                 return total
-            path = []
-            v = t
-            while v != s:
-                pv, pi = parent[v]
-                path.append((pv, pi))
-                v = pv
-            push = min(self.adj[pv][pi][1] for pv, pi in path)
-            for pv, pi in path:
-                edge = self.adj[pv][pi]
-                edge[1] -= push
-                self.adj[edge[0]][edge[2]][1] += push
-            total += push
+            # Blocking flow along level-increasing arcs, walked with an
+            # explicit path (heights come from user input, so no recursion).
+            # ptr[v] is v's next untried arc; a dead end leaves the level
+            # graph.
+            ptr = [0] * self.n
+            path: list[int] = []
+            v = s
+            while True:
+                if v == t:
+                    push = min(map(cap.__getitem__, path))
+                    for a in path:
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                    total += push
+                    k = 0
+                    while cap[path[k]]:
+                        k += 1
+                    del path[k:]
+                    v = head[path[-1]] if path else s
+                    continue
+                arcs = adj[v]
+                i, end = ptr[v], len(arcs)
+                want = level[v] + 1
+                while i < end:
+                    a = arcs[i]
+                    if cap[a] and level[head[a]] == want:
+                        break
+                    i += 1
+                ptr[v] = i
+                if i < end:
+                    path.append(a)
+                    v = head[a]
+                else:
+                    level[v] = -1
+                    if not path:
+                        break
+                    v = head[path.pop() ^ 1]
+                    ptr[v] += 1
 
     def source_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network (the minimal min cut)."""
+        adj, head, cap = self.adj, self.head, self.cap
         seen = {s}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for to, cap, _rev in self.adj[v]:
-                if cap > 0 and to not in seen:
-                    seen.add(to)
-                    queue.append(to)
+        stack = [s]
+        while stack:
+            for a in adj[stack.pop()]:
+                w = head[a]
+                if cap[a] and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         return seen
 
 
@@ -160,7 +213,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
     re-normalizes lam; it stops when that minimum hits zero.  The returned
     trace holds the strictly decreasing lam sequence.  The witness is the
     lexicographically smallest minimizing subset, extracted with forced
-    in/out min-cut feasibility queries.
+    in/out min-cut feasibility queries on the last round's network.
     """
     sources = sorted(sources)
     if not sources:
@@ -173,29 +226,30 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
     total_src = sum(sw)
     total_dst = sum(dw)
 
-    def solve(num: int, den: int, forced_in=frozenset(), forced_out=frozenset()):
-        # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets
+    def network(num: int, den: int):
+        # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets;
+        # each source's sink arc starts at 0 and is pinned to force it out
         inf = num * total_src + den * total_dst + 1
         net = FlowNetwork(2 + n + m)
+        src_arc, sink_arc = [], []
         for i in range(n):
-            net.add_edge(0, 2 + i, inf if i in forced_in else num * sw[i])
-            if i in forced_out:
-                net.add_edge(2 + i, 1, inf)
+            src_arc.append(net.add_edge(0, 2 + i, num * sw[i]))
+            sink_arc.append(net.add_edge(2 + i, 1, 0))
             for k in nbr[i]:
                 net.add_edge(2 + i, 2 + n + k, inf)
         for k in range(m):
             net.add_edge(2 + n + k, 1, den * dw[k])
-        value = net.max_flow(0, 1)
-        side = net.source_side(0)
-        return value, frozenset(i for i in range(n) if 2 + i in side)
+        return net, src_arc, sink_arc, inf
 
     lam = Fraction(total_dst, total_src)
     trace = [lam]
     limit = max(4, n * m + 2)
     for _ in range(limit):
-        value, side = solve(lam.numerator, lam.denominator)
-        if value == lam.numerator * total_src:
+        net, src_arc, sink_arc, inf = network(lam.numerator, lam.denominator)
+        if net.max_flow(0, 1) == lam.numerator * total_src:
             break
+        reached = net.source_side(0)
+        side = [i for i in range(n) if 2 + i in reached]
         if not side:
             raise RuntimeError("improving cut came back empty")
         img = set()
@@ -211,6 +265,15 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
 
     num, den = lam.numerator, lam.denominator
 
+    def feasible(forced_in, forced_out) -> bool:
+        # the witness queries reuse the last network, built for this lam
+        net.reset()
+        for i in forced_in:
+            net.cap[src_arc[i]] = inf
+        for i in forced_out:
+            net.cap[sink_arc[i]] = inf
+        return net.max_flow(0, 1) == num * total_src
+
     def attains_optimum(index_set) -> bool:
         img = set()
         for i in index_set:
@@ -225,10 +288,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
             break
         progressed = False
         for idx in range(pos, n):
-            value, _side = solve(num, den,
-                                 forced_in=frozenset(included) | {idx},
-                                 forced_out=frozenset(excluded) | frozenset(range(pos, idx)))
-            if value == num * total_src:
+            if feasible(included + [idx], excluded + list(range(pos, idx))):
                 excluded.extend(range(pos, idx))
                 included.append(idx)
                 pos = idx + 1

@@ -6,15 +6,21 @@ Every measure, weight, ratio, and density in this package is a
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
 
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(value) -> Fraction:
-    """Parse a decimal-free rational literal such as ``"3/4"`` or ``"7"``.
+    """Parse a rational literal ``p/q`` or ``p``, such as ``"-3/4"`` or ``"7"``.
 
-    Fractions and ints pass through unchanged; floats are rejected.
+    The text, stripped of surrounding whitespace, must be an optional sign
+    and ASCII digits with an optional ``/digits``; decimals, exponents and
+    digit separators are rejected.  Fractions and ints pass through
+    unchanged; floats and bools are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -25,11 +31,11 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"floating point value {value!r} is not accepted; use 'p/q'")
     text = str(value).strip()
-    if not text or "." in text:
+    if not _LITERAL.fullmatch(text):
         raise InputError(f"bad rational literal {value!r}; expected 'p/q'")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise InputError(f"bad rational literal {value!r}; expected 'p/q'") from exc
 
 

@@ -204,6 +204,24 @@ class TestDeterminism:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+class TestGenerateCommand:
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("action", "--max-n", "1"), ("orbit", "--max-n", "0"),
+        ("orbit", "--max-h", "0"), ("orbit", "--max-a", "0"),
+        ("graph", "--max-layer0", "0"), ("periodic", "--max-period", "0"),
+        ("periodic", "--dim", "0"),
+    ])
+    def test_bounds_below_their_minimum_exit_two(self, tmp_path, kind, flag, value):
+        proc = subprocess.run(
+            [sys.executable, "-m", "plunnecke_lab", "generate", kind, flag, value,
+             "--dir", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["kind"] == "input"
+        assert not list(tmp_path.iterdir())
+
+
 class TestOrbitGraphCommand:
     def test_emits_a_loadable_commutative_graph(self, tmp_path, o1):
         out = tmp_path / "g.json"

@@ -46,6 +46,11 @@ class TestGroupSets:
     def test_zeroth_power_is_identity_singleton(self):
         assert iterate(gset(6, 2, 3), 0).elements == {(0,)}
 
+    @pytest.mark.parametrize("moduli", [("3",), (True,), (3, False), (0,), (2.0,), ()])
+    def test_moduli_must_be_positive_ints(self, moduli):
+        with pytest.raises(InputError):
+            FinAbGroup(moduli)
+
 
 class TestActions:
     def test_translation_action_shape(self):

@@ -1,10 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from plunnecke_lab import InputError, PeriodicSet
+from plunnecke_lab import InputError, PeriodicSet, parse_rational
 from plunnecke_lab import jsonio
 from plunnecke_lab.generators import (random_action, random_layered_graph,
                                       random_periodic_or_finite)
@@ -95,3 +96,20 @@ def test_canonical_dump_is_stable():
     text = jsonio.dumps_canonical(jsonio.periodic_to_doc(a))
     assert text == jsonio.dumps_canonical(json.loads(text))
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3/4", Fraction(3, 4)), (" -6/8 ", Fraction(-3, 4)), ("+7", Fraction(7)),
+    ("0", Fraction(0)), (5, Fraction(5)), (Fraction(1, 3), Fraction(1, 3)),
+])
+def test_parse_rational_accepts_p_over_q(text, want):
+    assert parse_rational(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "1_000", "1.5", "1/2.0", "0x10", "", "  ", "3/", "/4", "3/0", "3/-4",
+    "+-3", "3 / 4", "inf", "nan", "\u00bd", "\u0663", True, 0.5,
+])
+def test_parse_rational_rejects_everything_else(text):
+    with pytest.raises(InputError):
+        parse_rational(text)

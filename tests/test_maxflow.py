@@ -27,6 +27,88 @@ def test_source_side_is_min_cut():
     assert net.source_side(0) == {0}
 
 
+def _random_network(rng):
+    """At most 8 nodes; capacities include 0 and values past 10**12, and
+    some arcs come with a parallel copy or an antiparallel partner."""
+    n = rng.randint(2, 8)
+    caps = [0, 1, 2, 3, 5, 8, 10 ** 12 + 1, 3 * 10 ** 13]
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.choice(caps)))
+        roll = rng.random()
+        if roll < 0.2:
+            arcs.append((u, v, rng.choice(caps)))
+        elif roll < 0.4:
+            arcs.append((v, u, rng.choice(caps)))
+    s, t = rng.sample(range(n), 2)
+    return n, arcs, s, t
+
+
+def _build(n, arcs):
+    net = FlowNetwork(n)
+    for u, v, c in arcs:
+        net.add_edge(u, v, c)
+    return net
+
+
+def _cut_oracle(n, arcs, s, t):
+    """Minimum s-t cut value and the intersection of all minimum source sides,
+    by enumerating every cut."""
+    best, common = None, None
+    others = [v for v in range(n) if v not in (s, t)]
+    for mask in range(1 << len(others)):
+        side = {s} | {v for i, v in enumerate(others) if mask >> i & 1}
+        value = sum(c for u, v, c in arcs if u in side and v not in side)
+        if best is None or value < best:
+            best, common = value, side
+        elif value == best:
+            common = common & side
+    return best, common
+
+
+def test_max_flow_matches_cut_enumeration():
+    rng = random.Random(20140715)
+    for _ in range(600):
+        n, arcs, s, t = _random_network(rng)
+        value, common = _cut_oracle(n, arcs, s, t)
+        net = _build(n, arcs)
+        assert net.max_flow(s, t) == value, (n, arcs, s, t)
+        assert net.source_side(s) == common, (n, arcs, s, t)
+
+
+def test_long_chain_needs_no_recursion():
+    # a recursive path walk would go 4000 frames deep here
+    n = 4000
+    net = FlowNetwork(n)
+    for v in range(n - 1):
+        net.add_edge(v, v + 1, 7 if v == 2500 else 9 + v % 5)
+    assert net.max_flow(0, n - 1) == 7
+    assert net.source_side(0) == set(range(2501))
+
+
+def test_reset_matches_a_fresh_network():
+    rng = random.Random(1970)
+    for _ in range(300):
+        n, arcs, s, t = _random_network(rng)
+        net = FlowNetwork(n)
+        handles = [net.add_edge(u, v, c) for u, v, c in arcs]
+        net.max_flow(s, t)
+        net.reset()
+        assert net.max_flow(s, t) == _build(n, arcs).max_flow(s, t)
+        if not arcs:
+            continue
+        # pin one arc to a new capacity: the same as adding it with that capacity
+        k = rng.randrange(len(arcs))
+        pinned = list(arcs)
+        pinned[k] = (arcs[k][0], arcs[k][1], rng.choice([0, 4, 10 ** 15]))
+        net.reset()
+        net.cap[handles[k]] = pinned[k][2]
+        fresh = _build(n, pinned)
+        assert net.max_flow(s, t) == fresh.max_flow(s, t)
+        assert net.source_side(s) == fresh.source_side(s)
+
+
 @given(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9)))
 def test_lex_less_matches_tuple_order(a, b):
     mask = lambda s: sum(1 << i for i in s)
