@@ -15,8 +15,8 @@ from .density import (PeriodicSet, ShiftSystem, banach_density,
                       verify_density_plunnecke, verify_density_summands,
                       window_scan)
 from .dynamics import (FinAbGroup, FiniteAction, GroupSet, c, c_delta,
-                       c_restricted, heavy_subset, iterate, move_set,
-                       orbit_graph, product_action, product_set,
+                       heavy_subset, iterate, move_set, orbit_graph,
+                       product_action, product_set,
                        restricted_orbit_subgraph, translation_action,
                        validate_action, verify_different_summands,
                        verify_dyn_plunnecke, verify_heavy_subset,
@@ -36,7 +36,7 @@ __all__ = [
     "CommutativityVerdict", "CutsetReport", "FinAbGroup", "FiniteAction",
     "GroupSet", "HypothesisError", "InputError", "LayeredMeasureGraph",
     "MagnificationResult", "PeriodicSet", "ShiftSystem", "VerificationReport",
-    "banach_density", "c", "c_delta", "c_restricted", "channel",
+    "banach_density", "c", "c_delta", "channel",
     "correspondence_system", "cut_weight", "cutset_push", "dual", "flow",
     "format_rational", "heavy_subset", "image", "induced_subgraph",
     "is_commutative", "is_cutset", "is_semi_commutative", "iterate",

@@ -32,7 +32,7 @@ from .dynamics import (FinAbGroup, GroupSet, orbit_graph, translation_action,
                        verify_dyn_plunnecke, verify_heavy_subset,
                        verify_multiplicativity, verify_restricted_plunnecke)
 from .errors import HypothesisError, InputError
-from .graphcore import dual, flow, validate
+from .graphcore import dual, flow, require_valid, validate
 from .magnification import (cut_weight, cutset_push, magnification_bruteforce,
                             magnification_mincut, min_weight_cutset,
                             verify_bottom_layer_minimal, verify_graph_plunnecke)
@@ -63,9 +63,7 @@ def _load_action_bundle(doc):
 
 def _run_flow_duality(doc) -> VerificationReport:
     g = jsonio.graph_from_doc(doc["graph"])
-    violations = validate(g)
-    if violations:
-        raise InputError("invalid graph: " + "; ".join(violations))
+    require_valid(g)
     lhs, rhs = flow(g), flow(dual(g))
     return VerificationReport(doc["instance"], "prop-2.10", lhs, rhs, lhs == rhs)
 
@@ -472,18 +470,8 @@ def _generate_doc(kind: str, rng: random.Random, opts: dict) -> dict:
     raise InputError(f"unknown kind {kind!r}; available: action, graph, orbit, periodic")
 
 
-# The smallest value each generator option admits: a cyclic modulus is at
-# least 2, sizes and heights draw from 1..bound, and a dimension is positive.
-_GENERATE_MINIMA = {"max_n": 2, "max_a": 1, "max_h": 1, "max_layer0": 1,
-                    "max_period": 1, "dim": 1}
-
-
 def _cmd_generate(manifest: RunManifest) -> int:
     opts = manifest.options
-    for key, low in _GENERATE_MINIMA.items():
-        if key in opts and int(opts[key]) < low:
-            raise InputError(f"--{key.replace('_', '-')} must be at least {low} "
-                             f"(got {opts[key]})")
     kind = opts["kind"]
     seed = int(opts.get("seed", 0))
     count = int(opts.get("count", 1))
@@ -514,6 +502,24 @@ _COMMANDS = {
 }
 
 
+# The smallest value each numeric option admits, per command: a cyclic
+# modulus is at least 2, counts, worker numbers, sizes and heights are at
+# least 1, and a dimension is positive.
+_OPTION_MINIMA = {
+    "verify": {"count": 1, "jobs": 1},
+    "generate": {"count": 1, "max_n": 2, "max_a": 1, "max_h": 1, "max_layer0": 1,
+                 "max_period": 1, "dim": 1},
+}
+
+
+def _check_minima(manifest: RunManifest) -> None:
+    opts = manifest.options
+    for key, low in _OPTION_MINIMA.get(manifest.command, {}).items():
+        if key in opts and int(opts[key]) < low:
+            raise InputError(f"--{key.replace('_', '-')} must be at least {low} "
+                             f"(got {opts[key]})")
+
+
 def run(manifest: RunManifest) -> int:
     """Execute a manifest; exceptions are mapped to the exit-code contract."""
     handler = _COMMANDS.get(manifest.command)
@@ -521,6 +527,7 @@ def run(manifest: RunManifest) -> int:
         sys.stderr.write(json.dumps({"error": f"unknown command {manifest.command!r}"}) + "\n")
         return 2
     try:
+        _check_minima(manifest)
         return handler(manifest)
     except HypothesisError as exc:
         sys.stderr.write(json.dumps(

@@ -18,7 +18,7 @@ from .errors import InputError
 from .commutativity import is_commutative
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .magnification import MagnificationResult
-from .maxflow import common_scale, min_ratio_bruteforce, min_ratio_mincut
+from .maxflow import min_ratio_bruteforce, min_ratio_mincut
 from .rational import format_rational
 from .reports import VerificationReport
 
@@ -272,21 +272,21 @@ def restricted_orbit_subgraph(act: FiniteAction, A: GroupSet, B: Iterable[str],
     return induced_subgraph(full, keep & set(full.atoms))
 
 
-def _neighbor_map(act: FiniteAction, A: GroupSet, B: SpaceSet,
-                  drop: SpaceSet = frozenset()) -> dict[str, frozenset[str]]:
-    return {b: move_set(act, A, frozenset([b])) - drop for b in B}
+def c(act: FiniteAction, A: GroupSet, B: Iterable[str], method: str = "auto",
+      drop: Iterable[str] = frozenset()) -> MagnificationResult:
+    """Magnification ratio: min over nonempty B' of mu(A.B' minus drop) / mu(B').
 
-
-def c(act: FiniteAction, A: GroupSet, B: Iterable[str],
-      method: str = "auto") -> MagnificationResult:
-    """Magnification ratio: min over nonempty B' of mu(A.B') / mu(B')."""
+    The default empty ``drop`` gives the plain ratio c(A, B); a nonempty one
+    gives the restricted ratio of thm-4.3.
+    """
     require_valid_action(act)
     B = _check_atoms(act, B)
+    drop = _check_atoms(act, drop)
     if not B:
         raise InputError("B must be nonempty")
     if method == "auto":
         method = "brute" if len(B) <= _BRUTE_AUTO_LIMIT else "mincut"
-    neighbors = _neighbor_map(act, A, B)
+    neighbors = {b: move_set(act, A, frozenset([b])) - drop for b in B}
     if method == "brute":
         value, witness = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
     elif method == "mincut":
@@ -311,62 +311,9 @@ def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction
         raise InputError("B must be nonempty")
     if len(B) > C_DELTA_LIMIT:
         raise InputError(f"heavy ratio is brute force only; |B| <= {C_DELTA_LIMIT}")
-    sources = sorted(B)
-    n = len(sources)
-    neighbors = _neighbor_map(act, A, B)
-    targets = sorted({u for s in sources for u in neighbors[s]})
-    tindex = {u: i for i, u in enumerate(targets)}
-    scale = common_scale([act.atoms[s] for s in sources] + [act.atoms[u] for u in targets])
-    sw = [int(act.atoms[s] * scale) for s in sources]
-    dw = [int(act.atoms[u] * scale) for u in targets]
-    nmask = [0] * n
-    for i, s in enumerate(sources):
-        for u in neighbors[s]:
-            nmask[i] |= 1 << tindex[u]
-    total = sum(sw)
-    size = 1 << n
-    imgs = [0] * size
-    img_w = [0] * size
-    set_w = [0] * size
-    best: tuple[int, int] | None = None
-    for m in range(1, size):
-        low = m & -m
-        i = low.bit_length() - 1
-        rest = m ^ low
-        added = nmask[i] & ~imgs[rest]
-        imgs[m] = imgs[rest] | added
-        w = img_w[rest]
-        while added:
-            b = added & -added
-            w += dw[b.bit_length() - 1]
-            added ^= b
-        img_w[m] = w
-        set_w[m] = set_w[rest] + sw[i]
-        if set_w[m] * delta.denominator < delta.numerator * total:
-            continue
-        if best is None or w * best[1] < best[0] * set_w[m]:
-            best = (w, set_w[m])
-    assert best is not None  # B itself always qualifies
-    return Fraction(best[0], best[1])
-
-
-def c_restricted(act: FiniteAction, A: GroupSet, B: Iterable[str],
-                 E: Iterable[str], method: str = "auto") -> Fraction:
-    """Restricted ratio: min over nonempty B' of mu(A.B' minus E) / mu(B')."""
-    require_valid_action(act)
-    B = _check_atoms(act, B)
-    E = _check_atoms(act, E)
-    if not B:
-        raise InputError("B must be nonempty")
-    if method == "auto":
-        method = "brute" if len(B) <= _BRUTE_AUTO_LIMIT else "mincut"
-    neighbors = _neighbor_map(act, A, B, drop=E)
-    if method == "brute":
-        value, _ = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
-    elif method == "mincut":
-        value, _, _ = min_ratio_mincut(sorted(B), neighbors, act.atoms, act.atoms)
-    else:
-        raise InputError(f"unknown method {method!r}")
+    neighbors = {b: move_set(act, A, frozenset([b])) for b in B}
+    value, _ = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms,
+                                    min_share=delta)
     return value
 
 
@@ -403,8 +350,8 @@ def verify_restricted_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str]
     if not 0 < j <= k:
         raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
     E = _check_atoms(act, E)
-    low = c_restricted(act, iterate(A, j), B, move_set(act, iterate(A, j - 1), E))
-    high = c_restricted(act, iterate(A, k), B, move_set(act, iterate(A, k - 1), E))
+    low = c(act, iterate(A, j), B, drop=move_set(act, iterate(A, j - 1), E)).value
+    high = c(act, iterate(A, k), B, drop=move_set(act, iterate(A, k - 1), E)).value
     lhs, rhs = low ** k, high ** j
     sub = restricted_orbit_subgraph(act, A, B, E, k)
     sub_ok = True if not sub.atoms else is_commutative(sub).holds

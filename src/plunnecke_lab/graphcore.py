@@ -165,13 +165,15 @@ def induced_subgraph(g: LayeredMeasureGraph, W: Iterable[str]) -> LayeredMeasure
     )
 
 
-def _closure(start: Iterable[str], step_map: dict[str, frozenset[str]]) -> frozenset[str]:
-    seen = set(start)
+def _closure(start: Iterable[str], step_map: dict[str, frozenset[str]],
+             avoid: frozenset[str] = frozenset()) -> frozenset[str]:
+    """Everything reachable from ``start`` along ``step_map`` without entering ``avoid``."""
+    seen = set(start) - avoid
     frontier = list(seen)
     while frontier:
         v = frontier.pop()
         for u in step_map.get(v, ()):
-            if u not in seen:
+            if u not in seen and u not in avoid:
                 seen.add(u)
                 frontier.append(u)
     return frozenset(seen)

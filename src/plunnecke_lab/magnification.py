@@ -19,9 +19,10 @@ from typing import Iterable
 
 from .commutativity import is_commutative
 from .errors import HypothesisError, InputError
-from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices,
+from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, predecessors, require_valid, successors)
-from .maxflow import FlowNetwork, common_scale, min_ratio_bruteforce, min_ratio_mincut
+from .maxflow import (FlowNetwork, common_scale, lex_min_greedy, min_ratio_bruteforce,
+                      min_ratio_mincut)
 from .rational import format_rational
 from .reports import VerificationReport
 
@@ -43,13 +44,37 @@ class CutsetReport:
     is_minimal: bool
 
 
-def _check_order(g: LayeredMeasureGraph, j: int) -> None:
+def _bottom_problem(g: LayeredMeasureGraph, j: int, limit: int | None = None):
+    """Checked order-j ratio problem: sorted layer 0 and each vertex's j-step image.
+
+    A layer 0 bigger than ``limit`` is refused before any image is computed.
+    """
+    require_valid(g)
     if not 1 <= j <= g.height:
         raise InputError(f"order {j} not in 1..{g.height}")
+    bottom = sorted(g.layer_set(0))
+    if not bottom:
+        raise InputError("layer 0 is empty")
+    if limit is not None and len(bottom) > limit:
+        raise InputError(
+            f"layer 0 has {len(bottom)} vertices, over the brute-force limit "
+            f"{limit}; use magnification_mincut")
+    return bottom, {v: iterated_image(g, frozenset([v]), j) for v in bottom}
 
 
-def _bottom_relation(g: LayeredMeasureGraph, j: int) -> dict[str, frozenset[str]]:
-    return {v: iterated_image(g, frozenset([v]), j) for v in g.layer_set(0)}
+def _require_commutative(g: LayeredMeasureGraph) -> None:
+    verdict = is_commutative(g)
+    if not verdict.holds:
+        raise HypothesisError(
+            f"graph is not commutative (edge {verdict.failing_edge})",
+            payload=verdict)
+
+
+def _rate(C) -> Fraction:
+    C = Fraction(C)
+    if C <= 0:
+        raise InputError("C must be positive")
+    return C
 
 
 def magnification_bruteforce(g: LayeredMeasureGraph, j: int,
@@ -59,37 +84,21 @@ def magnification_bruteforce(g: LayeredMeasureGraph, j: int,
     Ties go to the lexicographically smallest vertex-id set.  Refuses layers
     bigger than ``limit``; use :func:`magnification_mincut` for those.
     """
-    require_valid(g)
-    _check_order(g, j)
-    bottom = g.layer_set(0)
-    if not bottom:
-        raise InputError("layer 0 is empty")
-    if len(bottom) > limit:
-        raise InputError(
-            f"layer 0 has {len(bottom)} vertices, over the brute-force limit "
-            f"{limit}; use magnification_mincut")
-    value, witness = min_ratio_bruteforce(sorted(bottom), _bottom_relation(g, j),
-                                          g.atoms, g.atoms)
+    bottom, relation = _bottom_problem(g, j, limit)
+    value, witness = min_ratio_bruteforce(bottom, relation, g.atoms, g.atoms)
     return MagnificationResult(value, witness, "brute")
 
 
 def magnification_mincut(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     """Same value and witness as the brute-force method, via iterated min-cuts."""
-    require_valid(g)
-    _check_order(g, j)
-    bottom = g.layer_set(0)
-    if not bottom:
-        raise InputError("layer 0 is empty")
-    value, witness, _trace = min_ratio_mincut(sorted(bottom), _bottom_relation(g, j),
-                                              g.atoms, g.atoms)
+    bottom, relation = _bottom_problem(g, j)
+    value, witness, _trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
     return MagnificationResult(value, witness, "mincut")
 
 
 def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:
     """Layer-discounted weight: sum over v in S of C**-layer(v) * weight(v)."""
-    C = Fraction(C)
-    if C <= 0:
-        raise InputError("C must be positive")
+    C = _rate(C)
     S = _check_vertices(g, S)
     return sum((C ** (-g.layer[v]) * g.atoms[v] for v in S), Fraction(0))
 
@@ -97,22 +106,7 @@ def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:
 def is_cutset(g: LayeredMeasureGraph, S: Iterable[str]) -> bool:
     """True iff no bottom-to-top path avoids S (endpoints count as hits)."""
     S = _check_vertices(g, S)
-    step = successors(g)
-    top = g.layer_set(g.height)
-    seen = set(v for v in g.layer_set(0) if v not in S)
-    if seen & top:
-        return False
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for u in step.get(v, ()):
-            if u in S or u in seen:
-                continue
-            if u in top:
-                return False
-            seen.add(u)
-            frontier.append(u)
-    return True
+    return not (_closure(g.layer_set(0), successors(g), avoid=S) & g.layer_set(g.height))
 
 
 def _cutset_scale(g: LayeredMeasureGraph, C: Fraction):
@@ -151,38 +145,27 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     witness is then grown greedily with forced in/out feasibility cuts, each
     on the same network with its split arcs pinned.
     """
-    C = Fraction(C)
-    if C <= 0:
-        raise InputError("C must be positive")
+    C = _rate(C)
     require_valid(g)
     wci, scale = _cutset_scale(g, C)
     net, split, inf = _cutset_network(g, wci)
     minimum = net.max_flow(0, 1)
     ids = sorted(g.atoms)
-    included: list[str] = []
-    excluded: list[str] = []
-    pos = 0
-    while True:
-        if sum(wci[v] for v in included) == minimum and is_cutset(g, included):
-            break
-        progressed = False
-        for idx in range(pos, len(ids)):
-            chosen = included + [ids[idx]]
-            net.reset()
-            for v in chosen:
-                net.cap[split[v]] = 0
-            for v in excluded + ids[pos:idx]:
-                net.cap[split[v]] = inf
-            if net.max_flow(0, 1) + sum(wci[v] for v in chosen) == minimum:
-                excluded.extend(ids[pos:idx])
-                included.append(ids[idx])
-                pos = idx + 1
-                progressed = True
-                break
-        if not progressed:
-            raise RuntimeError("minimum cutset extraction failed")
-    return CutsetReport(cutset=frozenset(included), weight=Fraction(minimum, scale),
-                        C=C, is_minimal=True)
+
+    def feasible(chosen, barred) -> bool:
+        net.reset()
+        for i in chosen:
+            net.cap[split[ids[i]]] = 0
+        for i in barred:
+            net.cap[split[ids[i]]] = inf
+        return net.max_flow(0, 1) + sum(wci[ids[i]] for i in chosen) == minimum
+
+    def done(chosen) -> bool:
+        cut = [ids[i] for i in chosen]
+        return sum(wci[v] for v in cut) == minimum and is_cutset(g, cut)
+
+    cutset = frozenset(ids[i] for i in lex_min_greedy(len(ids), feasible, done))
+    return CutsetReport(cutset=cutset, weight=Fraction(minimum, scale), C=C, is_minimal=True)
 
 
 def push_penalty(label_count: int, C, eps) -> Fraction:
@@ -204,9 +187,7 @@ def cutset_push(g: LayeredMeasureGraph, S: Iterable[str], C, j: int) -> VertexSe
     the whole reachable layer j-1 would break the weight bound whenever S
     cuts the flow elsewhere.)
     """
-    C = Fraction(C)
-    if C <= 0:
-        raise InputError("C must be positive")
+    C = _rate(C)
     require_valid(g)
     if not 1 <= j <= g.height - 1:
         raise InputError(f"push layer {j} not in 1..{g.height - 1}")
@@ -217,28 +198,14 @@ def cutset_push(g: LayeredMeasureGraph, S: Iterable[str], C, j: int) -> VertexSe
         raise InputError(
             f"cutset vertex ({outside[0]}) lies in layer {g.layer[outside[0]]}, "
             f"outside 0..{j} and {g.height}")
-    if not is_cutset(g, S):
+    top = g.layer_set(g.height)
+    reach = _closure(g.layer_set(0), successors(g), avoid=S)
+    if reach & top:
         raise InputError("S is not a cutset")
-    step = successors(g)
-    seen = set(v for v in g.layer_set(0) if v not in S)
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for u in step.get(v, ()):
-            if u not in S and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    shield = frozenset(v for v in seen if g.layer[v] == j - 1)
+    shield = frozenset(v for v in reach if g.layer[v] == j - 1)
     # layer j+1 vertices that still reach the top once S's top part is gone
     back = predecessors(g)
-    live = set(g.layer_set(g.height) - S)
-    frontier = list(live)
-    while frontier:
-        v = frontier.pop()
-        for u in back.get(v, ()):
-            if u not in live:
-                live.add(u)
-                frontier.append(u)
+    live = _closure(top - S, back)
     gate = {v for v in live if g.layer[v] == j + 1}
     feeders = {t for u in gate for t in back.get(u, ())}
     funnel = {t for x in feeders for t in back.get(x, ())}
@@ -253,11 +220,7 @@ def verify_graph_plunnecke(g: LayeredMeasureGraph,
     The report's lhs/rhs show the tightest nontrivial comparison (or the
     first failing one); per-order values sit in the details.
     """
-    verdict = is_commutative(g)
-    if not verdict.holds:
-        raise HypothesisError(
-            f"graph is not commutative (edge {verdict.failing_edge})",
-            payload=verdict)
+    _require_commutative(g)
     h = g.height
     ratio = {j: magnification_mincut(g, j) for j in range(1, h + 1)}
     checks = []
@@ -292,14 +255,8 @@ def verify_graph_plunnecke(g: LayeredMeasureGraph,
 def verify_bottom_layer_minimal(g: LayeredMeasureGraph, C,
                                 instance: str = "graph") -> VerificationReport:
     """Check that layer 0 attains the minimum cutset weight when C**h <= D_h."""
-    C = Fraction(C)
-    if C <= 0:
-        raise InputError("C must be positive")
-    verdict = is_commutative(g)
-    if not verdict.holds:
-        raise HypothesisError(
-            f"graph is not commutative (edge {verdict.failing_edge})",
-            payload=verdict)
+    C = _rate(C)
+    _require_commutative(g)
     top_ratio = magnification_mincut(g, g.height).value
     if C ** g.height > top_ratio:
         raise HypothesisError(

@@ -141,7 +141,7 @@ def lex_less(a: int, b: int) -> bool:
 def common_scale(values) -> int:
     scale = 1
     for v in values:
-        scale = lcm(scale, Fraction(v).denominator)
+        scale = lcm(scale, v.denominator)
     return scale
 
 
@@ -150,19 +150,20 @@ def _integerize(sources, neighbors, source_weight, target_weight):
     scale = common_scale(
         [source_weight[s] for s in sources] + [target_weight[u] for u in targets]
     )
-    sw = [int(Fraction(source_weight[s]) * scale) for s in sources]
-    dw = [int(Fraction(target_weight[u]) * scale) for u in targets]
+    sw = [int(source_weight[s] * scale) for s in sources]
+    dw = [int(target_weight[u] * scale) for u in targets]
     tindex = {u: i for i, u in enumerate(targets)}
     nbr = [sorted(tindex[u] for u in neighbors[s]) for s in sources]
     return targets, sw, dw, nbr
 
 
 def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
-                         limit: int = 22) -> tuple[Fraction, frozenset]:
+                         limit: int = 22, min_share=0) -> tuple[Fraction, frozenset]:
     """Enumerate every nonempty subset of ``sources`` exactly.
 
-    Subset images and weights are built incrementally over bitmasks, with all
-    arithmetic on scaled integers.
+    Only subsets weighing at least ``min_share`` times the whole source set
+    compete.  Subset images and weights are built incrementally over bitmasks,
+    with all arithmetic on scaled integers.
     """
     sources = sorted(sources)
     n = len(sources)
@@ -171,6 +172,9 @@ def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
     if n > limit:
         raise InputError(f"brute force limited to {limit} sources (got {n})")
     _targets, sw, dw, nbr = _integerize(sources, neighbors, source_weight, target_weight)
+    min_share = Fraction(min_share)
+    share_den = min_share.denominator
+    need = min_share.numerator * sum(sw)
     nmask = [0] * n
     for i in range(n):
         for k in nbr[i]:
@@ -194,6 +198,8 @@ def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
             added ^= b
         img_w[m] = w
         set_w[m] = set_w[rest] + sw[i]
+        if set_w[m] * share_den < need:
+            continue
         if best_mask == 0:
             best_num, best_den, best_mask = w, set_w[m], m
             continue
@@ -202,6 +208,29 @@ def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
             best_num, best_den, best_mask = w, set_w[m], m
     witness = frozenset(sources[i] for i in range(n) if best_mask >> i & 1)
     return Fraction(best_num, best_den), witness
+
+
+def lex_min_greedy(n: int, feasible, done) -> list[int]:
+    """Grow the lexicographically smallest index set in 0..n-1 that ``done`` accepts.
+
+    ``feasible(chosen, barred)`` says whether some optimal set contains every
+    index in ``chosen`` and none in ``barred``.  Each round adds the smallest
+    index whose addition stays feasible and bars the indices it skipped.
+    """
+    included: list[int] = []
+    excluded: list[int] = []
+    pos = 0
+    while not done(included):
+        for idx in range(pos, n):
+            skipped = list(range(pos, idx))
+            if feasible(included + [idx], excluded + skipped):
+                included.append(idx)
+                excluded += skipped
+                pos = idx + 1
+                break
+        else:
+            raise RuntimeError("no feasible extension of the lex-min witness")
+    return included
 
 
 def min_ratio_mincut(sources, neighbors, source_weight, target_weight
@@ -278,23 +307,8 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
         img = set()
         for i in index_set:
             img.update(nbr[i])
-        return den * sum(dw[k] for k in img) == num * sum(sw[i] for i in index_set)
+        return (bool(index_set) and
+                den * sum(dw[k] for k in img) == num * sum(sw[i] for i in index_set))
 
-    included: list[int] = []
-    excluded: list[int] = []
-    pos = 0
-    while True:
-        if included and attains_optimum(included):
-            break
-        progressed = False
-        for idx in range(pos, n):
-            if feasible(included + [idx], excluded + list(range(pos, idx))):
-                excluded.extend(range(pos, idx))
-                included.append(idx)
-                pos = idx + 1
-                progressed = True
-                break
-        if not progressed:
-            raise RuntimeError("no witness at the optimal ratio")
-    witness = frozenset(sources[i] for i in included)
+    witness = frozenset(sources[i] for i in lex_min_greedy(n, feasible, attains_optimum))
     return lam, witness, tuple(trace)

@@ -130,6 +130,16 @@ class TestVerify:
     def test_wrong_generator_kind_exits_two(self):
         assert main(["verify", "thm-3.5", "--generate", "periodic"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "0"), ("--count", "-3"), ("--jobs", "0"), ("--jobs", "-1"),
+    ])
+    def test_non_positive_count_or_jobs_exits_two(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.json"
+        assert main(["verify", "thm-3.5", "--seed", "3", flag, value,
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "input"
+        assert not out.exists()
+
     def test_malformed_bundle_field_exits_two(self, tmp_path):
         bundle = {
             "instance": "bad",
@@ -219,6 +229,13 @@ class TestGenerateCommand:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["kind"] == "input"
+        assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_count_exits_two(self, tmp_path, capsys, value):
+        assert main(["generate", "orbit", "--count", value, "--dir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "input"
         assert not list(tmp_path.iterdir())
 
 

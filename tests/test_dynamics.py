@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plunnecke_lab import (FinAbGroup, InputError, c, c_delta,
-                           c_restricted, heavy_subset, is_commutative, iterate,
+                           heavy_subset, is_commutative, iterate,
                            magnification_mincut, move_set, orbit_graph,
                            product_action, product_set,
                            restricted_orbit_subgraph, translation_action,
@@ -140,6 +141,24 @@ class TestMagnificationRatio:
         assert brute.witness == mincut.witness
 
     @given(seeds)
+    def test_methods_agree_with_a_drop_set(self, seed):
+        rng = random.Random(seed)
+        act = random_action(rng, max_n=12)
+        A = random_group_subset(rng, act.group, 3)
+        B = random_space_subset(rng, act, 12)
+        pool = sorted(act.atoms)
+        drop = frozenset(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        brute = c(act, A, B, method="brute", drop=drop)
+        mincut = c(act, A, B, method="mincut", drop=drop)
+        assert (brute.value, brute.witness) == (mincut.value, mincut.witness)
+        assert c(act, A, B, drop=drop).value == brute.value
+
+    def test_drop_atoms_are_checked(self):
+        act = translation(6)
+        with pytest.raises(InputError):
+            c(act, gset(6, 0, 1), {"0"}, drop={"nowhere"})
+
+    @given(seeds)
     def test_matches_orbit_graph_magnification(self, seed):
         rng = random.Random(seed)
         act = random_action(rng, max_coords=1, max_n=8)
@@ -154,7 +173,32 @@ class TestMagnificationRatio:
         assert magnification_mincut(one_layer, 1).value == direct
 
 
+def _c_delta_oracle(act, A, B, delta):
+    """Every heavy subset by itertools.combinations, images by act.apply."""
+    total = sum(act.atoms[x] for x in B)
+    best = None
+    for r in range(1, len(B) + 1):
+        for combo in combinations(sorted(B), r):
+            weight = sum(act.atoms[x] for x in combo)
+            if weight < delta * total:
+                continue
+            img = {act.apply(a, x) for a in A.elements for x in combo}
+            ratio = sum(act.atoms[y] for y in img) / weight
+            if best is None or ratio < best:
+                best = ratio
+    return best
+
+
 class TestHeavyRatio:
+    @given(seeds, st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    @settings(max_examples=30)
+    def test_matches_combination_enumeration(self, seed, delta):
+        rng = random.Random(seed)
+        act = random_action(rng, max_n=10)
+        A = random_group_subset(rng, act.group, 3)
+        B = random_space_subset(rng, act, 7)
+        assert c_delta(act, A, B, delta) == _c_delta_oracle(act, A, B, delta)
+
     def test_delta_one_forces_full_set(self):
         act = translation(6)
         A = gset(6, 0, 1)
@@ -191,15 +235,15 @@ class TestRestrictedRatio:
         act = translation(6)
         A = gset(6, 0, 1)
         B = {"0", "3"}
-        assert c_restricted(act, A, B, frozenset()) == c(act, A, B).value
+        assert c(act, A, B, drop=frozenset()).value == c(act, A, B).value
 
     def test_full_restriction_is_zero(self):
         act = translation(6)
-        assert c_restricted(act, gset(6, 0, 1), {"0"}, set(act.atoms)) == 0
+        assert c(act, gset(6, 0, 1), {"0"}, drop=set(act.atoms)).value == 0
 
     def test_pinned_singleton(self):
         act = translation(6)
-        assert c_restricted(act, gset(6, 0, 1), {"0"}, {"1"}) == 1
+        assert c(act, gset(6, 0, 1), {"0"}, drop={"1"}).value == 1
 
 
 class TestDynPlunnecke:

@@ -152,6 +152,14 @@ class TestMinWeightCutset:
         assert report.cutset == frozenset()
         assert report.weight == 0
 
+    def test_no_path_to_a_nonempty_top_gives_empty_cutset(self):
+        g = build([("v0", 0, 1), ("v1", 1, 1), ("w1", 1, 2), ("w2", 2, 2)],
+                  [("v0", "v1", "a"), ("w1", "w2", "a")], height=2)
+        report = min_weight_cutset(g, 2)
+        assert report.cutset == frozenset()
+        assert report.weight == 0
+        assert is_cutset(g, report.cutset)
+
     @given(st.integers(0, 10 ** 9), st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]))
     @settings(max_examples=25)
     def test_matches_subset_enumeration(self, seed, rate):
