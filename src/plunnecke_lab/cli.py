@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -348,6 +347,9 @@ def _cmd_verify(manifest: RunManifest) -> int:
     jobs = int(opts.get("jobs") or _default_jobs())
     tasks = [(theorem, bundle, with_timing) for bundle in bundles]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: it pulls in multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_bundle_star, tasks))
     else:

@@ -16,11 +16,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import HypothesisError, InputError
 from .rational import format_rational
 from .reports import VerificationReport
+
+MAX_PERIOD_BOX = 2 ** 20
+"""Most cells (the product of the periods) a periodic set's period box may hold.
+
+Sumsets, normalization and the orbit system all walk the period box, so a
+larger box is refused as an input error before any residue is read.
+"""
+
+MAX_SCAN_CALLS = 10 ** 7
+"""Most membership-oracle calls one ``window_scan`` may make.
+
+A scan makes ``(2 * radius - side + 2) ** dim * side ** dim`` calls; a larger
+scan is refused as an input error before the oracle is called.
+"""
 
 
 @dataclass(frozen=True)
@@ -40,6 +54,7 @@ class PeriodicSet:
         period = tuple(int(p) for p in period)
         if not period or any(p < 1 for p in period):
             raise InputError(f"period must be positive (got {period})")
+        check_period_box(period)
         reduced = frozenset(
             tuple(int(x) % p for x, p in zip(_as_vector(r, len(period)), period))
             for r in residues
@@ -56,6 +71,20 @@ class PeriodicSet:
     @property
     def is_finite(self) -> bool:
         return self.period is None
+
+
+def check_period_box(period) -> None:
+    """Raise InputError if the periods multiply past MAX_PERIOD_BOX cells.
+
+    ``period`` may be any iterable of positive ints; the product is formed
+    one axis at a time and stops at the first axis past the limit.
+    """
+    box = 1
+    for p in period:
+        box *= p
+        if box > MAX_PERIOD_BOX:
+            raise InputError(
+                f"period box has more than {MAX_PERIOD_BOX} cells (MAX_PERIOD_BOX)")
 
 
 def _as_vector(value, dim: int) -> tuple[int, ...]:
@@ -108,13 +137,10 @@ def banach_density(A: PeriodicSet) -> Fraction:
     return Fraction(len(A.residues), box)
 
 
-def _lift(A: PeriodicSet, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """All residues of A inside the larger period box (period must divide box)."""
-    reps = [range(L // p) for p, L in zip(A.period, box)]
+def _sum_mod(xs, ys, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """{x + y mod box : x in xs, y in ys}, coordinatewise."""
     return frozenset(
-        tuple((r[i] + m[i] * A.period[i]) % box[i] for i in range(A.dim))
-        for r in A.residues
-        for m in itertools.product(*reps)
+        tuple((a + b) % m for a, b, m in zip(x, y, box)) for x in xs for y in ys
     )
 
 
@@ -122,7 +148,10 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
     """Exact sumset; the result is normalized.
 
     periodic + finite stays periodic with the same period; finite + finite
-    stays finite.
+    stays finite.  periodic + periodic is computed in the gcd box: A + B is
+    invariant under translation by each period, hence by their gcd g on each
+    axis (Bezout), so x lies in A + B exactly when x mod g lies in
+    (A mod g) + (B mod g).
     """
     if A.dim != B.dim:
         raise InputError(f"dimension mismatch ({A.dim} vs {B.dim})")
@@ -134,18 +163,12 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
     if A.is_finite:
         A, B = B, A
     if B.is_finite:
-        summed = frozenset(
-            tuple((r[i] + f[i]) % A.period[i] for i in range(A.dim))
-            for r in A.residues
-            for f in B.residues
-        )
+        summed = _sum_mod(A.residues, B.residues, A.period)
         return normalize(PeriodicSet(A.dim, A.period, summed))
-    box = tuple(lcm(p, q) for p, q in zip(A.period, B.period))
-    ra, rb = _lift(A, box), _lift(B, box)
-    summed = frozenset(
-        tuple((x[i] + y[i]) % box[i] for i in range(A.dim)) for x in ra for y in rb
-    )
-    return normalize(PeriodicSet(A.dim, box, summed))
+    box = tuple(gcd(p, q) for p, q in zip(A.period, B.period))
+    ra = frozenset(tuple(x % m for x, m in zip(r, box)) for r in A.residues)
+    rb = frozenset(tuple(x % m for x, m in zip(r, box)) for r in B.residues)
+    return normalize(PeriodicSet(A.dim, box, _sum_mod(ra, rb, box)))
 
 
 def iterate_sumset(A: PeriodicSet, k: int) -> PeriodicSet:
@@ -162,12 +185,19 @@ def window_scan(oracle, side: int, radius: int, dim: int = 1
     """Max and min of |A ∩ cube| / side**dim over all side-cubes within radius.
 
     A reporting estimate for arbitrary membership oracles, not a certified
-    density.
+    density.  Scans that would call the oracle more than MAX_SCAN_CALLS times
+    are refused.
     """
     if side < 1:
         raise InputError(f"window side must be at least 1 (got {side})")
     if radius < side:
         raise InputError(f"search radius {radius} is smaller than the side {side}")
+    calls = 1
+    for _ in range(dim):
+        calls *= (2 * radius - side + 2) * side
+        if calls > MAX_SCAN_CALLS:
+            raise InputError(f"window scan needs more than {MAX_SCAN_CALLS} "
+                             f"oracle calls (MAX_SCAN_CALLS)")
     origins = range(-radius, radius - side + 2)
     offsets = list(itertools.product(range(side), repeat=dim))
     best = worst = None

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import jsonio
-from .density import PeriodicSet
+from .density import PeriodicSet, check_period_box
 from .dynamics import (FinAbGroup, FiniteAction, GroupSet, orbit_graph,
                        product_action, translation_action)
 from .graphcore import LayeredMeasureGraph
@@ -159,11 +159,19 @@ def admissible_cut_rate(rng: random.Random, g: LayeredMeasureGraph) -> Fraction:
     return rng.choice(sorted(set(candidates)))
 
 
+def _period_cap(dim: int, max_period: int) -> int:
+    """Largest period per axis: max_period in one dimension, 6 otherwise."""
+    return max_period if dim == 1 else 6
+
+
 def random_periodic_set(rng: random.Random, dim: int | None = None,
                         max_period: int = 12, allow_empty: bool = True) -> PeriodicSet:
+    # Refuse a box past MAX_PERIOD_BOX before anything is drawn.
+    for d in ((1, 2) if dim is None else (dim,)):
+        check_period_box(itertools.repeat(_period_cap(d, max_period), d))
     if dim is None:
         dim = rng.randint(1, 2)
-    period = tuple(rng.randint(1, max_period if dim == 1 else 6) for _ in range(dim))
+    period = tuple(rng.randint(1, _period_cap(dim, max_period)) for _ in range(dim))
     residues = []
     for r in itertools.product(*(range(p) for p in period)):
         if rng.random() < 0.45:

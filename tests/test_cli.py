@@ -239,6 +239,14 @@ class TestGenerateCommand:
         assert not list(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("flags", [["--max-period", str(2 ** 20 + 1)],
+                                       ["--dim", "8"]])
+    def test_period_box_past_the_budget_exits_two(self, tmp_path, capsys, flags):
+        assert main(["generate", "periodic", *flags, "--dir", str(tmp_path)]) == 2
+        assert "MAX_PERIOD_BOX" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.iterdir())
+
+
 class TestOrbitGraphCommand:
     def test_emits_a_loadable_commutative_graph(self, tmp_path, o1):
         out = tmp_path / "g.json"
@@ -277,6 +285,21 @@ class TestDensityCommand:
         assert (row["upper"], row["lower"]) == ("2/3", "1/3")
 
 
+    def test_period_box_past_the_budget_exits_two(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"dim": 2, "period": [2 ** 10, 2 ** 11],
+                                 "residues": [[0, 0]]}))
+        assert main(["density", "banach", str(a)]) == 2
+        assert "MAX_PERIOD_BOX" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_scan_past_the_call_budget_exits_two(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"dim": 1, "period": [2], "residues": [[0]]}))
+        assert main(["density", "scan", str(a), "--side", "1",
+                     "--radius", str(5 * 10 ** 6)]) == 2
+        assert "MAX_SCAN_CALLS" in json.loads(capsys.readouterr().err)["error"]
+
+
 class TestCorrespondCommand:
     def test_default_translates(self, tmp_path, capsys):
         b = tmp_path / "b.json"
@@ -310,3 +333,12 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, plunnecke_lab.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

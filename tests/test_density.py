@@ -1,16 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plunnecke_lab import (GroupSet, HypothesisError, InputError, PeriodicSet,
-                           banach_density, correspondence_system, move_set,
-                           normalize, periodic_sumset, verify_correspondence,
-                           verify_density_plunnecke, verify_density_summands,
-                           window_scan)
-from plunnecke_lab.density import contains, shift_system_action
+                           banach_density, correspondence_system, density,
+                           iterate_sumset, move_set, normalize, periodic_sumset,
+                           verify_correspondence, verify_density_plunnecke,
+                           verify_density_summands, window_scan)
+from plunnecke_lab.density import (MAX_PERIOD_BOX, MAX_SCAN_CALLS, contains,
+                                   shift_system_action)
 from plunnecke_lab.dynamics import measure
 from plunnecke_lab.generators import (random_periodic_or_finite,
                                       random_periodic_set)
@@ -88,6 +90,137 @@ class TestSumsets:
         b = random_periodic_set(rng, dim=1, allow_empty=False)
         b_with_zero = PeriodicSet.periodic(b.period, set(b.residues) | {(0,)})
         assert banach_density(periodic_sumset(a, b_with_zero)) >= banach_density(a)
+
+
+def lcm_box_sumset(A, B):
+    """Oracle: A + B with both periodic sets lifted to the lcm of their periods."""
+    box = tuple(lcm(p, q) for p, q in zip(A.period, B.period))
+
+    def lift(S):
+        reps = [range(L // p) for p, L in zip(S.period, box)]
+        return {tuple((r[i] + m[i] * S.period[i]) % box[i] for i in range(S.dim))
+                for r in S.residues for m in itertools.product(*reps)}
+
+    summed = {tuple((x + y) % L for x, y, L in zip(a, b, box))
+              for a in lift(A) for b in lift(B)}
+    return normalize(PeriodicSet(A.dim, box, frozenset(summed)))
+
+
+def lcm_box_iterate(A, k):
+    out = normalize(A)
+    for _ in range(k - 1):
+        out = lcm_box_sumset(out, A)
+    return out
+
+
+ORACLE_BOX_CAP = 1024  # cells in the lcm box, so the oracle stays quick
+
+
+def _draw_set(rng, period):
+    cells = list(itertools.product(*(range(p) for p in period)))
+    return PeriodicSet.periodic(period, rng.sample(cells, rng.randint(0, min(8, len(cells)))))
+
+
+def _draw_pair(rng, dim, cap):
+    """Periods that are unrelated, equal, one dividing the other, or coprime."""
+    while True:
+        kind = rng.choice(("any", "equal", "divides", "coprime"))
+        pa = tuple(rng.randint(1, cap) for _ in range(dim))
+        if kind == "any":
+            pb = tuple(rng.randint(1, cap) for _ in range(dim))
+        elif kind == "equal":
+            pb = pa
+        elif kind == "divides":
+            pb = tuple(p * rng.randint(1, cap // p) for p in pa)
+        else:
+            pb = tuple(rng.choice([q for q in range(1, cap + 1) if gcd(p, q) == 1])
+                       for p in pa)
+        box = 1
+        for p, q in zip(pa, pb):
+            box *= lcm(p, q)
+        if box <= ORACLE_BOX_CAP:
+            return _draw_set(rng, pa), _draw_set(rng, pb)
+
+
+class TestGcdBoxSumset:
+    @pytest.mark.parametrize("pa, ra, pb, rb", [
+        ((6,), [], (4,), [(1,)]),
+        ((6,), [(1,)], (4,), []),
+        ((7,), [(0,), (3,)], (9,), [(2,)]),
+        ((12,), [(0,), (5,)], (12,), [(0,), (7,)]),
+        ((5,), [(1,), (2,)], (30,), [(0,), (11,), (29,)]),
+        ((2, 3), [(0, 0)], (3, 2), [(1, 1)]),
+        ((4, 6), [(0, 0), (1, 3)], (8, 3), [(2, 1)]),
+        ((2, 2, 2), [], (3, 5, 7), [(0, 0, 0)]),
+        ((4, 4, 6), [(0, 1, 2), (3, 3, 5)], (2, 8, 6), [(1, 0, 0)]),
+    ])
+    def test_pinned_pairs_match_the_lcm_box(self, pa, ra, pb, rb):
+        A, B = per(pa, *ra), per(pb, *rb)
+        assert periodic_sumset(A, B) == lcm_box_sumset(A, B)
+
+    @pytest.mark.parametrize("dim, cap, count", [(1, 30, 150), (2, 8, 100), (3, 8, 150)])
+    def test_seeded_pairs_match_the_lcm_box(self, dim, cap, count):
+        rng = random.Random(f"gcd-box-{dim}")
+        for _ in range(count):
+            A, B = _draw_pair(rng, dim, cap)
+            assert periodic_sumset(A, B) == lcm_box_sumset(A, B), (A, B)
+
+    @pytest.mark.parametrize("dim, cap, count", [(1, 30, 60), (2, 8, 30), (3, 8, 20)])
+    def test_seeded_iterates_match_the_lcm_box(self, dim, cap, count):
+        rng = random.Random(f"gcd-box-iterate-{dim}")
+        for _ in range(count):
+            A = _draw_set(rng, tuple(rng.randint(1, cap) for _ in range(dim)))
+            for k in range(1, 5):
+                assert iterate_sumset(A, k) == lcm_box_iterate(A, k), (A, k)
+
+
+def _untouched():
+    raise AssertionError("the residues were read")
+    yield
+
+
+class TestBudgets:
+    def test_period_box_is_refused_before_the_residues_are_read(self):
+        with pytest.raises(InputError, match="MAX_PERIOD_BOX"):
+            PeriodicSet.periodic((2 ** 10, 2 ** 10 + 1), _untouched())
+        with pytest.raises(InputError, match="MAX_PERIOD_BOX"):
+            PeriodicSet.periodic((10 ** 18,), _untouched())
+
+    def test_a_box_of_exactly_the_budget_is_accepted(self):
+        a = PeriodicSet.periodic((MAX_PERIOD_BOX,), [(3,)])
+        assert banach_density(a) == Fraction(1, MAX_PERIOD_BOX)
+
+    @pytest.mark.parametrize("dim, max_period", [(1, MAX_PERIOD_BOX + 1),
+                                                 (None, 10 ** 18), (8, 12)])
+    def test_generator_refuses_before_drawing(self, dim, max_period):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(InputError, match="MAX_PERIOD_BOX"):
+            random_periodic_set(rng, dim=dim, max_period=max_period)
+        assert rng.getstate() == state
+
+    def test_scan_budget_is_the_oracle_call_count(self, monkeypatch):
+        calls = []
+
+        def counting(pt):
+            calls.append(pt)
+            return True
+
+        monkeypatch.setattr(density, "MAX_SCAN_CALLS", (2 * 3 - 2 + 2) ** 2 * 2 ** 2)
+        assert window_scan(counting, 2, 3, dim=2) == (1, 1)
+        assert len(calls) == density.MAX_SCAN_CALLS
+        with pytest.raises(InputError, match="MAX_SCAN_CALLS"):
+            window_scan(counting, 2, 4, dim=2)
+        assert len(calls) == density.MAX_SCAN_CALLS
+
+    @pytest.mark.parametrize("side, radius, dim", [
+        (1, MAX_SCAN_CALLS // 2, 1), (10, 1000, 2), (1, 1, 10 ** 9)])
+    def test_scan_past_the_budget_never_calls_the_oracle(self, side, radius, dim):
+        def never(pt):
+            raise AssertionError("the oracle was called")
+
+        with pytest.raises(InputError, match="MAX_SCAN_CALLS"):
+            window_scan(never, side, radius, dim=dim)
 
 
 class TestBanachDensity:
