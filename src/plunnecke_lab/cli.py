@@ -620,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-a", dest="max_a", type=int, help="largest translate-set size")
     p.add_argument("--max-h", dest="max_h", type=int, help="largest height")
     p.add_argument("--max-layer0", dest="max_layer0", type=int)
-    p.add_argument("--max-period", dest="max_period", type=int)
+    p.add_argument("--max-period", dest="max_period", type=int,
+                   help="largest period, capped at 6 per axis above 1-D")
     p.add_argument("--dim", type=int)
     p.add_argument("--out")
 

@@ -36,6 +36,10 @@ A scan makes ``(2 * radius - side + 2) ** dim * side ** dim`` calls; a larger
 scan is refused as an input error before the oracle is called.
 """
 
+MAX_SUMSET_PAIRS = 10 ** 7
+"""Most residue pairs one sumset (or one projection mod p) may add up; the
+period box bounds them only by its square, so more are refused up front."""
+
 
 @dataclass(frozen=True)
 class PeriodicSet:
@@ -137,8 +141,15 @@ def banach_density(A: PeriodicSet) -> Fraction:
     return Fraction(len(A.residues), box)
 
 
+def _check_pairs(count: int) -> None:
+    if count > MAX_SUMSET_PAIRS:
+        raise InputError(f"residue sum needs more than {MAX_SUMSET_PAIRS} pairs "
+                         f"(MAX_SUMSET_PAIRS)")
+
+
 def _sum_mod(xs, ys, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """{x + y mod box : x in xs, y in ys}, coordinatewise."""
+    _check_pairs(len(xs) * len(ys))
     return frozenset(
         tuple((a + b) % m for a, b, m in zip(x, y, box)) for x in xs for y in ys
     )
@@ -156,6 +167,7 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
     if A.dim != B.dim:
         raise InputError(f"dimension mismatch ({A.dim} vs {B.dim})")
     if A.is_finite and B.is_finite:
+        _check_pairs(len(A.residues) * len(B.residues))
         return PeriodicSet.finite(
             A.dim,
             (tuple(a + b for a, b in zip(x, y)) for x in A.residues for y in B.residues),
@@ -310,6 +322,7 @@ def _project_mod(A: PeriodicSet, p: int) -> frozenset[int]:
         return frozenset(pt[0] % p for pt in A.residues)
     q = A.period[0]
     g = gcd(q, p)
+    _check_pairs(len(A.residues) * (p // g))
     return frozenset((r[0] + g * m) % p for r in A.residues for m in range(p // g))
 
 

@@ -160,8 +160,8 @@ def admissible_cut_rate(rng: random.Random, g: LayeredMeasureGraph) -> Fraction:
 
 
 def _period_cap(dim: int, max_period: int) -> int:
-    """Largest period per axis: max_period in one dimension, 6 otherwise."""
-    return max_period if dim == 1 else 6
+    """Largest period per axis: max_period, capped at 6 above one dimension."""
+    return max_period if dim == 1 else min(max_period, 6)
 
 
 def random_periodic_set(rng: random.Random, dim: int | None = None,

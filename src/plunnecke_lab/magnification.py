@@ -109,60 +109,47 @@ def is_cutset(g: LayeredMeasureGraph, S: Iterable[str]) -> bool:
     return not (_closure(g.layer_set(0), successors(g), avoid=S) & g.layer_set(g.height))
 
 
-def _cutset_scale(g: LayeredMeasureGraph, C: Fraction):
-    wc = {v: C ** (-g.layer[v]) * g.atoms[v] for v in g.atoms}
-    scale = common_scale(wc.values())
-    return {v: int(w * scale) for v, w in wc.items()}, scale
+def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
+    """A minimum-weight cutset, tie-broken to the lexicographically smallest set.
 
-
-def _cutset_network(g: LayeredMeasureGraph, wci: dict[str, int]):
-    """Split-vertex network for min cuts between layer 0 and layer h.
-
-    Node 0 is the source and node 1 the sink; vertex v becomes v_in -> v_out
-    with capacity ``wci[v]``.  Returns the network, each vertex's split arc
-    and the capacity that stands for infinity.  Every path through v crosses
-    its split arc, so pinning that arc to 0 deletes v and pinning it to the
-    infinite capacity bars v from the cut.
+    The minimum is one min cut of a split-vertex network: node 0 is the
+    source, node 1 the sink, and vertex v becomes a split arc v_in -> v_out
+    of its scaled weight plus force arcs s -> v_in and v_out -> t of 0.  The
+    canonical witness is grown greedily with feasibility queries that pin a
+    barred vertex's split arc, or a chosen vertex's force arcs, to infinity.
+    Pins only raise capacities, so each query continues the minimum's flow
+    and is feasible exactly when no extra flow exists.
     """
+    C = _rate(C)
+    require_valid(g)
     ids = sorted(g.atoms)
     index = {v: i for i, v in enumerate(ids)}
-    inf = 1 + sum(wci.values())
+    wc = [C ** (-g.layer[v]) * g.atoms[v] for v in ids]
+    scale = common_scale(wc)
+    wci = [int(w * scale) for w in wc]
+    inf = 1 + sum(wci)
     net = FlowNetwork(2 + 2 * len(ids))
-    split = {v: net.add_edge(2 + 2 * i, 3 + 2 * i, wci[v]) for i, v in enumerate(ids)}
+    split = [net.add_edge(2 + 2 * i, 3 + 2 * i, w) for i, w in enumerate(wci)]
+    force = [(net.add_edge(0, 2 + 2 * i, 0), net.add_edge(3 + 2 * i, 1, 0))
+             for i in range(len(ids))]
     for t, h in sorted({(t, h) for t, h, _ in g.edges}):
         net.add_edge(3 + 2 * index[t], 2 + 2 * index[h], inf)
     for v in sorted(g.layer_set(0)):
         net.add_edge(0, 2 + 2 * index[v], inf)
     for v in sorted(g.layer_set(g.height)):
         net.add_edge(3 + 2 * index[v], 1, inf)
-    return net, split, inf
-
-
-def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
-    """A minimum-weight cutset, tie-broken to the lexicographically smallest set.
-
-    The minimum value comes from one vertex-splitting min-cut; the canonical
-    witness is then grown greedily with forced in/out feasibility cuts, each
-    on the same network with its split arcs pinned.
-    """
-    C = _rate(C)
-    require_valid(g)
-    wci, scale = _cutset_scale(g, C)
-    net, split, inf = _cutset_network(g, wci)
     minimum = net.max_flow(0, 1)
-    ids = sorted(g.atoms)
+    base = net.cap[:]
 
     def feasible(chosen, barred) -> bool:
-        net.reset()
-        for i in chosen:
-            net.cap[split[ids[i]]] = 0
-        for i in barred:
-            net.cap[split[ids[i]]] = inf
-        return net.max_flow(0, 1) + sum(wci[ids[i]] for i in chosen) == minimum
+        net.cap[:] = base
+        for arc in [a for i in chosen for a in force[i]] + [split[i] for i in barred]:
+            net.cap[arc] = inf
+        return net.max_flow(0, 1) == 0
 
     def done(chosen) -> bool:
-        cut = [ids[i] for i in chosen]
-        return sum(wci[v] for v in cut) == minimum and is_cutset(g, cut)
+        return (sum(wci[i] for i in chosen) == minimum
+                and is_cutset(g, [ids[i] for i in chosen]))
 
     cutset = frozenset(ids[i] for i in lex_min_greedy(len(ids), feasible, done))
     return CutsetReport(cutset=cutset, weight=Fraction(minimum, scale), C=C, is_minimal=True)

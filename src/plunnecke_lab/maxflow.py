@@ -16,13 +16,13 @@ from .errors import InputError
 
 
 class FlowNetwork:
-    """Integer max-flow by Dinic's blocking flows, reusable through ``reset()``.
+    """Integer max-flow by Dinic's blocking flows, warm-startable.
 
     Arc ``a`` runs to ``head[a]`` with residual capacity ``cap[a]``; its
     reverse arc is ``a ^ 1`` and ``adj[v]`` lists the arcs leaving ``v``.
-    ``reset()`` restores every arc to the capacity it was added with, so one
-    network answers a series of queries that differ only in a few capacities
-    the caller pins through the arcs ``add_edge`` returns.
+    ``max_flow`` augments the flow ``cap`` already holds and returns the
+    flow it adds, so after raising some ``cap[a]`` it finds just the extra
+    flow the raised capacities admit.
     """
 
     def __init__(self, n: int):
@@ -30,21 +30,15 @@ class FlowNetwork:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.head: list[int] = []
         self.cap: list[int] = []
-        self._initial: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add the arc u -> v of capacity ``cap`` and return its index."""
         arc = len(self.head)
         self.head += (v, u)
-        self._initial += (cap, 0)
         self.cap += (cap, 0)
         self.adj[u].append(arc)
         self.adj[v].append(arc + 1)
         return arc
-
-    def reset(self) -> None:
-        """Undo every flow and pin: each arc gets back its added capacity."""
-        self.cap[:] = self._initial
 
     def max_flow(self, s: int, t: int) -> int:
         adj, head, cap = self.adj, self.head, self.cap
@@ -215,7 +209,9 @@ def lex_min_greedy(n: int, feasible, done) -> list[int]:
 
     ``feasible(chosen, barred)`` says whether some optimal set contains every
     index in ``chosen`` and none in ``barred``.  Each round adds the smallest
-    index whose addition stays feasible and bars the indices it skipped.
+    index whose addition stays feasible and bars the indices it skipped, so
+    each query's ``chosen`` and ``barred`` contain those of the last accepted
+    query.
     """
     included: list[int] = []
     excluded: list[int] = []
@@ -242,7 +238,9 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
     re-normalizes lam; it stops when that minimum hits zero.  The returned
     trace holds the strictly decreasing lam sequence.  The witness is the
     lexicographically smallest minimizing subset, extracted with forced
-    in/out min-cut feasibility queries on the last round's network.
+    in/out min-cut feasibility queries on the last round's network.  Forcing
+    only raises capacities, so each query continues that round's maximum
+    flow and is feasible exactly when no extra flow exists.
     """
     sources = sorted(sources)
     if not sources:
@@ -293,15 +291,14 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
         raise RuntimeError(f"ratio iteration exceeded its bound of {limit}")
 
     num, den = lam.numerator, lam.denominator
+    base = net.cap[:]
 
     def feasible(forced_in, forced_out) -> bool:
-        # the witness queries reuse the last network, built for this lam
-        net.reset()
-        for i in forced_in:
-            net.cap[src_arc[i]] = inf
-        for i in forced_out:
-            net.cap[sink_arc[i]] = inf
-        return net.max_flow(0, 1) == num * total_src
+        # the witness queries continue the last round's maximum flow
+        net.cap[:] = base
+        for arc in [src_arc[i] for i in forced_in] + [sink_arc[i] for i in forced_out]:
+            net.cap[arc] = inf
+        return net.max_flow(0, 1) == 0
 
     def attains_optimum(index_set) -> bool:
         img = set()

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -247,6 +248,14 @@ class TestGenerateCommand:
         assert not list(tmp_path.iterdir())
 
 
+    def test_max_period_caps_every_axis_in_two_dimensions(self, tmp_path):
+        assert main(["generate", "periodic", "--dim", "2", "--max-period", "2",
+                     "--count", "40", "--dir", str(tmp_path)]) == 0
+        periods = [json.loads(f.read_text())["period"] for f in tmp_path.iterdir()]
+        assert len(periods) == 40
+        assert max(p for period in periods for p in period) == 2
+
+
 class TestOrbitGraphCommand:
     def test_emits_a_loadable_commutative_graph(self, tmp_path, o1):
         out = tmp_path / "g.json"
@@ -274,6 +283,21 @@ class TestDensityCommand:
         assert main(["density", "sumset", str(a), str(b)]) == 0
         doc = _stdout_doc(capsys)
         assert doc["period"] == [1]
+
+    @pytest.mark.parametrize("kind", ["periodic", "finite"])
+    def test_sumset_past_the_pair_budget_exits_two(self, tmp_path, capsys, kind):
+        # two sets of 3163 residues each: 10,004,569 pairs, just past 10**7
+        rng = random.Random(2014)
+        files = []
+        for name in "ab":
+            cells = sorted(rng.sample(range(4096), 3163))
+            doc = ({"dim": 1, "period": [4096], "residues": [[x] for x in cells]}
+                   if kind == "periodic" else {"dim": 1, "finite": [[x] for x in cells]})
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            files.append(str(path))
+        assert main(["density", "sumset", *files]) == 2
+        assert "MAX_SUMSET_PAIRS" in json.loads(capsys.readouterr().err)["error"]
 
     def test_banach_and_scan(self, tmp_path, capsys):
         a = tmp_path / "a.json"

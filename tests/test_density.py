@@ -213,6 +213,24 @@ class TestBudgets:
             window_scan(counting, 2, 4, dim=2)
         assert len(calls) == density.MAX_SCAN_CALLS
 
+    def test_sumset_budget_is_the_pair_count(self, monkeypatch):
+        monkeypatch.setattr(density, "MAX_SUMSET_PAIRS", 6)
+        # periodic + periodic counts the pairs left in the gcd box: 2 * 3
+        a, b = per((4,), (0,), (1,)), per((12,), (0,), (1,), (2,))
+        assert periodic_sumset(a, b) == z_line
+        finite2 = PeriodicSet.finite(1, [(0,), (5,)])
+        finite3 = PeriodicSet.finite(1, [(0,), (1,), (2,)])
+        assert periodic_sumset(finite2, finite3).residues == {(0,), (1,), (2,), (5,), (6,), (7,)}
+        assert periodic_sumset(finite2, b) == normalize(per((12,), (0,), (1,), (2,), (5,), (6,), (7,)))
+        assert density._project_mod(per((2,), (0,)), 6) == {0, 2, 4}
+        bigger = PeriodicSet.finite(1, [(0,), (1,), (2,), (3,)])
+        for x, y in ((a, per((12,), (0,), (1,), (2,), (3,))), (finite2, bigger),
+                     (bigger, b)):
+            with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
+                periodic_sumset(x, y)
+        with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
+            density._project_mod(per((2,), (0,)), 14)
+
     @pytest.mark.parametrize("side, radius, dim", [
         (1, MAX_SCAN_CALLS // 2, 1), (10, 1000, 2), (1, 1, 10 ** 9)])
     def test_scan_past_the_budget_never_calls_the_oracle(self, side, radius, dim):

@@ -10,10 +10,12 @@ from plunnecke_lab import (HypothesisError, InputError, cut_weight, cutset_push,
                            magnification_mincut, min_weight_cutset, push_penalty,
                            truncate, verify_bottom_layer_minimal,
                            verify_graph_plunnecke)
+from plunnecke_lab.dynamics import FinAbGroup, GroupSet, orbit_graph, translation_action
 from plunnecke_lab.generators import (admissible_cut_rate,
                                       perfect_power_orbit_graph,
                                       random_layered_graph, random_orbit_graph)
-from plunnecke_lab.maxflow import min_ratio_mincut
+from plunnecke_lab.maxflow import (FlowNetwork, _integerize, common_scale, lex_min_greedy,
+                                   min_ratio_mincut)
 
 from conftest import build
 
@@ -172,6 +174,102 @@ class TestMinWeightCutset:
         assert report.weight == expected_weight
         assert tuple(sorted(report.cutset)) == expected_set
         assert is_cutset(g, report.cutset)
+
+
+def _cold_cutset(g, rate):
+    """Greedy cutset extraction from zero flow: a fresh split-vertex network
+    per query, each chosen vertex's split arc pinned to 0."""
+    ids = sorted(g.atoms)
+    index = {v: i for i, v in enumerate(ids)}
+    wc = [rate ** -g.layer[v] * g.atoms[v] for v in ids]
+    scale = common_scale(wc)
+    wci = [int(w * scale) for w in wc]
+    inf = 1 + sum(wci)
+    edges = sorted({(index[t], index[h]) for t, h, _ in g.edges})
+
+    def flow(chosen=(), barred=()):
+        net = FlowNetwork(2 + 2 * len(ids))
+        for i, w in enumerate(wci):
+            net.add_edge(2 + 2 * i, 3 + 2 * i,
+                         0 if i in chosen else inf if i in barred else w)
+        for t, h in edges:
+            net.add_edge(3 + 2 * t, 2 + 2 * h, inf)
+        for v in g.layer_set(0):
+            net.add_edge(0, 2 + 2 * index[v], inf)
+        for v in g.layer_set(g.height):
+            net.add_edge(3 + 2 * index[v], 1, inf)
+        return net.max_flow(0, 1)
+
+    minimum = flow()
+
+    def feasible(chosen, barred):
+        return flow(set(chosen), set(barred)) + sum(wci[i] for i in chosen) == minimum
+
+    def done(chosen):
+        return (sum(wci[i] for i in chosen) == minimum
+                and is_cutset(g, [ids[i] for i in chosen]))
+
+    return Fraction(minimum, scale), frozenset(ids[i] for i in lex_min_greedy(len(ids), feasible, done))
+
+
+def _cold_magnification(g, j):
+    """Dinkelbach ratio and greedy witness from zero flow: a fresh network
+    per round and per query, forced sources pinned through infinite arcs."""
+    bottom = sorted(g.layer_set(0))
+    relation = {v: iterated_image(g, frozenset([v]), j) for v in bottom}
+    _targets, sw, dw, nbr = _integerize(bottom, relation, g.atoms, g.atoms)
+    n, m = len(sw), len(dw)
+
+    def network(lam, forced_in=(), forced_out=()):
+        num, den = lam.numerator, lam.denominator
+        inf = num * sum(sw) + den * sum(dw) + 1
+        net = FlowNetwork(2 + n + m)
+        for i in range(n):
+            net.add_edge(0, 2 + i, inf if i in forced_in else num * sw[i])
+            if i in forced_out:
+                net.add_edge(2 + i, 1, inf)
+            for k in nbr[i]:
+                net.add_edge(2 + i, 2 + n + k, inf)
+        for k in range(m):
+            net.add_edge(2 + n + k, 1, den * dw[k])
+        return net, net.max_flow(0, 1) == num * sum(sw)
+
+    lam = Fraction(sum(dw), sum(sw))
+    while True:
+        net, optimal = network(lam)
+        if optimal:
+            break
+        side = [i for i in range(n) if 2 + i in net.source_side(0)]
+        image = set().union(*(nbr[i] for i in side))
+        lam = Fraction(sum(dw[k] for k in image), sum(sw[i] for i in side))
+
+    def done(chosen):
+        image = set().union(*(nbr[i] for i in chosen))
+        return bool(chosen) and sum(dw[k] for k in image) == lam * sum(sw[i] for i in chosen)
+
+    chosen = lex_min_greedy(
+        n, lambda inn, out: network(lam, set(inn), set(out))[1], done)
+    return lam, frozenset(bottom[i] for i in chosen)
+
+
+class TestWarmStartedQueries:
+    """The warm-started greedy queries against the cold-start extraction, on
+    orbit graphs past the subset oracles' size limits."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_cold_start_extraction(self, seed):
+        rng = random.Random(f"warm-start:{seed}")
+        n = rng.randint(8, 40)
+        act = translation_action(FinAbGroup((n,)))
+        A = GroupSet.of(act.group, [(x,) for x in rng.sample(range(n), 3)])
+        Y = frozenset(rng.sample(sorted(act.atoms), rng.randint(2, n // 2)))
+        g = orbit_graph(act, A, Y, rng.choice([2, 3]))
+        for j in range(1, g.height + 1):
+            result = magnification_mincut(g, j)
+            assert (result.value, result.witness) == _cold_magnification(g, j)
+        rate = rng.choice([Fraction(1), admissible_cut_rate(rng, g)])
+        report = min_weight_cutset(g, rate)
+        assert (report.weight, report.cutset) == _cold_cutset(g, rate)
 
 
 class TestCutsetPush:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError
-from plunnecke_lab.maxflow import (FlowNetwork, lex_less, min_ratio_bruteforce,
-                                   min_ratio_mincut)
+from plunnecke_lab.maxflow import (FlowNetwork, lex_less, lex_min_greedy,
+                                   min_ratio_bruteforce, min_ratio_mincut)
 
 
 def test_textbook_max_flow():
@@ -87,26 +87,53 @@ def test_long_chain_needs_no_recursion():
     assert net.source_side(0) == set(range(2501))
 
 
-def test_reset_matches_a_fresh_network():
+def test_warm_start_after_raising_arcs_matches_a_fresh_network():
     rng = random.Random(1970)
     for _ in range(300):
         n, arcs, s, t = _random_network(rng)
         net = FlowNetwork(n)
         handles = [net.add_edge(u, v, c) for u, v, c in arcs]
-        net.max_flow(s, t)
-        net.reset()
-        assert net.max_flow(s, t) == _build(n, arcs).max_flow(s, t)
+        first = net.max_flow(s, t)
         if not arcs:
             continue
-        # pin one arc to a new capacity: the same as adding it with that capacity
-        k = rng.randrange(len(arcs))
-        pinned = list(arcs)
-        pinned[k] = (arcs[k][0], arcs[k][1], rng.choice([0, 4, 10 ** 15]))
-        net.reset()
-        net.cap[handles[k]] = pinned[k][2]
-        fresh = _build(n, pinned)
-        assert net.max_flow(s, t) == fresh.max_flow(s, t)
-        assert net.source_side(s) == fresh.source_side(s)
+        # raise 1-3 arcs, one of them carrying flow whenever some arc does
+        carrying = [k for k, a in enumerate(handles) if net.cap[a ^ 1]]
+        picks = rng.sample(range(len(arcs)), min(len(arcs), rng.randint(1, 3)))
+        if carrying:
+            picks[0] = rng.choice(carrying)
+        raised = list(arcs)
+        for k in set(picks):
+            u, v, c = arcs[k]
+            new = rng.choice([c + 1, c + 4, 10 ** 15])
+            raised[k] = (u, v, new)
+            net.cap[handles[k]] += new - c
+        fresh = _build(n, raised)
+        assert first + net.max_flow(s, t) == fresh.max_flow(s, t), (n, arcs, raised)
+        assert net.source_side(s) == fresh.source_side(s), (n, arcs, raised)
+
+
+def test_lex_min_greedy_queries_only_add_constraints():
+    rng = random.Random(1967)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        queries = []
+        accepted = [((), ())]
+
+        def feasible(chosen, barred):
+            key = (tuple(chosen), tuple(barred))
+            queries.append(key)
+            last_in, last_out = accepted[-1]
+            assert set(last_in) <= set(chosen) and set(last_out) <= set(barred)
+            assert not set(chosen) & set(barred)
+            ok = rng.random() < 0.5 or chosen[-1] == n - 1
+            if ok:
+                accepted.append(key)
+            return ok
+
+        target = rng.randint(1, n)
+        witness = lex_min_greedy(n, feasible, lambda chosen: len(chosen) >= target
+                                 or (chosen and chosen[-1] == n - 1))
+        assert queries and witness == list(accepted[-1][0])
 
 
 @given(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9)))
