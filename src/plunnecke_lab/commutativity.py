@@ -1,15 +1,19 @@
-"""Commutativity of layered measure graphs, decided by bipartite matching.
+"""Commutativity of layered measure graphs, decided by counting.
 
 For every edge (x, y, a) the edges leaving y must inject into the edges
 leaving x so that matched heads are joined by an a-labelled edge.  A graph is
-commutative when this holds for the graph and for its dual.  Each injection
-is found (or refuted) with an augmenting-path maximum matching; instances
-are tiny because vertex degrees are bounded by the number of labels.
+commutative when this holds for the graph and for its dual.  Labels are
+partial injections, so an edge (y, z, b) can only be matched to an edge from
+x to the unique a-tail of z.  The candidates therefore fall into complete
+bipartite blocks, one per a-tail, and by Hall's theorem an injection exists
+iff every block offers at least as many edges leaving x as it needs edges
+leaving y.  Each witness injection pairs a block's edges in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graphcore import Edge, LayeredMeasureGraph, dual, require_valid
 
@@ -23,26 +27,30 @@ class CommutativityVerdict:
     matching_witnesses: dict[Edge, Injection] | None = None
 
 
-def _saturating_matching(adjacency: list[list[int]], n_right: int) -> list[int] | None:
-    """Left-saturating matching via augmenting paths; None when impossible."""
-    match_right = [-1] * n_right
-    match_left = [-1] * len(adjacency)
-
-    def augment(li: int, seen: set[int]) -> bool:
-        for ri in adjacency[li]:
-            if ri in seen:
-                continue
-            seen.add(ri)
-            if match_right[ri] == -1 or augment(match_right[ri], seen):
-                match_right[ri] = li
-                match_left[li] = ri
-                return True
-        return False
-
-    for li in range(len(adjacency)):
-        if not augment(li, set()):
-            return None
-    return match_left
+def _injections(edges: Iterable[Edge]) -> CommutativityVerdict:
+    """The forward injection condition on the edges of a valid graph."""
+    edges = sorted(edges)
+    out_edges: dict[str, list[Edge]] = {}
+    parallel: dict[tuple[str, str], list[Edge]] = {}  # (tail, head) -> edges
+    tail_of: dict[tuple[str, str], str] = {}          # (head, label) -> its tail
+    for e in edges:
+        out_edges.setdefault(e[0], []).append(e)
+        parallel.setdefault(e[:2], []).append(e)
+        tail_of[e[1], e[2]] = e[0]
+    witnesses: dict[Edge, Injection] = {}
+    for x, y, a in edges:
+        used: dict[str, int] = {}
+        pairs = []
+        for e in out_edges.get(y, ()):
+            w = tail_of.get((e[1], a))
+            block = parallel.get((x, w), ())
+            k = used.get(w, 0)
+            if k == len(block):
+                return CommutativityVerdict(False, (x, y, a), None)
+            used[w] = k + 1
+            pairs.append((e, block[k]))
+        witnesses[(x, y, a)] = tuple(pairs)
+    return CommutativityVerdict(True, None, witnesses)
 
 
 def is_semi_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
@@ -52,22 +60,7 @@ def is_semi_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
     reported; on success the verdict carries one witness injection per edge.
     """
     require_valid(g)
-    out_edges: dict[str, list[Edge]] = {}
-    for e in sorted(g.edges):
-        out_edges.setdefault(e[0], []).append(e)
-    witnesses: dict[Edge, Injection] = {}
-    for x, y, a in sorted(g.edges):
-        need = out_edges.get(y, [])
-        pool = out_edges.get(x, [])
-        adjacency = [
-            [fi for fi, f in enumerate(pool) if (f[1], e[1], a) in g.edges]
-            for e in need
-        ]
-        matching = _saturating_matching(adjacency, len(pool))
-        if matching is None:
-            return CommutativityVerdict(False, (x, y, a), None)
-        witnesses[(x, y, a)] = tuple((need[ei], pool[fi]) for ei, fi in enumerate(matching))
-    return CommutativityVerdict(True, None, witnesses)
+    return _injections(g.edges)
 
 
 def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
@@ -76,15 +69,15 @@ def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
     A failure found only in the dual check reports the offending dual edge,
     i.e. with reversed orientation relative to ``g``.
     """
-    first = is_semi_commutative(g)
+    require_valid(g)
+    first = _injections(g.edges)
     if not first.holds:
         return first
-    second = is_semi_commutative(dual(g))
+    second = _injections((h, t, a) for t, h, a in g.edges)
     if not second.holds:
         return second
-    merged = dict(first.matching_witnesses or {})
-    merged.update(second.matching_witnesses or {})
-    return CommutativityVerdict(True, None, merged)
+    return CommutativityVerdict(
+        True, None, {**first.matching_witnesses, **second.matching_witnesses})
 
 
 def check_witnesses(g: LayeredMeasureGraph, verdict: CommutativityVerdict) -> bool:

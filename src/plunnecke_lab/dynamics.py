@@ -5,6 +5,10 @@ weight-preserving permutations, one permutation per coordinate generator.
 Orbit graphs of such actions are the canonical commutative layered graphs,
 and the dynamical ratio c(A, B) = min over nonempty B' of mu(A.B')/mu(B')
 mirrors the bottom-layer magnification of those graphs exactly.
+
+Actions are read-only, like graphs: each one validates itself once and
+keeps a cycle table per generator, so applying a group element costs one
+lookup per coordinate whatever its size.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import InputError
 from .commutativity import is_commutative
@@ -111,15 +117,63 @@ class FiniteAction:
     """
 
     group: FinAbGroup
-    atoms: dict[str, Fraction]
-    generator_perms: tuple[dict[str, str], ...]
+    atoms: Mapping[str, Fraction]
+    generator_perms: tuple[Mapping[str, str], ...]
+
+    __hash__ = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", MappingProxyType(dict(self.atoms)))
+        object.__setattr__(self, "generator_perms", tuple(
+            MappingProxyType(dict(perm)) for perm in self.generator_perms))
+
+    def __reduce__(self):
+        return (type(self), (self.group, dict(self.atoms),
+                             tuple(dict(perm) for perm in self.generator_perms)))
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        return tuple(validate_action(self))
+
+    @cached_property
+    def _cycles(self) -> tuple[dict[str, tuple[tuple[str, ...], int]], ...]:
+        require_valid_action(self)
+        return tuple(_cycle_table(perm) for perm in self.generator_perms)
 
     def apply(self, element, atom: str) -> str:
-        element = self.group.reduce(element)
-        for perm, times in zip(self.generator_perms, element):
-            for _ in range(times):
-                atom = perm[atom]
+        """``element . atom``; raises InputError on an invalid action.
+
+        Every cycle's length divides its modulus, so ``element`` is used
+        unreduced.
+        """
+        cycles = self._cycles
+        element = tuple(element)
+        if len(element) != len(cycles):
+            self.group.reduce(element)  # raises: wrong rank
+        for table, times in zip(cycles, element):
+            cycle, at = table[atom]
+            atom = cycle[(at + int(times)) % len(cycle)]
         return atom
+
+
+def _cycle_table(perm: Mapping[str, str]) -> dict[str, tuple[tuple[str, ...], int]]:
+    """Atom -> (its cycle under ``perm``, its position in that cycle).
+
+    ``perm`` must be a permutation; on anything else the walk may not end.
+    """
+    table: dict[str, tuple[tuple[str, ...], int]] = {}
+    for start in perm:
+        if start in table:
+            continue
+        cycle = [start]
+        v = perm[start]
+        while v != start:
+            cycle.append(v)
+            v = perm[v]
+        frozen = tuple(cycle)
+        for at, v in enumerate(frozen):
+            table[v] = (frozen, at)
+    return table
 
 
 def validate_action(act: FiniteAction) -> list[str]:
@@ -150,27 +204,25 @@ def validate_action(act: FiniteAction) -> list[str]:
                     found.append(f"generators {i} and {j} do not commute at ({v})")
                     break
     for i, (perm, n) in enumerate(zip(act.generator_perms, act.group.moduli)):
+        # perm^n fixes v iff the length of v's cycle divides n
+        table = _cycle_table(perm)
         for v in sorted(atoms):
-            w = v
-            for _ in range(n):
-                w = perm[w]
-            if w != v:
+            if n % len(table[v][0]):
                 found.append(f"generator {i} order does not divide {n} at ({v})")
                 break
     return found
 
 
 def require_valid_action(act: FiniteAction) -> None:
-    violations = validate_action(act)
-    if violations:
-        raise InputError("invalid action: " + "; ".join(violations))
+    if act.violations:
+        raise InputError("invalid action: " + "; ".join(act.violations))
 
 
 def _check_atoms(act: FiniteAction, S: Iterable[str]) -> SpaceSet:
     S = frozenset(S)
-    unknown = S - set(act.atoms)
+    unknown = [x for x in S if x not in act.atoms]
     if unknown:
-        raise InputError(f"unknown atom ({sorted(unknown)[0]})")
+        raise InputError(f"unknown atom ({min(unknown)})")
     return S
 
 

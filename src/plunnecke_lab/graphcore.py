@@ -5,6 +5,10 @@ a layer assignment ``0..height``, and labelled directed edges.  Each label
 acts as a partial weight-preserving bijection that advances exactly one
 layer, so statements about images, channels, duals, and flows all reduce to
 exact rational identities on atoms.
+
+Graphs are read-only: ``atoms`` and ``layer`` are ``MappingProxyType``
+copies, so each graph computes its validity verdict, successor and
+predecessor maps and layer sets once, on first use, and keeps them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -25,13 +31,28 @@ BACKWARD = "backward"
 
 @dataclass(frozen=True)
 class LayeredMeasureGraph:
-    """Finite atomic measure space with labelled layer-advancing edges."""
+    """Finite atomic measure space with labelled layer-advancing edges.
 
-    atoms: dict[str, Fraction]  # vertex id -> weight (> 0)
-    layer: dict[str, int]       # vertex id -> layer in 0..height
+    Compared by content; not hashable (``hash(g)`` raises ``TypeError``).
+    """
+
+    atoms: Mapping[str, Fraction]  # vertex id -> weight (> 0)
+    layer: Mapping[str, int]       # vertex id -> layer in 0..height
     height: int
     labels: frozenset[str]
     edges: frozenset[Edge]
+
+    __hash__ = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", MappingProxyType(dict(self.atoms)))
+        object.__setattr__(self, "layer", MappingProxyType(dict(self.layer)))
+        object.__setattr__(self, "labels", frozenset(self.labels))
+        object.__setattr__(self, "edges", frozenset(self.edges))
+
+    def __reduce__(self):
+        return (type(self), (dict(self.atoms), dict(self.layer), self.height,
+                             self.labels, self.edges))
 
     @classmethod
     def build(cls, vertices, edges, height=None, labels=None) -> "LayeredMeasureGraph":
@@ -56,7 +77,26 @@ class LayeredMeasureGraph:
         return self.weight(self.atoms)
 
     def layer_set(self, i: int) -> VertexSet:
-        return frozenset(v for v, l in self.layer.items() if l == i)
+        return self._layer_sets.get(i, frozenset())
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        return tuple(validate(self))
+
+    @cached_property
+    def successor_map(self) -> Mapping[str, frozenset[str]]:
+        return MappingProxyType(successors(self))
+
+    @cached_property
+    def predecessor_map(self) -> Mapping[str, frozenset[str]]:
+        return MappingProxyType(predecessors(self))
+
+    @cached_property
+    def _layer_sets(self) -> dict[int, VertexSet]:
+        out: dict[int, set[str]] = {}
+        for v, l in self.layer.items():
+            out.setdefault(l, set()).add(v)
+        return {l: frozenset(vs) for l, vs in out.items()}
 
 
 def validate(g: LayeredMeasureGraph) -> list[str]:
@@ -100,16 +140,15 @@ def validate(g: LayeredMeasureGraph) -> list[str]:
 
 
 def require_valid(g: LayeredMeasureGraph) -> None:
-    violations = validate(g)
-    if violations:
-        raise InputError("invalid graph: " + "; ".join(violations))
+    if g.violations:
+        raise InputError("invalid graph: " + "; ".join(g.violations))
 
 
 def _check_vertices(g: LayeredMeasureGraph, S: Iterable[str]) -> frozenset[str]:
     S = frozenset(S)
-    unknown = S - set(g.atoms)
+    unknown = [v for v in S if v not in g.atoms]
     if unknown:
-        raise InputError(f"unknown vertex ({sorted(unknown)[0]})")
+        raise InputError(f"unknown vertex ({min(unknown)})")
     return S
 
 
@@ -146,7 +185,7 @@ def iterated_image(g: LayeredMeasureGraph, S: Iterable[str], steps: int) -> Vert
     S = _check_vertices(g, S)
     if steps == 0:
         return S
-    step_map = successors(g) if steps > 0 else predecessors(g)
+    step_map = g.successor_map if steps > 0 else g.predecessor_map
     cur = S
     for _ in range(abs(steps)):
         cur = frozenset(u for v in cur for u in step_map.get(v, ()))
@@ -165,7 +204,7 @@ def induced_subgraph(g: LayeredMeasureGraph, W: Iterable[str]) -> LayeredMeasure
     )
 
 
-def _closure(start: Iterable[str], step_map: dict[str, frozenset[str]],
+def _closure(start: Iterable[str], step_map: Mapping[str, frozenset[str]],
              avoid: frozenset[str] = frozenset()) -> frozenset[str]:
     """Everything reachable from ``start`` along ``step_map`` without entering ``avoid``."""
     seen = set(start) - avoid
@@ -186,19 +225,26 @@ def channel(g: LayeredMeasureGraph, S: Iterable[str], T: Iterable[str]) -> Layer
     """
     S = _check_vertices(g, S)
     T = _check_vertices(g, T)
-    on_paths = _closure(S, successors(g)) & _closure(T, predecessors(g))
+    on_paths = _closure(S, g.successor_map) & _closure(T, g.predecessor_map)
     return induced_subgraph(g, on_paths)
 
 
 def dual(g: LayeredMeasureGraph) -> LayeredMeasureGraph:
-    """Reverse every edge and flip the layer order; an involution."""
-    return LayeredMeasureGraph(
-        atoms=dict(g.atoms),
+    """Reverse every edge and flip the layer order; an involution.
+
+    The dual of a graph already known to be valid is valid, and is not
+    checked again.
+    """
+    out = LayeredMeasureGraph(
+        atoms=g.atoms,
         layer={v: g.height - l for v, l in g.layer.items()},
         height=g.height,
         labels=g.labels,
         edges=frozenset((h, t, a) for t, h, a in g.edges),
     )
+    if g.__dict__.get("violations") == ():
+        out.__dict__["violations"] = ()
+    return out
 
 
 def flow(g: LayeredMeasureGraph) -> Fraction:

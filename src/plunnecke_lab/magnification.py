@@ -20,7 +20,7 @@ from typing import Iterable
 from .commutativity import is_commutative
 from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
-                        iterated_image, predecessors, require_valid, successors)
+                        iterated_image, require_valid)
 from .maxflow import (FlowNetwork, common_scale, lex_min_greedy, min_ratio_bruteforce,
                       min_ratio_mincut)
 from .rational import format_rational
@@ -106,7 +106,7 @@ def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:
 def is_cutset(g: LayeredMeasureGraph, S: Iterable[str]) -> bool:
     """True iff no bottom-to-top path avoids S (endpoints count as hits)."""
     S = _check_vertices(g, S)
-    return not (_closure(g.layer_set(0), successors(g), avoid=S) & g.layer_set(g.height))
+    return not (_closure(g.layer_set(0), g.successor_map, avoid=S) & g.layer_set(g.height))
 
 
 def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
@@ -186,12 +186,12 @@ def cutset_push(g: LayeredMeasureGraph, S: Iterable[str], C, j: int) -> VertexSe
             f"cutset vertex ({outside[0]}) lies in layer {g.layer[outside[0]]}, "
             f"outside 0..{j} and {g.height}")
     top = g.layer_set(g.height)
-    reach = _closure(g.layer_set(0), successors(g), avoid=S)
+    reach = _closure(g.layer_set(0), g.successor_map, avoid=S)
     if reach & top:
         raise InputError("S is not a cutset")
     shield = frozenset(v for v in reach if g.layer[v] == j - 1)
     # layer j+1 vertices that still reach the top once S's top part is gone
-    back = predecessors(g)
+    back = g.predecessor_map
     live = _closure(top - S, back)
     gate = {v for v in live if g.layer[v] == j + 1}
     feeders = {t for u in gate for t in back.get(u, ())}

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,6 +50,15 @@ class TestValidate:
         assert main(["validate", o1_file]) == 0
         doc = _stdout_doc(capsys)
         assert doc["results"][0]["violations"] == []
+
+    def test_huge_modulus_action_validates_fast(self, tmp_path, capsys):
+        path = tmp_path / "fixed.json"
+        path.write_text('{"moduli": [1000000000000], "atoms": [{"id": "x", "weight": "1"}], '
+                        '"generators": [{"perm": {"x": "x"}}]}')
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 0
+        assert time.perf_counter() - start < 1
+        assert _stdout_doc(capsys)["results"][0]["violations"] == []
 
     def test_weight_mismatch_exits_two(self, broken_file, capsys):
         assert main(["validate", broken_file]) == 2

@@ -3,14 +3,98 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from plunnecke_lab import InputError, channel, is_commutative, is_semi_commutative
+from plunnecke_lab import (InputError, LayeredMeasureGraph, channel, dual, is_commutative,
+                           is_semi_commutative, validate)
 from plunnecke_lab.commutativity import check_witnesses
-from plunnecke_lab.generators import random_orbit_graph
+from plunnecke_lab.generators import random_layered_graph, random_orbit_graph
 
 from conftest import build
 
 orbit_graphs = st.integers(0, 10 ** 9).map(
     lambda s: random_orbit_graph(random.Random(s), max_n=10, max_a=3, max_h=3))
+
+
+# -- the matching oracle ------------------------------------------------------
+# The injection condition decided edge by edge with an augmenting-path
+# maximum matching, independently of the block count the package uses.
+
+
+def _saturating_matching(adjacency: list[list[int]], n_right: int) -> list[int] | None:
+    """Left-saturating matching via augmenting paths; None when impossible."""
+    match_right = [-1] * n_right
+    match_left = [-1] * len(adjacency)
+
+    def augment(li: int, seen: set[int]) -> bool:
+        for ri in adjacency[li]:
+            if ri in seen:
+                continue
+            seen.add(ri)
+            if match_right[ri] == -1 or augment(match_right[ri], seen):
+                match_right[ri] = li
+                match_left[li] = ri
+                return True
+        return False
+
+    for li in range(len(adjacency)):
+        if not augment(li, set()):
+            return None
+    return match_left
+
+
+def oracle_semi_commutative(g):
+    """(holds, failing edge) of the forward injection condition, by matching."""
+    assert validate(g) == []
+    out_edges = {}
+    for e in sorted(g.edges):
+        out_edges.setdefault(e[0], []).append(e)
+    for x, y, a in sorted(g.edges):
+        need = out_edges.get(y, [])
+        pool = out_edges.get(x, [])
+        adjacency = [[fi for fi, f in enumerate(pool) if (f[1], e[1], a) in g.edges]
+                     for e in need]
+        if _saturating_matching(adjacency, len(pool)) is None:
+            return False, (x, y, a)
+    return True, None
+
+
+def oracle_commutative(g):
+    first = oracle_semi_commutative(g)
+    return first if not first[0] else oracle_semi_commutative(dual(g))
+
+
+def _drop_one_edge(g, rng):
+    edges = sorted(g.edges)
+    gone = edges[rng.randrange(len(edges))]
+    return LayeredMeasureGraph(g.atoms, g.layer, g.height, g.labels, g.edges - {gone})
+
+
+def _differential_battery():
+    graphs = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        layered = random_layered_graph(rng, max_layer0=6, max_width=5)
+        orbit = random_orbit_graph(rng, max_n=10, max_a=3, max_h=3)
+        graphs += [layered, orbit]
+        graphs += [_drop_one_edge(g, rng) for g in (layered, orbit) if g.edges]
+    return graphs
+
+
+def test_block_count_matches_the_matching_oracle():
+    failures = dual_failures = 0
+    for g in _differential_battery():
+        semi = is_semi_commutative(dual(g))
+        assert (semi.holds, semi.failing_edge) == oracle_semi_commutative(dual(g))
+        dual_failures += not semi.holds
+        verdict = is_commutative(g)
+        assert (verdict.holds, verdict.failing_edge) == oracle_commutative(g)
+        if verdict.holds:
+            assert check_witnesses(g, verdict)
+            assert len(verdict.matching_witnesses) == 2 * len(g.edges)
+        else:
+            failures += 1
+    # the battery must exercise refutations, of graphs and of duals
+    assert failures >= 50
+    assert dual_failures >= 50
 
 
 def test_chain_counterexample_fails_with_documented_edge(chain_counterexample):

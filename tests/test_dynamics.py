@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plunnecke_lab import (FinAbGroup, InputError, c, c_delta,
+from plunnecke_lab import (FinAbGroup, InputError, c, c_delta, jsonio,
                            heavy_subset, is_commutative, iterate,
                            magnification_mincut, move_set, orbit_graph,
                            product_action, product_set,
@@ -84,6 +85,84 @@ class TestActions:
     @given(seeds)
     def test_random_actions_validate(self, seed):
         assert validate_action(random_action(random.Random(seed))) == []
+
+
+def _walked_order_violations(act):
+    """The order check by walking every atom n steps (small moduli only)."""
+    found = []
+    for i, (perm, n) in enumerate(zip(act.generator_perms, act.group.moduli)):
+        for v in sorted(act.atoms):
+            w = v
+            for _ in range(n):
+                w = perm[w]
+            if w != v:
+                found.append(f"generator {i} order does not divide {n} at ({v})")
+                break
+    return found
+
+
+class TestCycleTables:
+    HUGE = 10 ** 12
+
+    def _fixed_point_action(self):
+        return jsonio.action_from_doc({
+            "moduli": [self.HUGE], "atoms": [{"id": "x", "weight": "1"}],
+            "generators": [{"perm": {"x": "x"}}]})
+
+    def test_huge_modulus_validates_fast(self):
+        act = self._fixed_point_action()
+        start = time.perf_counter()
+        assert validate_action(act) == []
+        assert time.perf_counter() - start < 1
+
+    def test_huge_element_applies_fast(self):
+        act = self._fixed_point_action()
+        start = time.perf_counter()
+        assert act.apply((self.HUGE - 1,), "x") == "x"
+        assert time.perf_counter() - start < 1
+
+    def test_cycle_length_not_dividing_a_huge_modulus(self):
+        act = jsonio.action_from_doc({
+            "moduli": [self.HUGE],
+            "atoms": [{"id": a, "weight": "1/4"} for a in "wxyz"],
+            "generators": [{"perm": {"w": "w", "x": "y", "y": "z", "z": "x"}}]})
+        assert validate_action(act) == [
+            f"generator 0 order does not divide {self.HUGE} at (x)"]
+
+    @given(seeds)
+    def test_order_check_matches_walking(self, seed):
+        rng = random.Random(seed)
+        act = random_action(rng)
+        moduli = tuple(rng.randint(1, 12) for _ in act.group.moduli)
+        act = type(act)(FinAbGroup(moduli), act.atoms, act.generator_perms)
+        order = [v for v in validate_action(act) if "order" in v]
+        assert order == _walked_order_violations(act)
+
+    @given(seeds)
+    def test_apply_matches_stepping_the_generators(self, seed):
+        rng = random.Random(seed)
+        act = random_action(rng)
+        for _ in range(20):
+            element = tuple(rng.randint(-30, 30) for _ in act.group.moduli)
+            x = rng.choice(sorted(act.atoms))
+            y = x
+            for perm, times in zip(act.generator_perms, act.group.reduce(element)):
+                for _ in range(times):
+                    y = perm[y]
+            assert act.apply(element, x) == y
+
+    def test_apply_on_an_invalid_action_is_an_input_error(self):
+        act = translation(3)
+        bad = type(act)(FinAbGroup((2,)), act.atoms, act.generator_perms)
+        with pytest.raises(InputError, match="order does not divide"):
+            bad.apply((1,), "0")
+        not_a_perm = type(act)(act.group, act.atoms, ({"0": "1", "1": "1", "2": "0"},))
+        with pytest.raises(InputError, match="not a permutation"):
+            not_a_perm.apply((1,), "0")
+
+    def test_apply_refuses_a_wrong_rank(self):
+        with pytest.raises(InputError, match="wrong rank"):
+            translation(3).apply((1, 1), "0")
 
 
 class TestOrbitGraph:

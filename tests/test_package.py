@@ -1,3 +1,8 @@
+import importlib
+import sys
+import types
+from pathlib import Path
+
 import plunnecke_lab
 
 
@@ -6,3 +11,28 @@ def test_star_import_resolves_every_exported_name():
     exec("from plunnecke_lab import *", namespace)
     assert sorted(set(plunnecke_lab.__all__)) == sorted(plunnecke_lab.__all__)
     assert set(plunnecke_lab.__all__) <= set(namespace)
+
+
+def test_benchmark_trace_hooks_name_package_attributes(monkeypatch):
+    """Every function the benchmark's tracer wraps still exists under its name.
+
+    ``benchmark/tracing.py`` is read and executed in a fresh namespace; no
+    file under ``benchmark/`` is imported, compiled to a cache or written.
+    """
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    tracing = types.ModuleType("benchmark_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)  # for its dataclass
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    assert tracing.TRACED
+    for module, attr, _span, _count in tracing.TRACED:
+        home = importlib.import_module(f"plunnecke_lab.{module}")
+        if attr.endswith("*"):
+            assert any(key.startswith(attr[:-1]) and callable(value)
+                       for key, value in vars(home).items()), (module, attr)
+        else:
+            owner = home
+            for part in attr.split("."):
+                assert hasattr(owner, part), (module, attr)
+                owner = getattr(owner, part)
+            assert callable(owner), (module, attr)
+    assert isinstance(importlib.import_module("plunnecke_lab.cli").CHECKS, dict)
