@@ -513,12 +513,26 @@ _OPTION_MINIMA = {
                  "max_period": 1, "dim": 1},
 }
 
+# The most instances one run draws: `verify` builds every bundle before it
+# checks the first.
+MAX_COUNT = 10_000
 
-def _check_minima(manifest: RunManifest) -> None:
+# The largest value a numeric option admits, per command.
+_OPTION_MAXIMA = {
+    "verify": {"count": MAX_COUNT},
+    "generate": {"count": MAX_COUNT},
+}
+
+
+def _check_bounds(manifest: RunManifest) -> None:
     opts = manifest.options
     for key, low in _OPTION_MINIMA.get(manifest.command, {}).items():
         if key in opts and int(opts[key]) < low:
             raise InputError(f"--{key.replace('_', '-')} must be at least {low} "
+                             f"(got {opts[key]})")
+    for key, high in _OPTION_MAXIMA.get(manifest.command, {}).items():
+        if key in opts and int(opts[key]) > high:
+            raise InputError(f"--{key.replace('_', '-')} must be at most {high} "
                              f"(got {opts[key]})")
 
 
@@ -529,7 +543,7 @@ def run(manifest: RunManifest) -> int:
         sys.stderr.write(json.dumps({"error": f"unknown command {manifest.command!r}"}) + "\n")
         return 2
     try:
-        _check_minima(manifest)
+        _check_bounds(manifest)
         return handler(manifest)
     except HypothesisError as exc:
         sys.stderr.write(json.dumps(

@@ -32,6 +32,9 @@ SpaceSet = frozenset[str]
 
 C_DELTA_LIMIT = 20
 _BRUTE_AUTO_LIMIT = 10
+# The most atoms a constructed action may have: a translation action has one
+# per group element, a product action one per pair of factor atoms.
+MAX_GROUP_ORDER = 2 ** 20
 
 
 def vec_id(vec: tuple[int, ...]) -> str:
@@ -242,8 +245,18 @@ def measure(act: FiniteAction, S: Iterable[str]) -> Fraction:
     return sum((act.atoms[x] for x in S), Fraction(0))
 
 
+def _check_action_size(size: int, what: str) -> None:
+    if size > MAX_GROUP_ORDER:
+        raise InputError(f"{what} would have {size} atoms, over "
+                         f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
+
+
 def translation_action(group: FinAbGroup) -> FiniteAction:
-    """The group acting on itself by addition, with uniform weights."""
+    """The group acting on itself by addition, with uniform weights.
+
+    Refuses a group of more than MAX_GROUP_ORDER elements before listing any.
+    """
+    _check_action_size(group.order, "translation action")
     ids = {e: vec_id(e) for e in group.elements()}
     weight = Fraction(1, group.order)
     perms = []
@@ -254,7 +267,12 @@ def translation_action(group: FinAbGroup) -> FiniteAction:
 
 
 def product_action(first: FiniteAction, second: FiniteAction) -> FiniteAction:
-    """Direct-sum group acting coordinatewise on the product space."""
+    """Direct-sum group acting coordinatewise on the product space.
+
+    Refuses a product space of more than MAX_GROUP_ORDER atoms before
+    building any.
+    """
+    _check_action_size(len(first.atoms) * len(second.atoms), "product action")
     group = FinAbGroup(first.group.moduli + second.group.moduli)
     atoms = {
         f"{x}|{y}": wx * wy
@@ -295,20 +313,22 @@ def orbit_graph(act: FiniteAction, A: GroupSet, Y: Iterable[str], h: int
         raise InputError("base set Y must be nonempty")
     if h < 1:
         raise InputError(f"height must be at least 1 (got {h})")
-    layers = [frozenset(Y)]
-    for _ in range(h):
-        layers.append(move_set(act, A, layers[-1]))
-    vertices = [
-        (f"{x}@{k}", k, act.atoms[x]) for k, layer in enumerate(layers) for x in layer
-    ]
-    edges = [
-        (f"{x}@{k}", f"{act.apply(a, x)}@{k + 1}", vec_id(a))
-        for k in range(h)
-        for x in layers[k]
-        for a in A.elements
-    ]
+    labels = [(a, vec_id(a)) for a in A.elements]
+    layer = Y
+    vertices = [(f"{x}@0", 0, act.atoms[x]) for x in Y]
+    edges = []
+    for k in range(h):
+        # one apply per edge gives both layer k+1 and the edges into it
+        after = set()
+        for x in layer:
+            for a, label in labels:
+                y = act.apply(a, x)
+                after.add(y)
+                edges.append((f"{x}@{k}", f"{y}@{k + 1}", label))
+        vertices += [(f"{y}@{k + 1}", k + 1, act.atoms[y]) for y in after]
+        layer = after
     return LayeredMeasureGraph.build(
-        vertices, edges, height=h, labels=[vec_id(a) for a in A.elements])
+        vertices, edges, height=h, labels=[label for _, label in labels])
 
 
 def restricted_orbit_subgraph(act: FiniteAction, A: GroupSet, B: Iterable[str],

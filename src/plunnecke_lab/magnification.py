@@ -96,6 +96,12 @@ def magnification_mincut(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     return MagnificationResult(value, witness, "mincut")
 
 
+def _mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:
+    """The order-j magnification ratio alone: no witness is extracted."""
+    bottom, relation = _bottom_problem(g, j)
+    return min_ratio_mincut(bottom, relation, g.atoms, g.atoms, witness=False)[0]
+
+
 def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:
     """Layer-discounted weight: sum over v in S of C**-layer(v) * weight(v)."""
     C = _rate(C)
@@ -117,8 +123,9 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     of its scaled weight plus force arcs s -> v_in and v_out -> t of 0.  The
     canonical witness is grown greedily with feasibility queries that pin a
     barred vertex's split arc, or a chosen vertex's force arcs, to infinity.
-    Pins only raise capacities, so each query continues the minimum's flow
-    and is feasible exactly when no extra flow exists.
+    Pins only raise capacities, so each query continues the minimum's flow,
+    is feasible exactly when no extra flow exists, and stops at its first
+    augmenting path.
     """
     C = _rate(C)
     require_valid(g)
@@ -145,7 +152,7 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
         net.cap[:] = base
         for arc in [a for i in chosen for a in force[i]] + [split[i] for i in barred]:
             net.cap[arc] = inf
-        return net.max_flow(0, 1) == 0
+        return net.max_flow(0, 1, cutoff=1) == 0
 
     def done(chosen) -> bool:
         return (sum(wci[i] for i in chosen) == minimum
@@ -205,14 +212,17 @@ def verify_graph_plunnecke(g: LayeredMeasureGraph,
     """Check D_j ** h >= D_h ** j for every order j of a commutative graph.
 
     The report's lhs/rhs show the tightest nontrivial comparison (or the
-    first failing one); per-order values sit in the details.
+    first failing one); per-order values sit in the details.  Only order h
+    reports a witness, so the lower orders skip witness extraction.
     """
     _require_commutative(g)
     h = g.height
-    ratio = {j: magnification_mincut(g, j) for j in range(1, h + 1)}
+    top = magnification_mincut(g, h)
+    ratio = {j: _mincut_value(g, j) for j in range(1, h)}
+    ratio[h] = top.value
     checks = []
     for j in range(1, h + 1):
-        lhs, rhs = ratio[j].value ** h, ratio[h].value ** j
+        lhs, rhs = ratio[j] ** h, ratio[h] ** j
         checks.append({"j": j, "lhs": lhs, "rhs": rhs, "holds": lhs >= rhs})
     failing = [c for c in checks if not c["holds"]]
     if failing:
@@ -227,9 +237,9 @@ def verify_graph_plunnecke(g: LayeredMeasureGraph,
         lhs=shown["lhs"],
         rhs=shown["rhs"],
         holds=not failing,
-        witness=sorted(ratio[h].witness),
+        witness=sorted(top.witness),
         details={
-            "d": {str(j): format_rational(ratio[j].value) for j in ratio},
+            "d": {str(j): format_rational(ratio[j]) for j in ratio},
             "checks": [
                 {"j": c["j"], "lhs": format_rational(c["lhs"]),
                  "rhs": format_rational(c["rhs"]), "holds": c["holds"]}
@@ -244,7 +254,7 @@ def verify_bottom_layer_minimal(g: LayeredMeasureGraph, C,
     """Check that layer 0 attains the minimum cutset weight when C**h <= D_h."""
     C = _rate(C)
     _require_commutative(g)
-    top_ratio = magnification_mincut(g, g.height).value
+    top_ratio = _mincut_value(g, g.height)
     if C ** g.height > top_ratio:
         raise HypothesisError(
             f"C^h = {format_rational(C ** g.height)} exceeds the top "

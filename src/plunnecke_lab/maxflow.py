@@ -40,7 +40,15 @@ class FlowNetwork:
         self.adj[v].append(arc + 1)
         return arc
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, cutoff: int | None = None) -> int:
+        """Augment to a maximum s-t flow and return the flow this call added.
+
+        With ``cutoff``, return as soon as the added flow reaches it, leaving
+        ``cap`` holding that partial flow.  ``cutoff=1`` on integer
+        capacities stops at the first augmenting path, so ``max_flow(s, t,
+        cutoff=1) == 0`` says, as cheaply as one search, whether any more
+        flow exists.
+        """
         adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
@@ -75,6 +83,8 @@ class FlowNetwork:
                         cap[a] -= push
                         cap[a ^ 1] += push
                     total += push
+                    if cutoff is not None and total >= cutoff:
+                        return total
                     k = 0
                     while cap[path[k]]:
                         k += 1
@@ -229,25 +239,28 @@ def lex_min_greedy(n: int, feasible, done) -> list[int]:
     return included
 
 
-def min_ratio_mincut(sources, neighbors, source_weight, target_weight
-                     ) -> tuple[Fraction, frozenset, tuple[Fraction, ...]]:
+def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
+                     witness: bool = True
+                     ) -> tuple[Fraction, frozenset | None, tuple[Fraction, ...]]:
     """Iterative ratio minimization over min-cuts.
 
     Starting from the full-set ratio, each round finds a nonempty minimizer
     of weight(N(S)) - lam * weight(S) as the source side of a min cut and
     re-normalizes lam; it stops when that minimum hits zero.  The returned
-    trace holds the strictly decreasing lam sequence.  The witness is the
-    lexicographically smallest minimizing subset, extracted with forced
-    in/out min-cut feasibility queries on the last round's network.  Forcing
-    only raises capacities, so each query continues that round's maximum
-    flow and is feasible exactly when no extra flow exists.
+    trace holds the strictly decreasing lam sequence, one maximum flow per
+    entry.  The witness is the lexicographically smallest minimizing subset,
+    extracted with forced in/out min-cut feasibility queries on the last
+    round's network.  Forcing only raises capacities, so each query continues
+    that round's maximum flow, is feasible exactly when no extra flow exists,
+    and stops at its first augmenting path.  ``witness=False`` skips the
+    extraction and returns ``None`` in the witness's place.
     """
     sources = sorted(sources)
     if not sources:
         raise InputError("empty source set")
     zeros = sorted(s for s in sources if not neighbors[s])
     if zeros:
-        return Fraction(0), frozenset({zeros[0]}), (Fraction(0),)
+        return Fraction(0), frozenset({zeros[0]}) if witness else None, (Fraction(0),)
     _targets, sw, dw, nbr = _integerize(sources, neighbors, source_weight, target_weight)
     n, m = len(sources), len(dw)
     total_src = sum(sw)
@@ -289,6 +302,8 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
         trace.append(lam)
     else:
         raise RuntimeError(f"ratio iteration exceeded its bound of {limit}")
+    if not witness:
+        return lam, None, tuple(trace)
 
     num, den = lam.numerator, lam.denominator
     base = net.cap[:]
@@ -298,7 +313,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
         net.cap[:] = base
         for arc in [src_arc[i] for i in forced_in] + [sink_arc[i] for i in forced_out]:
             net.cap[arc] = inf
-        return net.max_flow(0, 1) == 0
+        return net.max_flow(0, 1, cutoff=1) == 0
 
     def attains_optimum(index_set) -> bool:
         img = set()
@@ -307,5 +322,5 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight
         return (bool(index_set) and
                 den * sum(dw[k] for k in img) == num * sum(sw[i] for i in index_set))
 
-    witness = frozenset(sources[i] for i in lex_min_greedy(n, feasible, attains_optimum))
-    return lam, witness, tuple(trace)
+    found = frozenset(sources[i] for i in lex_min_greedy(n, feasible, attains_optimum))
+    return lam, found, tuple(trace)

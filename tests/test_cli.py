@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from plunnecke_lab import jsonio
-from plunnecke_lab.cli import main
+from plunnecke_lab import cli, dynamics, jsonio
+from plunnecke_lab.cli import MAX_COUNT, main
 from plunnecke_lab.reports import CSV_COLUMNS
 
 
@@ -151,6 +151,20 @@ class TestVerify:
         assert json.loads(capsys.readouterr().err)["kind"] == "input"
         assert not out.exists()
 
+    def test_count_past_the_maximum_exits_two_before_drawing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a bundle was drawn")
+
+        runner, _generate, kind = cli.CHECKS["thm-3.5"]
+        monkeypatch.setitem(cli.CHECKS, "thm-3.5", (runner, refuse, kind))
+        out = tmp_path / "r.json"
+        assert main(["verify", "thm-3.5", "--count", str(MAX_COUNT + 1),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and f"at most {MAX_COUNT}" in err["error"]
+        assert not out.exists()
+
     def test_malformed_bundle_field_exits_two(self, tmp_path):
         bundle = {
             "instance": "bad",
@@ -250,6 +264,12 @@ class TestGenerateCommand:
         assert not list(tmp_path.iterdir())
 
 
+    def test_count_past_the_maximum_exits_two(self, tmp_path, capsys):
+        assert main(["generate", "orbit", "--count", str(MAX_COUNT + 1),
+                     "--dir", str(tmp_path)]) == 2
+        assert f"at most {MAX_COUNT}" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flags", [["--max-period", str(2 ** 20 + 1)],
                                        ["--dim", "8"]])
     def test_period_box_past_the_budget_exits_two(self, tmp_path, capsys, flags):
@@ -276,6 +296,16 @@ class TestOrbitGraphCommand:
 
     def test_needs_an_action_source(self):
         assert main(["orbit-graph", "--A", "0", "--Y", "0", "--h", "1"]) == 2
+
+    def test_group_past_the_budget_exits_two(self, capsys, monkeypatch):
+        def refuse(_group):
+            raise AssertionError("group elements listed past the budget")
+
+        monkeypatch.setattr(dynamics.FinAbGroup, "elements", refuse)
+        assert main(["orbit-graph", "--moduli", "1000000000", "--A", "0", "--Y", "0",
+                     "--h", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "MAX_GROUP_ORDER" in err["error"]
 
     def test_bad_numeric_flags_exit_two(self):
         assert main(["orbit-graph", "--moduli", "x", "--A", "0", "--Y", "0",

@@ -14,7 +14,8 @@ from plunnecke_lab import (FinAbGroup, InputError, c, c_delta, jsonio,
                            validate, validate_action, verify_different_summands,
                            verify_dyn_plunnecke, verify_heavy_subset,
                            verify_multiplicativity, verify_restricted_plunnecke)
-from plunnecke_lab.dynamics import measure
+from plunnecke_lab import LayeredMeasureGraph, dynamics
+from plunnecke_lab.dynamics import measure, vec_id
 from plunnecke_lab.generators import (random_action, random_group_subset,
                                       random_space_subset)
 
@@ -85,6 +86,49 @@ class TestActions:
     @given(seeds)
     def test_random_actions_validate(self, seed):
         assert validate_action(random_action(random.Random(seed))) == []
+
+
+class TestActionBudget:
+    """Actions past MAX_GROUP_ORDER atoms are refused before any is listed."""
+
+    @pytest.fixture
+    def no_listing(self, monkeypatch):
+        def refuse(_group):
+            raise AssertionError("group elements listed past the budget")
+
+        monkeypatch.setattr(FinAbGroup, "elements", refuse)
+
+    def test_translation_action_refuses_a_huge_group(self, no_listing):
+        with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+            translation_action(FinAbGroup((10 ** 9,)))
+        with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+            translation_action(FinAbGroup((2 ** 10, 2 ** 10 + 1)))
+
+    def test_product_action_refuses_a_huge_product_space(self, monkeypatch):
+        first, second = translation(2 ** 10), translation(2 ** 10 + 1)
+
+        def refuse(_moduli):
+            raise AssertionError("product built past the budget")
+
+        # the product's group is built before its atoms
+        monkeypatch.setattr(dynamics, "FinAbGroup", refuse)
+        with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+            product_action(first, second)
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_GROUP_ORDER", 12)
+        assert len(translation_action(FinAbGroup((3, 4))).atoms) == 12
+        assert len(product_action(translation(3), translation(4)).atoms) == 12
+        with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+            translation_action(FinAbGroup((13,)))
+        with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+            product_action(translation(13), translation(1))
+
+    def test_a_huge_modulus_on_few_atoms_still_multiplies(self):
+        huge = jsonio.action_from_doc({
+            "moduli": [10 ** 12], "atoms": [{"id": "x", "weight": "1"}],
+            "generators": [{"perm": {"x": "x"}}]})
+        assert len(product_action(huge, translation(3)).atoms) == 3
 
 
 def _walked_order_violations(act):
@@ -165,6 +209,19 @@ class TestCycleTables:
             translation(3).apply((1, 1), "0")
 
 
+def _two_pass_orbit_graph(act, A, Y, h):
+    """Oracle for orbit_graph's one pass: layers by move_set, then every edge
+    by applying each translate again."""
+    layers = [frozenset(Y)]
+    for _ in range(h):
+        layers.append(move_set(act, A, layers[-1]))
+    return LayeredMeasureGraph.build(
+        [(f"{x}@{k}", k, act.atoms[x]) for k, layer in enumerate(layers) for x in layer],
+        [(f"{x}@{k}", f"{act.apply(a, x)}@{k + 1}", vec_id(a))
+         for k in range(h) for x in layers[k] for a in A.elements],
+        height=h, labels=[vec_id(a) for a in A.elements])
+
+
 class TestOrbitGraph:
     def test_o1_shape(self, o1):
         assert [len(o1.layer_set(i)) for i in range(3)] == [1, 2, 3]
@@ -179,6 +236,32 @@ class TestOrbitGraph:
 
     def test_o1_commutative(self, o1):
         assert is_commutative(o1).holds
+
+    def test_one_apply_per_edge(self, monkeypatch):
+        act = translation(20)
+        A, Y = gset(20, 0, 1, 3), {"0", "5"}
+        two_pass = _two_pass_orbit_graph(act, A, Y, 3)
+        calls = []
+        original = dynamics.FiniteAction.apply
+
+        def counted(self, element, atom):
+            calls.append(atom)
+            return original(self, element, atom)
+
+        monkeypatch.setattr(dynamics.FiniteAction, "apply", counted)
+        g = orbit_graph(act, A, Y, 3)
+        assert len(g.edges) == 57
+        assert len(calls) == 57
+        assert g == two_pass
+
+    @given(seeds)
+    def test_matches_the_two_pass_construction(self, seed):
+        rng = random.Random(seed)
+        act = random_action(rng, max_coords=2, max_n=8)
+        A = random_group_subset(rng, act.group, 3)
+        Y = random_space_subset(rng, act, 3)
+        h = rng.randint(1, 3)
+        assert orbit_graph(act, A, Y, h) == _two_pass_orbit_graph(act, A, Y, h)
 
     @given(seeds)
     def test_random_orbit_graphs_validate_and_commute(self, seed):

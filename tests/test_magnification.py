@@ -14,6 +14,8 @@ from plunnecke_lab.dynamics import FinAbGroup, GroupSet, orbit_graph, translatio
 from plunnecke_lab.generators import (admissible_cut_rate,
                                       perfect_power_orbit_graph,
                                       random_layered_graph, random_orbit_graph)
+from plunnecke_lab import maxflow
+from plunnecke_lab.magnification import _bottom_problem
 from plunnecke_lab.maxflow import (FlowNetwork, _integerize, common_scale, lex_min_greedy,
                                    min_ratio_mincut)
 
@@ -270,6 +272,95 @@ class TestWarmStartedQueries:
         rate = rng.choice([Fraction(1), admissible_cut_rate(rng, g)])
         report = min_weight_cutset(g, rate)
         assert (report.weight, report.cutset) == _cold_cutset(g, rate)
+
+
+def _count_max_flows(monkeypatch):
+    calls = []
+    original = FlowNetwork.max_flow
+
+    def counted(net, s, t, cutoff=None):
+        calls.append(cutoff)
+        return original(net, s, t, cutoff)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    return calls
+
+
+def _seeded_graph(seed):
+    rng = random.Random(f"value-only:{seed}")
+    if seed % 2:
+        return random_layered_graph(rng, max_layer0=8, max_width=6)
+    return random_orbit_graph(rng, max_n=16, max_a=3, max_h=3)
+
+
+class TestValueOnlyRatios:
+    """Value-only solves skip the witness extraction and nothing else."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_value_and_trace_match_the_witnessed_solve(self, seed):
+        g = _seeded_graph(seed)
+        for j in range(1, g.height + 1):
+            bottom, relation = _bottom_problem(g, j)
+            value, witness, trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
+            assert min_ratio_mincut(bottom, relation, g.atoms, g.atoms,
+                                    witness=False) == (value, None, trace)
+            assert value == magnification_bruteforce(g, j).value
+
+    def test_value_only_solve_makes_one_max_flow_per_round(self, monkeypatch):
+        calls = _count_max_flows(monkeypatch)
+        multi_round = 0
+        for seed in range(40):
+            g = _seeded_graph(seed)
+            for j in range(1, g.height + 1):
+                bottom, relation = _bottom_problem(g, j)
+                calls.clear()
+                trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms,
+                                         witness=False)[2]
+                # a source without neighbours gives 0 with no flow at all
+                rounds = 0 if trace == (0,) else len(trace)
+                assert calls == [None] * rounds
+                multi_round += rounds > 1
+                calls.clear()
+                min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
+                # the extraction's queries all stop at their first augmenting path
+                assert calls[:rounds] == [None] * rounds
+                assert set(calls[rounds:]) <= {1}
+        assert multi_round >= 3
+
+    def test_only_the_reported_witness_is_extracted(self, monkeypatch):
+        act = translation_action(FinAbGroup((40,)))
+        A = GroupSet.of(act.group, [(0,), (1,), (3,)])
+        g = orbit_graph(act, A, frozenset(str(x) for x in range(0, 40, 3)), 3)
+        extractions = []
+        original = maxflow.lex_min_greedy
+
+        def counted(*args):
+            extractions.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(maxflow, "lex_min_greedy", counted)
+        report = verify_graph_plunnecke(g)
+        assert len(extractions) == 1
+        assert report.witness == sorted(magnification_bruteforce(g, 3).witness)
+        extractions.clear()
+        verify_bottom_layer_minimal(g, 1)
+        assert extractions == []
+
+
+class TestFlowWork:
+    """Upper bounds on the max-flows of a fixed orbit graph of Z/128, so a
+    change that adds flow work fails here; less work always passes."""
+
+    def test_anchor_max_flows_do_not_rise(self, monkeypatch):
+        act = translation_action(FinAbGroup((128,)))
+        A = GroupSet.of(act.group, [(0,), (1,), (3,)])
+        g = orbit_graph(act, A, frozenset(str(x) for x in range(0, 128, 3)), 3)
+        calls = _count_max_flows(monkeypatch)
+        magnification_mincut(g, 3)
+        assert len(calls) <= 44
+        calls.clear()
+        min_weight_cutset(g, 1)
+        assert len(calls) <= 383
 
 
 class TestCutsetPush:

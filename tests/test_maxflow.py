@@ -112,6 +112,49 @@ def test_warm_start_after_raising_arcs_matches_a_fresh_network():
         assert net.source_side(s) == fresh.source_side(s), (n, arcs, raised)
 
 
+def test_cutoff_answers_whether_more_flow_exists():
+    """A warm-started query with raised pins, cut off at 1 and at random
+    values, against the same query run to the maximum."""
+    rng = random.Random(1956)
+    feasible = infeasible = stopped = 0
+    for _ in range(400):
+        n, arcs, s, t = _random_network(rng)
+        net = FlowNetwork(n)
+        handles = [net.add_edge(u, v, c) for u, v, c in arcs]
+        net.max_flow(s, t)
+        base = net.cap[:]
+        pins = rng.sample(handles, min(len(handles), rng.randint(0, 3)))
+        for arc in pins:
+            base[arc] += rng.choice([1, 4, 10 ** 15])
+        net.cap[:] = base
+        full = net.max_flow(s, t)
+        for cutoff in (1, rng.choice([2, 5, 10 ** 12, 10 ** 16])):
+            net.cap[:] = base
+            got = net.max_flow(s, t, cutoff=cutoff)
+            assert min(cutoff, full) <= got <= full, (n, arcs, pins, cutoff)
+            if got < cutoff:
+                assert got == full
+            if cutoff == 1:
+                assert (got == 0) == (full == 0)
+                stopped += got < full
+        if full:
+            feasible += 1
+        else:
+            infeasible += 1
+    assert feasible >= 50 and infeasible >= 50 and stopped >= 15
+
+
+def test_cutoff_on_unit_capacities_is_exact():
+    # every augmenting path carries 1, so the call stops at exactly the cutoff
+    rng = random.Random(1962)
+    for _ in range(200):
+        n, arcs, s, t = _random_network(rng)
+        unit = [(u, v, 1) for u, v, _c in arcs]
+        full = _build(n, unit).max_flow(s, t)
+        for cutoff in range(1, full + 2):
+            assert _build(n, unit).max_flow(s, t, cutoff=cutoff) == min(cutoff, full)
+
+
 def test_lex_min_greedy_queries_only_add_constraints():
     rng = random.Random(1967)
     for _ in range(200):
@@ -188,6 +231,8 @@ def test_zero_when_some_source_has_no_neighbors():
     value, witness, _ = min_ratio_mincut(["a", "b"], neighbors, weights, weights)
     assert value == 0
     assert witness == {"b"}
+    assert min_ratio_mincut(["a", "b"], neighbors, weights, weights,
+                            witness=False) == (0, None, (0,))
     value, witness = min_ratio_bruteforce(["a", "b"], neighbors, weights, weights)
     assert value == 0
     assert witness == {"b"}
