@@ -1,8 +1,15 @@
 """Batch front end: validation, computation, generation, and check batteries.
 
+`main` parses the command line with argparse, refuses numeric options
+outside `_BOUNDS`, and hands the typed namespace to the subcommand's
+`_cmd_*` function; every default lives in the parser or in the function
+that uses it.
+
 Exit codes: 0 = everything holds / everything valid, 1 = some check came back
 false (the counterexample is in the report), 2 = input error (malformed
-document, unknown file, or a check refused because its hypothesis fails).
+document, unknown file, an option or bundle order past its bound, or a check
+refused because its hypothesis fails).  An exit 2 writes one JSON line to
+stderr.
 
 Reports are canonical JSON (sorted keys, fixed layout); timing is off by
 default so repeated runs with the same seed are byte-identical.
@@ -13,12 +20,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__, generators, jsonio
@@ -40,12 +48,10 @@ from .reports import CSV_COLUMNS, VerificationReport, csv_row
 
 JOBS_ENV = "PLUNNECKE_LAB_JOBS"
 
-
-@dataclass
-class RunManifest:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    options: dict = field(default_factory=dict)
+# The largest order j or k a bundle may ask for.  Iterated sumsets and the
+# k-th powers of the comparands grow with the order; generated bundles use
+# k <= 3.
+MAX_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +64,14 @@ def _load_action_bundle(doc):
     A = jsonio.group_set_from_doc(act.group, doc["A"])
     B = jsonio.space_set_from_doc(doc["B"])
     return act, A, B
+
+
+def _orders(doc) -> tuple[int, int]:
+    """The bundle's orders j and k, refused past MAX_ORDER before any sumset."""
+    j, k = (jsonio._as_int(doc[key], f"order {key}") for key in ("j", "k"))
+    if max(j, k) > MAX_ORDER:
+        raise InputError(f"orders j={j}, k={k} exceed MAX_ORDER ({MAX_ORDER})")
+    return j, k
 
 
 def _run_flow_duality(doc) -> VerificationReport:
@@ -92,22 +106,20 @@ def _run_bottom_layer(doc) -> VerificationReport:
 
 def _run_dyn_plunnecke(doc) -> VerificationReport:
     act, A, B = _load_action_bundle(doc)
-    return verify_dyn_plunnecke(act, A, B, int(doc["j"]), int(doc["k"]),
-                                instance=doc["instance"])
+    return verify_dyn_plunnecke(act, A, B, *_orders(doc), instance=doc["instance"])
 
 
 def _run_restricted(doc) -> VerificationReport:
     act, A, B = _load_action_bundle(doc)
     E = jsonio.space_set_from_doc(doc.get("E", []))
-    return verify_restricted_plunnecke(act, A, B, E, int(doc["j"]), int(doc["k"]),
+    return verify_restricted_plunnecke(act, A, B, E, *_orders(doc),
                                        instance=doc["instance"])
 
 
 def _run_heavy(doc) -> VerificationReport:
     act, A, B = _load_action_bundle(doc)
     return verify_heavy_subset(act, A, B, parse_rational(doc["delta"]),
-                               int(doc["j"]), int(doc["k"]),
-                               instance=doc["instance"])
+                               *_orders(doc), instance=doc["instance"])
 
 
 def _run_multiplicativity(doc) -> VerificationReport:
@@ -133,7 +145,7 @@ def _run_different_summands(doc) -> VerificationReport:
 def _run_density_plunnecke(doc) -> VerificationReport:
     return verify_density_plunnecke(
         jsonio.periodic_from_doc(doc["A"]), jsonio.periodic_from_doc(doc["B"]),
-        int(doc["j"]), int(doc["k"]), instance=doc["instance"])
+        *_orders(doc), instance=doc["instance"])
 
 
 def _run_density_summands(doc) -> VerificationReport:
@@ -175,12 +187,11 @@ def run_check_bundle(theorem: str, doc: dict, with_timing: bool = False) -> dict
         name = doc.get("instance", "?") if isinstance(doc, dict) else "?"
         raise InputError(
             f"malformed {theorem} bundle ({name}): {exc!r}") from exc
-    report.millis = (time.perf_counter() - start) * 1000.0
-    return report.to_doc(with_timing=with_timing)
-
-
-def _run_bundle_star(args) -> dict:
-    return run_check_bundle(*args)
+    millis = (time.perf_counter() - start) * 1000.0
+    row = report.to_doc()
+    if with_timing:
+        row["millis"] = round(millis, 3)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +215,12 @@ def _write_csv(rows: list[dict], path: str) -> None:
             writer.writerow(csv_row(row))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or a number past the digit limit
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -221,14 +232,14 @@ def _default_jobs() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: each takes the parsed namespace and returns the exit code.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(manifest: RunManifest) -> int:
+def _cmd_validate(args) -> int:
     rows = []
     bad = False
-    for path in manifest.inputs:
+    for path in args.files:
         doc = _load_json(path)
         kind = jsonio.detect_doc_kind(doc)
         if kind == "graph":
@@ -240,14 +251,14 @@ def _cmd_validate(manifest: RunManifest) -> int:
             violations = []
         bad = bad or bool(violations)
         rows.append({"file": path, "kind": kind, "violations": violations})
-    _emit({"command": "validate", "results": rows}, manifest.options.get("out"))
+    _emit({"command": "validate", "results": rows}, args.out)
     return 2 if bad else 0
 
 
-def _cmd_commute(manifest: RunManifest) -> int:
+def _cmd_commute(args) -> int:
     rows = []
     all_hold = True
-    for path in manifest.inputs:
+    for path in args.files:
         g = jsonio.graph_from_doc(_load_json(path))
         verdict = is_commutative(g)
         all_hold = all_hold and verdict.holds
@@ -257,17 +268,15 @@ def _cmd_commute(manifest: RunManifest) -> int:
             "failing_edge": list(verdict.failing_edge) if verdict.failing_edge else None,
             "edges_checked": len(g.edges),
         })
-    _emit({"command": "commute", "results": rows}, manifest.options.get("out"))
+    _emit({"command": "commute", "results": rows}, args.out)
     return 0 if all_hold else 1
 
 
-def _cmd_magnify(manifest: RunManifest) -> int:
-    opts = manifest.options
-    j = int(opts["j"])
-    method = opts.get("method", "mincut")
+def _cmd_magnify(args) -> int:
+    j, method = args.j, args.method
     rows = []
     agree = True
-    for path in manifest.inputs:
+    for path in args.files:
         g = jsonio.graph_from_doc(_load_json(path))
         row = {"file": path, "j": j, "method": method}
         if method in ("brute", "both"):
@@ -285,15 +294,14 @@ def _cmd_magnify(manifest: RunManifest) -> int:
         else:
             row["value"] = row.get("value_mincut", row.get("value_brute"))
         rows.append(row)
-    _emit({"command": "magnify", "results": rows}, manifest.options.get("out"))
+    _emit({"command": "magnify", "results": rows}, args.out)
     return 0 if agree else 1
 
 
-def _cmd_cutset(manifest: RunManifest) -> int:
-    opts = manifest.options
-    rate = parse_rational(opts["C"])
+def _cmd_cutset(args) -> int:
+    rate = parse_rational(args.C)
     rows = []
-    for path in manifest.inputs:
+    for path in args.files:
         g = jsonio.graph_from_doc(_load_json(path))
         report = min_weight_cutset(g, rate)
         row = {
@@ -303,70 +311,65 @@ def _cmd_cutset(manifest: RunManifest) -> int:
             "weight": format_rational(report.weight),
             "is_minimal": report.is_minimal,
         }
-        push_layer = opts.get("push")
-        if push_layer is not None:
-            start = (jsonio.space_set_from_doc(opts["set"])
-                     if opts.get("set") is not None else report.cutset)
-            pushed = cutset_push(g, start, rate, int(push_layer))
+        if args.push is not None:
+            start = _parse_ids(args.set) if args.set is not None else report.cutset
+            pushed = cutset_push(g, start, rate, args.push)
             row["pushed_from"] = sorted(start)
             row["pushed"] = sorted(pushed)
             row["pushed_weight"] = format_rational(cut_weight(g, pushed, rate))
         rows.append(row)
-    _emit({"command": "cutset", "results": rows}, manifest.options.get("out"))
+    _emit({"command": "cutset", "results": rows}, args.out)
     return 0
 
 
-def _cmd_verify(manifest: RunManifest) -> int:
-    opts = manifest.options
-    theorem = opts["theorem"]
+def _load_bundle(path: str, theorem: str) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} holds no {theorem} bundle (expected a JSON object)")
+    doc.setdefault("instance", Path(path).stem)
+    declared = doc.get("theorem")
+    if declared is not None and declared != theorem:
+        raise InputError(f"{path} declares check {declared!r}, not {theorem!r}")
+    return doc
+
+
+def _cmd_verify(args) -> int:
+    theorem = args.theorem
     if theorem not in CHECKS:
         raise InputError(
             f"unknown check id {theorem!r}; available: {', '.join(sorted(CHECKS))}")
-    seed = opts.get("seed")
-    count = int(opts.get("count", 10))
-    with_timing = bool(opts.get("timing"))
-    kind = CHECKS[theorem][2]
-    asked_kind = opts.get("generate")
-    if asked_kind is not None and asked_kind != kind:
+    _runner, draw, kind = CHECKS[theorem]
+    if args.generate is not None and args.generate != kind:
         raise InputError(
-            f"check {theorem} draws its instances from kind {kind!r}, not {asked_kind!r}")
-    bundles: list[dict] = []
-    if manifest.inputs:
-        for path in manifest.inputs:
-            doc = _load_json(path)
-            doc.setdefault("instance", Path(path).stem)
-            declared = doc.get("theorem")
-            if declared is not None and declared != theorem:
-                raise InputError(
-                    f"{path} declares check {declared!r}, not {theorem!r}")
-            bundles.append(doc)
+            f"check {theorem} draws its instances from kind {kind!r}, not {args.generate!r}")
+    if args.files:
+        bundles = [_load_bundle(path, theorem) for path in args.files]
     else:
-        rng = random.Random(0 if seed is None else int(seed))
-        for i in range(count):
-            bundles.append(CHECKS[theorem][1](rng, f"{kind}-{seed or 0}-{i:04d}"))
-    jobs = int(opts.get("jobs") or _default_jobs())
-    tasks = [(theorem, bundle, with_timing) for bundle in bundles]
-    if jobs > 1 and len(tasks) > 1:
+        rng = random.Random(args.seed)
+        bundles = [draw(rng, f"{kind}-{args.seed}-{i:04d}") for i in range(args.count)]
+    jobs = args.jobs or _default_jobs()
+    if jobs > 1 and len(bundles) > 1:
         # Imported here: it pulls in multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_bundle_star, tasks))
+            rows = list(pool.map(run_check_bundle, repeat(theorem), bundles,
+                                 repeat(args.timing)))
     else:
-        rows = [_run_bundle_star(task) for task in tasks]
+        rows = [run_check_bundle(theorem, bundle, args.timing) for bundle in bundles]
     all_hold = all(row["holds"] for row in rows)
     out_doc = {
         "command": "verify",
         "theorem": theorem,
-        "seed": None if manifest.inputs else int(seed or 0),
+        "seed": None if args.files else args.seed,
         "count": len(rows),
-        "inputs": list(manifest.inputs),
+        "inputs": args.files,
         "holds": all_hold,
         "results": rows,
     }
-    _emit(out_doc, opts.get("out"))
-    if opts.get("csv"):
-        _write_csv(rows, opts["csv"])
+    _emit(out_doc, args.out)
+    if args.csv:
+        _write_csv(rows, args.csv)
     return 0 if all_hold else 1
 
 
@@ -390,169 +393,116 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _cmd_orbit_graph(manifest: RunManifest) -> int:
-    opts = manifest.options
-    if opts.get("action"):
-        act = jsonio.action_from_doc(_load_json(opts["action"]))
-    elif opts.get("moduli"):
+def _parse_ids(text: str) -> frozenset[str]:
+    """Semicolon-separated vertex or atom ids."""
+    return frozenset(s.strip() for s in text.split(";") if s.strip())
+
+
+def _cmd_orbit_graph(args) -> int:
+    if args.action:
+        act = jsonio.action_from_doc(_load_json(args.action))
+    elif args.moduli:
         act = translation_action(
-            FinAbGroup(tuple(_parse_int(n, "modulus")
-                             for n in str(opts["moduli"]).split(","))))
+            FinAbGroup(tuple(_parse_int(n, "modulus") for n in args.moduli.split(","))))
     else:
         raise InputError("orbit-graph needs --action FILE or --moduli LIST")
-    A = GroupSet.of(act.group, _parse_vectors(opts["A"]))
-    Y = frozenset(s.strip() for s in str(opts["Y"]).split(";") if s.strip())
-    g = orbit_graph(act, A, Y, int(opts["h"]))
-    _emit(jsonio.graph_to_doc(g), opts.get("out"))
+    A = GroupSet.of(act.group, _parse_vectors(args.A))
+    g = orbit_graph(act, A, _parse_ids(args.Y), args.h)
+    _emit(jsonio.graph_to_doc(g), args.out)
     return 0
 
 
-def _cmd_density(manifest: RunManifest) -> int:
-    opts = manifest.options
-    op = opts["op"]
-    sets = [jsonio.periodic_from_doc(_load_json(path)) for path in manifest.inputs]
-    if op == "sumset":
+def _cmd_density(args) -> int:
+    sets = [jsonio.periodic_from_doc(_load_json(path)) for path in args.files]
+    if args.op == "sumset":
         if len(sets) < 2:
             raise InputError("sumset needs at least two periodic-set files")
         total = sets[0]
         for other in sets[1:]:
             total = periodic_sumset(total, other)
-        _emit(jsonio.periodic_to_doc(total), opts.get("out"))
+        _emit(jsonio.periodic_to_doc(total), args.out)
         return 0
-    if op == "banach":
-        rows = [{"file": path, "density": format_rational(banach_density(A))}
-                for path, A in zip(manifest.inputs, sets)]
-        _emit({"command": "density", "op": "banach", "results": rows}, opts.get("out"))
-        return 0
-    if op == "scan":
-        side, radius = int(opts["side"]), int(opts["radius"])
-        rows = []
-        for path, A in zip(manifest.inputs, sets):
+    rows = []
+    for path, A in zip(args.files, sets):
+        if args.op == "banach":
+            rows.append({"file": path, "density": format_rational(banach_density(A))})
+        else:
             upper, lower = window_scan(lambda pt, A=A: contains(A, pt),
-                                       side, radius, dim=A.dim)
-            rows.append({"file": path, "side": side, "radius": radius,
+                                       args.side, args.radius, dim=A.dim)
+            rows.append({"file": path, "side": args.side, "radius": args.radius,
                          "upper": format_rational(upper),
                          "lower": format_rational(lower)})
-        _emit({"command": "density", "op": "scan", "results": rows}, opts.get("out"))
-        return 0
-    raise InputError(f"unknown density op {op!r} (expected sumset, banach, or scan)")
-
-
-def _cmd_correspond(manifest: RunManifest) -> int:
-    opts = manifest.options
-    if len(manifest.inputs) != 1:
-        raise InputError("correspond takes exactly one periodic-set file")
-    B = jsonio.periodic_from_doc(_load_json(manifest.inputs[0]))
-    A0 = (jsonio.periodic_from_doc(_load_json(opts["A0"]))
-          if opts.get("A0") else PeriodicSet.finite(1, [(0,)]))
-    report = verify_correspondence(B, A0, instance=Path(manifest.inputs[0]).stem)
-    _emit({"command": "correspond", "results": [report.to_doc()]}, opts.get("out"))
-    return 0 if report.holds else 1
-
-
-def _generate_doc(kind: str, rng: random.Random, opts: dict) -> dict:
-    if kind == "orbit":
-        g = generators.random_orbit_graph(
-            rng, max_n=int(opts.get("max_n", 12)),
-            max_a=int(opts.get("max_a", 4)), max_h=int(opts.get("max_h", 4)))
-        return jsonio.graph_to_doc(g)
-    if kind == "graph":
-        g = generators.random_layered_graph(
-            rng, max_layer0=int(opts.get("max_layer0", 10)),
-            max_height=int(opts.get("max_h", 3)))
-        return jsonio.graph_to_doc(g)
-    if kind == "periodic":
-        a = generators.random_periodic_set(
-            rng, dim=int(opts["dim"]) if opts.get("dim") else None,
-            max_period=int(opts.get("max_period", 12)))
-        return jsonio.periodic_to_doc(a)
-    if kind == "action":
-        return jsonio.action_to_doc(
-            generators.random_action(rng, max_n=int(opts.get("max_n", 12))))
-    raise InputError(f"unknown kind {kind!r}; available: action, graph, orbit, periodic")
-
-
-def _cmd_generate(manifest: RunManifest) -> int:
-    opts = manifest.options
-    kind = opts["kind"]
-    seed = int(opts.get("seed", 0))
-    count = int(opts.get("count", 1))
-    out_dir = Path(opts.get("dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(seed)
-    files = []
-    for i in range(count):
-        doc = _generate_doc(kind, rng, opts)
-        path = out_dir / f"{kind}_{seed:04d}_{i:04d}.json"
-        path.write_text(jsonio.dumps_canonical(doc))
-        files.append(str(path))
-    _emit({"command": "generate", "kind": kind, "seed": seed, "files": files},
-          opts.get("out"))
+    _emit({"command": "density", "op": args.op, "results": rows}, args.out)
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "commute": _cmd_commute,
-    "magnify": _cmd_magnify,
-    "cutset": _cmd_cutset,
-    "verify": _cmd_verify,
-    "orbit-graph": _cmd_orbit_graph,
-    "density": _cmd_density,
-    "correspond": _cmd_correspond,
-    "generate": _cmd_generate,
+def _cmd_correspond(args) -> int:
+    path, = args.files
+    B = jsonio.periodic_from_doc(_load_json(path))
+    A0 = (jsonio.periodic_from_doc(_load_json(args.A0))
+          if args.A0 else PeriodicSet.finite(1, [(0,)]))
+    report = verify_correspondence(B, A0, instance=Path(path).stem)
+    _emit({"command": "correspond", "results": [report.to_doc()]}, args.out)
+    return 0 if report.holds else 1
+
+
+# Per kind: the generator, the size flags it takes (flag -> keyword) and the
+# document writer.  Only the flags a user sets are passed, so every size
+# default is the generator's own.
+_GENERATORS = {
+    "action": (generators.random_action, {"max_n": "max_n"}, jsonio.action_to_doc),
+    "graph": (generators.random_layered_graph,
+              {"max_layer0": "max_layer0", "max_h": "max_height"}, jsonio.graph_to_doc),
+    "orbit": (generators.random_orbit_graph,
+              {"max_n": "max_n", "max_a": "max_a", "max_h": "max_h"}, jsonio.graph_to_doc),
+    "periodic": (generators.random_periodic_set,
+                 {"dim": "dim", "max_period": "max_period"}, jsonio.periodic_to_doc),
 }
 
 
-# The smallest value each numeric option admits, per command: a cyclic
-# modulus is at least 2, counts, worker numbers, sizes and heights are at
-# least 1, and a dimension is positive.
-_OPTION_MINIMA = {
-    "verify": {"count": 1, "jobs": 1},
-    "generate": {"count": 1, "max_n": 2, "max_a": 1, "max_h": 1, "max_layer0": 1,
-                 "max_period": 1, "dim": 1},
-}
+def _cmd_generate(args) -> int:
+    make, flags, to_doc = _GENERATORS[args.kind]
+    sizes = {keyword: getattr(args, flag) for flag, keyword in flags.items()
+             if getattr(args, flag) is not None}
+    out_dir = Path(args.dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(args.seed)
+    files = []
+    for i in range(args.count):
+        doc = to_doc(make(rng, **sizes))
+        path = out_dir / f"{args.kind}_{args.seed:04d}_{i:04d}.json"
+        path.write_text(jsonio.dumps_canonical(doc))
+        files.append(str(path))
+    _emit({"command": "generate", "kind": args.kind, "seed": args.seed, "files": files},
+          args.out)
+    return 0
+
 
 # The most instances one run draws: `verify` builds every bundle before it
 # checks the first.
 MAX_COUNT = 10_000
 
-# The largest value a numeric option admits, per command.
-_OPTION_MAXIMA = {
-    "verify": {"count": MAX_COUNT},
-    "generate": {"count": MAX_COUNT},
+# The range each numeric option admits, per command: a cyclic modulus is at
+# least 2, counts, worker numbers, sizes and heights are at least 1, a
+# dimension is positive, and no run draws more than MAX_COUNT instances.
+_BOUNDS = {
+    "verify": {"count": (1, MAX_COUNT), "jobs": (1, math.inf)},
+    "generate": {"count": (1, MAX_COUNT), "max_n": (2, math.inf), "max_a": (1, math.inf),
+                 "max_h": (1, math.inf), "max_layer0": (1, math.inf),
+                 "max_period": (1, math.inf), "dim": (1, math.inf)},
 }
 
 
-def _check_bounds(manifest: RunManifest) -> None:
-    opts = manifest.options
-    for key, low in _OPTION_MINIMA.get(manifest.command, {}).items():
-        if key in opts and int(opts[key]) < low:
-            raise InputError(f"--{key.replace('_', '-')} must be at least {low} "
-                             f"(got {opts[key]})")
-    for key, high in _OPTION_MAXIMA.get(manifest.command, {}).items():
-        if key in opts and int(opts[key]) > high:
-            raise InputError(f"--{key.replace('_', '-')} must be at most {high} "
-                             f"(got {opts[key]})")
-
-
-def run(manifest: RunManifest) -> int:
-    """Execute a manifest; exceptions are mapped to the exit-code contract."""
-    handler = _COMMANDS.get(manifest.command)
-    if handler is None:
-        sys.stderr.write(json.dumps({"error": f"unknown command {manifest.command!r}"}) + "\n")
-        return 2
-    try:
-        _check_bounds(manifest)
-        return handler(manifest)
-    except HypothesisError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": str(exc), "kind": "hypothesis", "payload": _payload_doc(exc)},
-            sort_keys=True) + "\n")
-        return 2
-    except InputError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "input"}) + "\n")
-        return 2
+def _check_bounds(args) -> None:
+    for key, (low, high) in _BOUNDS.get(args.command, {}).items():
+        value = getattr(args, key)
+        if value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value < low:
+            raise InputError(f"{flag} must be at least {low} (got {value})")
+        if value > high:
+            raise InputError(f"{flag} must be at most {high} (got {value})")
 
 
 def _payload_doc(exc: HypothesisError):
@@ -574,20 +524,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate graph/action/periodic-set files")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
 
     p = sub.add_parser("commute", help="decide commutativity of graph files")
+    p.set_defaults(handler=_cmd_commute)
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
 
     p = sub.add_parser("magnify", help="magnification ratio of order j")
+    p.set_defaults(handler=_cmd_magnify)
     p.add_argument("files", nargs="+")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--method", choices=["brute", "mincut", "both"], default="mincut")
     p.add_argument("--out")
 
     p = sub.add_parser("cutset", help="minimum-weight cutset, optionally pushed")
+    p.set_defaults(handler=_cmd_cutset)
     p.add_argument("files", nargs="+")
     p.add_argument("--C", required=True, help="weight rate, e.g. 2/1")
     p.add_argument("--push", type=int, help="push the cutset at this layer")
@@ -595,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run one check over files or generated instances")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("theorem", help=f"one of: {', '.join(sorted(CHECKS))}")
     p.add_argument("files", nargs="*")
     p.add_argument("--generate", help="instance kind (defaults to the check's kind)")
@@ -606,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
 
     p = sub.add_parser("orbit-graph", help="emit the orbit graph of an action")
+    p.set_defaults(handler=_cmd_orbit_graph)
     p.add_argument("--action", help="action JSON file")
     p.add_argument("--moduli", help="comma-separated moduli for a translation action")
     p.add_argument("--A", required=True, help="translates, e.g. '0;1' or '0,1;1,0'")
@@ -614,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("density", help="periodic-set density operations")
+    p.set_defaults(handler=_cmd_density)
     p.add_argument("op", choices=["sumset", "banach", "scan"])
     p.add_argument("files", nargs="+")
     p.add_argument("--side", type=int, default=10)
@@ -621,12 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("correspond", help="orbit-system density bridges for a periodic set")
+    p.set_defaults(handler=_cmd_correspond)
     p.add_argument("files", nargs=1)
     p.add_argument("--A0", help="periodic-set JSON file of translates")
     p.add_argument("--out")
 
     p = sub.add_parser("generate", help="write deterministic instance files")
-    p.add_argument("kind", choices=["action", "graph", "orbit", "periodic"])
+    p.set_defaults(handler=_cmd_generate)
+    p.add_argument("kind", choices=sorted(_GENERATORS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--dir", default=".")
@@ -642,19 +601,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("command", "files") and v is not None}
-    inputs = list(getattr(args, "files", []) or [])
-    if args.command == "cutset" and options.get("set"):
-        options["set"] = [s.strip() for s in options["set"].split(";") if s.strip()]
-    return RunManifest(command=args.command, inputs=inputs, options=options)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(manifest_from_args(args))
+    """Run one command; exceptions are mapped to the exit-code contract."""
+    args = build_parser().parse_args(argv)
+    try:
+        _check_bounds(args)
+        return args.handler(args)
+    except HypothesisError as exc:
+        sys.stderr.write(json.dumps(
+            {"error": str(exc), "kind": "hypothesis", "payload": _payload_doc(exc)},
+            sort_keys=True) + "\n")
+        return 2
+    except InputError as exc:
+        sys.stderr.write(json.dumps({"error": str(exc), "kind": "input"}) + "\n")
+        return 2
 
 
 def console_main() -> None:

@@ -7,6 +7,7 @@ Every measure, weight, ratio, and density in this package is a
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -37,9 +38,20 @@ def parse_rational(value) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise InputError(f"bad rational literal {value!r}; expected 'p/q'") from exc
+    except ValueError as exc:  # the literal is past the int/str digit limit
+        raise InputError(f"rational literal of {len(text)} characters is past "
+                         f"the {sys.get_int_max_str_digits()}-digit limit") from exc
 
 
 def format_rational(value) -> str:
-    """Canonical ``p/q`` form; the denominator is always written (``3 -> "3/1"``)."""
+    """Canonical ``p/q`` form; the denominator is always written (``3 -> "3/1"``).
+
+    A value with more digits than Python converts between int and str raises
+    InputError.
+    """
     frac = Fraction(value)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        return f"{frac.numerator}/{frac.denominator}"
+    except ValueError as exc:
+        raise InputError(f"rational past the {sys.get_int_max_str_digits()}-digit "
+                         f"limit cannot be written") from exc

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .rational import format_rational
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """One checked instance: the exact cross-powered comparands and a verdict.
 
@@ -24,10 +24,9 @@ class VerificationReport:
     holds: bool
     witness: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    millis: float | None = None
 
-    def to_doc(self, with_timing: bool = False) -> dict:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "instance": self.instance,
             "theorem": self.theorem,
             "lhs": format_rational(self.lhs),
@@ -36,9 +35,6 @@ class VerificationReport:
             "witness": list(self.witness),
             "details": self.details,
         }
-        if with_timing:
-            doc["millis"] = 0.0 if self.millis is None else round(self.millis, 3)
-        return doc
 
 
 CSV_COLUMNS = ("instance", "theorem", "lhs", "rhs", "holds", "witness", "millis")

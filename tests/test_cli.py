@@ -1,13 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from plunnecke_lab import cli, dynamics, jsonio
-from plunnecke_lab.cli import MAX_COUNT, main
+from plunnecke_lab import cli, density, dynamics, generators, jsonio
+from plunnecke_lab.cli import MAX_COUNT, MAX_ORDER, main
 from plunnecke_lab.reports import CSV_COLUMNS
 
 
@@ -39,6 +43,21 @@ def broken_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(jsonio.dumps_canonical(doc))
     return str(path)
+
+
+# The checks whose bundles carry orders j and k.
+_ORDER_CHECKS = ("thm-4.2", "thm-4.3", "lemma-5.4", "thm-1.3")
+
+
+def _order_bundle(check_id):
+    return cli.CHECKS[check_id][1](random.Random(5), check_id)
+
+
+def _z4_bundle(j, k, **extra):
+    """A bundle over Z/4 acting on itself, translates {0, 1}, B = {0, 1}."""
+    z4 = dynamics.translation_action(dynamics.FinAbGroup((4,)))
+    return {"instance": "z4", "action": jsonio.action_to_doc(z4),
+            "A": [[0], [1]], "B": ["0", "1"], "j": j, "k": k, **extra}
 
 
 def _stdout_doc(capsys):
@@ -219,6 +238,77 @@ class TestVerify:
         assert all("millis" not in row for row in rows)
         rows = json.loads(with_t.read_text())["results"]
         assert all("millis" in row for row in rows)
+
+
+class TestMalformedBundlesExitTwo:
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "7", "null"])
+    def test_bundle_that_is_not_a_json_object_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        assert main(["verify", "thm-3.5", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "expected a JSON object" in err["error"]
+
+    def test_rate_past_the_digit_limit_exits_two(self, o1_file, capsys):
+        assert main(["cutset", o1_file, "--C", "3" * 5000]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "digit limit" in err["error"]
+
+    def test_comparand_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        # (1 - delta) ** -64 with a 100-digit delta denominator: 6400 digits
+        bundle = _z4_bundle(j=1, k=MAX_ORDER, delta="1/" + "3" * 100)
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify", "lemma-5.4", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "digit limit" in err["error"]
+
+    def test_json_number_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 1, "finite": [[' + "3" * 5000 + "]]}")
+        assert main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+    @pytest.mark.parametrize("check_id", _ORDER_CHECKS)
+    @pytest.mark.parametrize("key, value", [("j", 1.9), ("j", True), ("j", "1"),
+                                            ("k", 3.0), ("k", None)])
+    def test_non_integer_order_exits_two(self, tmp_path, capsys, check_id, key, value):
+        bundle = _order_bundle(check_id)
+        bundle[key] = value
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify", check_id, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and f"order {key} must be an integer" in err["error"]
+
+    @pytest.mark.parametrize("check_id", _ORDER_CHECKS)
+    def test_order_past_the_bound_exits_two_before_any_sumset(self, tmp_path, capsys,
+                                                               monkeypatch, check_id):
+        def refuse(*_args):
+            raise AssertionError("a sumset was formed")
+
+        monkeypatch.setattr(dynamics, "iterate", refuse)
+        monkeypatch.setattr(density, "iterate_sumset", refuse)
+        bundle = _order_bundle(check_id)
+        bundle["k"] = MAX_ORDER + 1
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify", check_id, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "MAX_ORDER" in err["error"]
+
+    def test_huge_order_is_refused_at_once(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(_z4_bundle(j=1, k=20000)))
+        start = time.perf_counter()
+        assert main(["verify", "thm-4.2", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "MAX_ORDER" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_order_at_the_bound_runs(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(_z4_bundle(j=1, k=MAX_ORDER)))
+        assert main(["verify", "thm-4.2", str(path)]) == 0
 
 
 class TestDeterminism:
@@ -406,3 +496,192 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Golden digests: the exact bytes each command writes.
+#
+# Each case runs `main` in a fresh directory holding the files that
+# `_write_golden_inputs` makes, and pins its exit code plus one digest over
+# stdout, stderr and every file the command creates (`--out`, `--csv`,
+# `generate --dir`).  A refactor of the front end must leave every entry
+# unchanged.
+# ---------------------------------------------------------------------------
+
+
+def _write_golden_inputs(directory):
+    z4 = dynamics.translation_action(dynamics.FinAbGroup((4,)))
+    o1 = dynamics.orbit_graph(z4, dynamics.GroupSet.of(z4.group, [(0,), (1,)]), {"0"}, 2)
+    chain = {"height": 2, "labels": ["a", "b"],
+             "vertices": [{"id": f"v{i}", "layer": i, "weight": "1/1"} for i in range(3)],
+             "edges": [{"tail": "v0", "head": "v1", "label": "a"},
+                       {"tail": "v1", "head": "v2", "label": "b"}]}
+    broken = {"height": 1, "labels": ["a"],
+              "vertices": [{"id": "v0", "layer": 0, "weight": "1/1"},
+                           {"id": "v1", "layer": 1, "weight": "2/1"}],
+              "edges": [{"tail": "v0", "head": "v1", "label": "a"}]}
+    docs = {
+        "O1.json": jsonio.graph_to_doc(o1),
+        "chain.json": chain,
+        "broken.json": broken,
+        "act.json": jsonio.action_to_doc(z4),
+        "a.json": {"dim": 1, "period": [2], "residues": [[0]]},
+        "b.json": {"dim": 1, "period": [6], "residues": [[0], [1], [3]]},
+        "c2.json": {"dim": 2, "period": [2, 3], "residues": [[0, 0], [1, 2]]},
+        "a0.json": {"dim": 1, "finite": [[0], [1]]},
+        "o1-bundle.json": {"instance": "O1", "graph": jsonio.graph_to_doc(o1)},
+        "o1-declared.json": {"theorem": "thm-3.5", "graph": jsonio.graph_to_doc(o1)},
+        "o1-rate.json": {"instance": "O1", "graph": jsonio.graph_to_doc(o1), "C": "5/1"},
+        "chain-bundle.json": {"instance": "chain", "graph": chain},
+        "dyn-bundle.json": generators.bundle_dyn_plunnecke(random.Random(1), "dyn"),
+    }
+    for name, doc in docs.items():
+        (directory / name).write_text(jsonio.dumps_canonical(doc))
+
+
+def _pinned_run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and digest of stdout, stderr and the files created in cwd."""
+    before = set(Path().rglob("*"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digest = hashlib.sha256()
+    for part in (out.getvalue(), err.getvalue()):
+        digest.update(part.encode() + b"\0")
+    for path in sorted(set(Path().rglob("*")) - before):
+        if path.is_file():
+            digest.update(str(path).encode() + b"\0" + path.read_bytes() + b"\0")
+    return code, digest.hexdigest()[:16]
+
+
+_GOLDEN_ARGV = {
+    "validate": "validate O1.json act.json a.json c2.json a0.json",
+    "validate-broken": "validate O1.json broken.json",
+    "validate-missing": "validate nowhere.json",
+    "commute": "commute O1.json",
+    "commute-chain": "commute O1.json chain.json",
+    "magnify-brute": "magnify O1.json --j 2 --method brute",
+    "magnify-mincut": "magnify O1.json --j 1",
+    "magnify-both": "magnify O1.json chain.json --j 2 --method both --out m.json",
+    "cutset": "cutset O1.json --C 1/1",
+    "cutset-push": "cutset O1.json --C 2/1 --push 1",
+    "cutset-push-set": "cutset O1.json --C 1/1 --push 1 --set 0@1;1@1",
+    "cutset-bad-rate": "cutset O1.json --C 1.5",
+    **{f"verify-{check_id}": f"verify {check_id} --seed 0 --count 3"
+       for check_id in ("prop-2.10", "ex-2.6", "thm-3.5", "cor-3.4", "thm-4.2",
+                        "thm-4.3", "lemma-5.4", "lemma-6.1", "prop-6.2", "thm-1.3",
+                        "thm-1.4", "lemma-7.1")},
+    "verify-jobs": "verify thm-4.2 --seed 5 --count 4 --jobs 2",
+    "verify-files": "verify thm-3.5 o1-bundle.json --out r.json --csv r.csv",
+    "verify-file-dyn": "verify thm-4.2 dyn-bundle.json",
+    "verify-unknown": "verify thm-9.9",
+    "verify-wrong-kind": "verify thm-3.5 --generate periodic",
+    "verify-declared": "verify cor-3.4 o1-declared.json",
+    "verify-malformed": "verify cor-3.4 dyn-bundle.json",
+    "verify-refused-rate": "verify cor-3.4 o1-rate.json",
+    "verify-refused-commute": "verify thm-3.5 chain-bundle.json",
+    "orbit-graph": "orbit-graph --moduli 4 --A 0;1 --Y 0 --h 2",
+    "orbit-graph-2d": "orbit-graph --moduli 2,3 --A 0,0;1,1 --Y 0,0 --h 2 --out g.json",
+    "orbit-graph-action": "orbit-graph --action act.json --A 0;2 --Y 0;1 --h 1",
+    "orbit-graph-no-source": "orbit-graph --A 0 --Y 0 --h 1",
+    "density-sumset": "density sumset a.json b.json a0.json",
+    "density-sumset-one": "density sumset a.json",
+    "density-banach": "density banach a.json b.json c2.json a0.json",
+    "density-scan": "density scan a.json b.json --side 3 --radius 10",
+    "density-scan-2d": "density scan c2.json --side 2 --radius 3",
+    "correspond": "correspond b.json",
+    "correspond-A0": "correspond b.json --A0 a0.json",
+    **{f"generate-{kind}": f"generate {kind} --seed 3 --count 2 --dir gen"
+       for kind in ("action", "graph", "orbit", "periodic")},
+    "generate-action-sized": "generate action --max-n 5 --count 3 --dir gen",
+    "generate-graph-sized": "generate graph --max-layer0 3 --max-h 2 --count 3 --dir gen",
+    "generate-orbit-sized": "generate orbit --max-n 5 --max-a 2 --max-h 2 --count 3 "
+                            "--dir gen --out list.json",
+    "generate-periodic-sized": "generate periodic --dim 2 --max-period 3 --count 3 --dir gen",
+    "generate-periodic-period": "generate periodic --max-period 30 --count 3 --dir gen",
+    "generate-periodic-dim": "generate periodic --dim 3 --count 2 --dir gen",
+    **{f"bound-verify{flag}-{value}": f"verify thm-3.5 {flag} {value} --out r.json"
+       for flag, value in (("--count", 0), ("--count", MAX_COUNT + 1), ("--jobs", 0))},
+    **{f"bound-generate{flag}-{value}": f"generate {kind} {flag} {value} --dir gen"
+       for kind, flag, value in (
+           ("orbit", "--count", 0), ("orbit", "--count", MAX_COUNT + 1),
+           ("action", "--max-n", 1), ("orbit", "--max-a", 0), ("orbit", "--max-h", 0),
+           ("graph", "--max-layer0", 0), ("periodic", "--max-period", 0),
+           ("periodic", "--dim", 0))},
+}
+
+_GOLDEN = {
+    "bound-generate--count-0": (2, "17b7c37b83cf0dba"),
+    "bound-generate--count-10001": (2, "6a14b29f15adad61"),
+    "bound-generate--dim-0": (2, "0f1d8b2225094e9c"),
+    "bound-generate--max-a-0": (2, "cd278120396a117d"),
+    "bound-generate--max-h-0": (2, "0ca825119a70f23e"),
+    "bound-generate--max-layer0-0": (2, "56131f5340e234d5"),
+    "bound-generate--max-n-1": (2, "c874712da9262fce"),
+    "bound-generate--max-period-0": (2, "193fcfa1f51bf16d"),
+    "bound-verify--count-0": (2, "17b7c37b83cf0dba"),
+    "bound-verify--count-10001": (2, "6a14b29f15adad61"),
+    "bound-verify--jobs-0": (2, "0e7893e00995dcc5"),
+    "commute": (0, "452eb93f2266dba4"),
+    "commute-chain": (1, "9e50d3b3f222cf90"),
+    "correspond": (0, "93886ef9e75b3177"),
+    "correspond-A0": (0, "7fbbc5879dbd0f85"),
+    "cutset": (0, "2ccd75c6cef28a52"),
+    "cutset-bad-rate": (2, "c3ff8249f975c27d"),
+    "cutset-push": (0, "fd73f174ef8af277"),
+    "cutset-push-set": (0, "f76f212206bd6396"),
+    "density-banach": (0, "661a05ac006d8eaf"),
+    "density-scan": (0, "2f5953350734aaae"),
+    "density-scan-2d": (0, "14ee758832a6f597"),
+    "density-sumset": (0, "18cf40821abaeffb"),
+    "density-sumset-one": (2, "b6665263ea4c6bf5"),
+    "generate-action": (0, "e6e075ae2a841eb5"),
+    "generate-action-sized": (0, "a13b0d0c679c8d11"),
+    "generate-graph": (0, "2f1695f5942cca2e"),
+    "generate-graph-sized": (0, "1983f7eaa8fb3980"),
+    "generate-orbit": (0, "1a479af50ed86e61"),
+    "generate-orbit-sized": (0, "f1235e1bb7a120f6"),
+    "generate-periodic": (0, "7d00155cfee09ebe"),
+    "generate-periodic-dim": (0, "b7955a6eefda02e0"),
+    "generate-periodic-period": (0, "59d8fcccb106577e"),
+    "generate-periodic-sized": (0, "d0510e03773f0c64"),
+    "magnify-both": (0, "d77575c8b8c86c02"),
+    "magnify-brute": (0, "5cd504b962581633"),
+    "magnify-mincut": (0, "25924f43ab6a7213"),
+    "orbit-graph": (0, "f653038adac8056a"),
+    "orbit-graph-2d": (0, "6d706b6b3debec51"),
+    "orbit-graph-action": (0, "974440d6e3e05734"),
+    "orbit-graph-no-source": (2, "c96213d56f2ca111"),
+    "validate": (0, "f83ebfa16e0acbfc"),
+    "validate-broken": (2, "f750fb0aa44651e4"),
+    "validate-missing": (2, "895b231ed7381720"),
+    "verify-cor-3.4": (0, "57e506fb1605dcf8"),
+    "verify-declared": (2, "8a4f12d01c8fbe5b"),
+    "verify-ex-2.6": (0, "c12c1578c870d8a7"),
+    "verify-file-dyn": (0, "12c187f6bfe131a5"),
+    "verify-files": (0, "4a3101627e1afb87"),
+    "verify-jobs": (0, "e5aba92ea72c4d95"),
+    "verify-lemma-5.4": (0, "074be9bbabe4abe1"),
+    "verify-lemma-6.1": (0, "e27070265593ef23"),
+    "verify-lemma-7.1": (0, "bd985d9cc15e8f72"),
+    "verify-malformed": (2, "78f21c4cf81f2661"),
+    "verify-prop-2.10": (0, "353bf5fab54fb177"),
+    "verify-prop-6.2": (0, "919a0278137a058b"),
+    "verify-refused-commute": (2, "f3735766db811ed3"),
+    "verify-refused-rate": (2, "1555edd87ce29887"),
+    "verify-thm-1.3": (0, "de4e636eeb59c14b"),
+    "verify-thm-1.4": (0, "299a25accd17f559"),
+    "verify-thm-3.5": (0, "4af45bb5ad5fafb5"),
+    "verify-thm-4.2": (0, "2f49ce38a562ae8a"),
+    "verify-thm-4.3": (0, "41cd8fb6f7a1190f"),
+    "verify-unknown": (2, "119153864b40e616"),
+    "verify-wrong-kind": (2, "fcdebce4d1023f81"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ARGV))
+def test_command_output_matches_its_golden_digest(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("PLUNNECKE_LAB_JOBS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    _write_golden_inputs(tmp_path)
+    assert _pinned_run(_GOLDEN_ARGV[name].split()) == _GOLDEN[name]

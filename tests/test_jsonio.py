@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from plunnecke_lab import InputError, PeriodicSet, parse_rational
+from plunnecke_lab import InputError, PeriodicSet, format_rational, parse_rational
 from plunnecke_lab import jsonio
 from plunnecke_lab.generators import (random_action, random_layered_graph,
                                       random_periodic_or_finite)
@@ -113,3 +113,10 @@ def test_parse_rational_accepts_p_over_q(text, want):
 def test_parse_rational_rejects_everything_else(text):
     with pytest.raises(InputError):
         parse_rational(text)
+
+
+def test_rationals_past_the_digit_limit_raise_input_errors():
+    with pytest.raises(InputError, match="digit limit"):
+        parse_rational("3" * 5000)
+    with pytest.raises(InputError, match="digit limit"):
+        format_rational(Fraction(10 ** 5000, 3))

@@ -1,7 +1,11 @@
+import dataclasses
 import importlib
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import plunnecke_lab
 
@@ -36,3 +40,9 @@ def test_benchmark_trace_hooks_name_package_attributes(monkeypatch):
                 owner = getattr(owner, part)
             assert callable(owner), (module, attr)
     assert isinstance(importlib.import_module("plunnecke_lab.cli").CHECKS, dict)
+
+
+def test_verification_reports_are_frozen():
+    report = plunnecke_lab.VerificationReport("x", "thm-3.5", Fraction(1), Fraction(1), True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.holds = False
