@@ -16,7 +16,8 @@ from pathlib import Path
 
 from plunnecke_lab.cli import CHECKS, main as cli_main
 
-# a couple of checks are brute-force-heavy; keep their batches smaller
+# lemma-6.1 builds a product action per instance and lemma-5.4 enumerates
+# heavy subsets, so their batches are fixed and smaller whatever --count says
 COUNTS = {"lemma-6.1": 60, "lemma-5.4": 120}
 
 

@@ -347,12 +347,12 @@ def _cmd_verify(args) -> int:
     else:
         rng = random.Random(args.seed)
         bundles = [draw(rng, f"{kind}-{args.seed}-{i:04d}") for i in range(args.count)]
-    jobs = args.jobs or _default_jobs()
-    if jobs > 1 and len(bundles) > 1:
+    workers = min(args.jobs or _default_jobs(), len(bundles), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: it pulls in multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_check_bundle, repeat(theorem), bundles,
                                  repeat(args.timing)))
     else:

@@ -20,6 +20,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from . import maxflow
 from .errors import InputError
 from .commutativity import is_commutative
 from .graphcore import LayeredMeasureGraph, induced_subgraph
@@ -30,8 +31,8 @@ from .reports import VerificationReport
 
 SpaceSet = frozenset[str]
 
-C_DELTA_LIMIT = 20
-_BRUTE_AUTO_LIMIT = 10
+_ENUMERATE_MAX = 10    # c enumerates subsets up to this |B|, takes min-cuts above
+MAX_PRODUCT_BASE = 16  # the most atoms in lemma-6.1's B x B2
 # The most atoms a constructed action may have: a translation action has one
 # per group element, a product action one per pair of factor atoms.
 MAX_GROUP_ORDER = 2 ** 20
@@ -344,35 +345,37 @@ def restricted_orbit_subgraph(act: FiniteAction, A: GroupSet, B: Iterable[str],
     return induced_subgraph(full, keep & set(full.atoms))
 
 
-def c(act: FiniteAction, A: GroupSet, B: Iterable[str], method: str = "auto",
-      drop: Iterable[str] = frozenset()) -> MagnificationResult:
-    """Magnification ratio: min over nonempty B' of mu(A.B' minus drop) / mu(B').
-
-    The default empty ``drop`` gives the plain ratio c(A, B); a nonempty one
-    gives the restricted ratio of thm-4.3.
-    """
+def _ratio(act: FiniteAction, A: GroupSet, B: Iterable[str],
+           drop: Iterable[str] = frozenset(), witness: bool = True):
+    """(value, witness) of c(A, B) minus ``drop``; with ``witness=False`` the
+    min-cut route skips the witness and returns None in its place."""
     require_valid_action(act)
     B = _check_atoms(act, B)
     drop = _check_atoms(act, drop)
     if not B:
         raise InputError("B must be nonempty")
-    if method == "auto":
-        method = "brute" if len(B) <= _BRUTE_AUTO_LIMIT else "mincut"
     neighbors = {b: move_set(act, A, frozenset([b])) - drop for b in B}
-    if method == "brute":
-        value, witness = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
-    elif method == "mincut":
-        value, witness, _ = min_ratio_mincut(sorted(B), neighbors, act.atoms, act.atoms)
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return MagnificationResult(value, witness, method)
+    if len(B) <= _ENUMERATE_MAX:
+        return min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
+    return min_ratio_mincut(sorted(B), neighbors, act.atoms, act.atoms, witness=witness)[:2]
+
+
+def c(act: FiniteAction, A: GroupSet, B: Iterable[str],
+      drop: Iterable[str] = frozenset()) -> MagnificationResult:
+    """Magnification ratio: min over nonempty B' of mu(A.B' minus drop) / mu(B').
+
+    The default empty ``drop`` gives the plain ratio c(A, B); a nonempty one
+    gives the restricted ratio of thm-4.3.  The witness is the lex-min B'
+    whichever solver ran: subsets for |B| <= 10, iterated min-cuts above.
+    """
+    return MagnificationResult(*_ratio(act, A, B, drop))
 
 
 def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction:
     """Heavy magnification ratio: only subsets with mu(B') >= delta * mu(B) compete.
 
-    Brute force over subsets (knapsack-flavoured constraint), hard-limited to
-    |B| <= 20 sources.
+    Brute force over subsets (knapsack-flavoured constraint), so a B of more
+    than maxflow.BRUTE_FORCE_LIMIT atoms is refused before any image is formed.
     """
     delta = Fraction(delta)
     if not 0 < delta <= 1:
@@ -381,8 +384,8 @@ def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction
     B = _check_atoms(act, B)
     if not B:
         raise InputError("B must be nonempty")
-    if len(B) > C_DELTA_LIMIT:
-        raise InputError(f"heavy ratio is brute force only; |B| <= {C_DELTA_LIMIT}")
+    if len(B) > maxflow.BRUTE_FORCE_LIMIT:
+        raise InputError(f"heavy ratio is brute force only; |B| <= {maxflow.BRUTE_FORCE_LIMIT}")
     neighbors = {b: move_set(act, A, frozenset([b])) for b in B}
     value, _ = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms,
                                     min_share=delta)
@@ -422,8 +425,8 @@ def verify_restricted_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str]
     if not 0 < j <= k:
         raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
     E = _check_atoms(act, E)
-    low = c(act, iterate(A, j), B, drop=move_set(act, iterate(A, j - 1), E)).value
-    high = c(act, iterate(A, k), B, drop=move_set(act, iterate(A, k - 1), E)).value
+    low = _ratio(act, iterate(A, j), B, move_set(act, iterate(A, j - 1), E), witness=False)[0]
+    high = _ratio(act, iterate(A, k), B, move_set(act, iterate(A, k - 1), E), witness=False)[0]
     lhs, rhs = low ** k, high ** j
     sub = restricted_orbit_subgraph(act, A, B, E, k)
     sub_ok = True if not sub.atoms else is_commutative(sub).holds
@@ -520,18 +523,17 @@ def verify_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
 def verify_multiplicativity(act: FiniteAction, act2: FiniteAction,
                             A: GroupSet, A2: GroupSet,
                             B: Iterable[str], B2: Iterable[str],
-                            instance: str = "action",
-                            limit: int = 16) -> VerificationReport:
+                            instance: str = "action") -> VerificationReport:
     """c(A, B) * c(A2, B2) equals c(A x A2, B x B2) on the product action."""
     B = _check_atoms(act, B)
     B2 = _check_atoms(act2, B2)
-    if len(B) * len(B2) > limit:
+    if len(B) * len(B2) > MAX_PRODUCT_BASE:
         raise InputError(
-            f"product base set has {len(B) * len(B2)} atoms, over the "
-            f"brute-force limit {limit}")
-    left = c(act, A, B).value * c(act2, A2, B2).value
+            f"product base set has {len(B) * len(B2)} atoms, over "
+            f"MAX_PRODUCT_BASE = {MAX_PRODUCT_BASE}")
+    left = _ratio(act, A, B, witness=False)[0] * _ratio(act2, A2, B2, witness=False)[0]
     pact = product_action(act, act2)
-    right = c(pact, pair_group_set(A, A2), pair_space_set(B, B2), method="brute").value
+    right = _ratio(pact, pair_group_set(A, A2), pair_space_set(B, B2), witness=False)[0]
     return VerificationReport(
         instance=instance,
         theorem="lemma-6.1",

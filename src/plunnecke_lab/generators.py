@@ -22,11 +22,11 @@ from .magnification import magnification_mincut
 from .rational import format_rational
 
 _WEIGHT_PALETTE = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3, 2))
-_LABELS = ("a", "b", "c", "d")
+_LABELS = ("a", "b", "c")
 
 
 def _matched_edges(rng: random.Random, label: str, lower: list[tuple[str, Fraction]],
-                   upper: list[tuple[str, Fraction]], density: float = 0.75):
+                   upper: list[tuple[str, Fraction]]):
     """A random partial weight-matching from lower to upper for one label."""
     pool: dict[Fraction, list[str]] = {}
     for v, w in upper:
@@ -37,15 +37,14 @@ def _matched_edges(rng: random.Random, label: str, lower: list[tuple[str, Fracti
     order = list(lower)
     rng.shuffle(order)
     for v, w in order:
-        if rng.random() < density and pool.get(w):
+        if rng.random() < 0.75 and pool.get(w):
             edges.append((v, pool[w].pop(), label))
     return edges
 
 
 def random_layered_graph(rng: random.Random, max_layer0: int = 10,
-                         max_width: int = 6, max_height: int = 3,
-                         max_labels: int = 3) -> LayeredMeasureGraph:
-    """A valid layered graph with palette weights and per-label matchings."""
+                         max_width: int = 6, max_height: int = 3) -> LayeredMeasureGraph:
+    """A valid layered graph with palette weights and matchings for 1-3 labels."""
     height = rng.randint(1, max_height)
     sizes = [rng.randint(1, max_layer0)] + [rng.randint(1, max_width) for _ in range(height)]
     vertices = []
@@ -57,7 +56,7 @@ def random_layered_graph(rng: random.Random, max_layer0: int = 10,
             row.append((f"v{lay}_{i}", w))
             vertices.append((f"v{lay}_{i}", lay, w))
         by_layer.append(row)
-    labels = _LABELS[: rng.randint(1, max_labels)]
+    labels = _LABELS[: rng.randint(1, len(_LABELS))]
     edges = []
     for lay in range(height):
         for label in labels:
@@ -92,14 +91,13 @@ def random_cyclic_action(rng: random.Random, modulus: int,
     return FiniteAction(group, atoms, (perm,))
 
 
-def random_action(rng: random.Random, max_coords: int = 2, max_n: int = 12,
-                  translation_bias: float = 0.5) -> FiniteAction:
+def random_action(rng: random.Random, max_coords: int = 2, max_n: int = 12) -> FiniteAction:
     """One or two commuting cyclic factors, translation or rotation style."""
     coords = rng.randint(1, max_coords)
     parts = []
     for _ in range(coords):
         n = rng.randint(2, max_n if coords == 1 else min(max_n, 6))
-        if rng.random() < translation_bias:
+        if rng.random() < 0.5:
             parts.append(translation_action(FinAbGroup((n,))))
         else:
             parts.append(random_cyclic_action(rng, n, max_cycles=2 if coords > 1 else 3))
@@ -181,13 +179,12 @@ def random_periodic_set(rng: random.Random, dim: int | None = None,
     return PeriodicSet.periodic(period, residues)
 
 
-def random_periodic_or_finite(rng: random.Random, dim: int = 1,
-                              max_period: int = 12) -> PeriodicSet:
+def random_periodic_or_finite(rng: random.Random, dim: int = 1) -> PeriodicSet:
     if rng.random() < 0.3:
         count = rng.randint(1, 3)
         pts = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(count)]
         return PeriodicSet.finite(dim, pts)
-    return random_periodic_set(rng, dim=dim, max_period=max_period, allow_empty=False)
+    return random_periodic_set(rng, dim=dim, allow_empty=False)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import maxflow
 from .commutativity import is_commutative
 from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
@@ -26,14 +27,11 @@ from .maxflow import (FlowNetwork, common_scale, lex_min_greedy, min_ratio_brute
 from .rational import format_rational
 from .reports import VerificationReport
 
-BRUTE_FORCE_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class MagnificationResult:
     value: Fraction
     witness: VertexSet  # nonempty minimizing bottom-layer subset
-    method: str         # "brute" | "mincut"
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,11 @@ class CutsetReport:
     is_minimal: bool
 
 
-def _bottom_problem(g: LayeredMeasureGraph, j: int, limit: int | None = None):
+def _bottom_problem(g: LayeredMeasureGraph, j: int, brute: bool = False):
     """Checked order-j ratio problem: sorted layer 0 and each vertex's j-step image.
 
-    A layer 0 bigger than ``limit`` is refused before any image is computed.
+    For ``brute``, a layer 0 past maxflow.BRUTE_FORCE_LIMIT is refused before
+    any image is computed.
     """
     require_valid(g)
     if not 1 <= j <= g.height:
@@ -55,10 +54,10 @@ def _bottom_problem(g: LayeredMeasureGraph, j: int, limit: int | None = None):
     bottom = sorted(g.layer_set(0))
     if not bottom:
         raise InputError("layer 0 is empty")
-    if limit is not None and len(bottom) > limit:
+    if brute and len(bottom) > maxflow.BRUTE_FORCE_LIMIT:
         raise InputError(
             f"layer 0 has {len(bottom)} vertices, over the brute-force limit "
-            f"{limit}; use magnification_mincut")
+            f"{maxflow.BRUTE_FORCE_LIMIT}; use magnification_mincut")
     return bottom, {v: iterated_image(g, frozenset([v]), j) for v in bottom}
 
 
@@ -77,23 +76,22 @@ def _rate(C) -> Fraction:
     return C
 
 
-def magnification_bruteforce(g: LayeredMeasureGraph, j: int,
-                             limit: int = BRUTE_FORCE_LIMIT) -> MagnificationResult:
+def magnification_bruteforce(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     """Exact minimum over all nonempty bottom-layer subsets.
 
     Ties go to the lexicographically smallest vertex-id set.  Refuses layers
-    bigger than ``limit``; use :func:`magnification_mincut` for those.
+    bigger than maxflow.BRUTE_FORCE_LIMIT; use :func:`magnification_mincut`
+    for those.
     """
-    bottom, relation = _bottom_problem(g, j, limit)
-    value, witness = min_ratio_bruteforce(bottom, relation, g.atoms, g.atoms)
-    return MagnificationResult(value, witness, "brute")
+    bottom, relation = _bottom_problem(g, j, brute=True)
+    return MagnificationResult(*min_ratio_bruteforce(bottom, relation, g.atoms, g.atoms))
 
 
 def magnification_mincut(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     """Same value and witness as the brute-force method, via iterated min-cuts."""
     bottom, relation = _bottom_problem(g, j)
     value, witness, _trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
-    return MagnificationResult(value, witness, "mincut")
+    return MagnificationResult(value, witness)
 
 
 def _mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:

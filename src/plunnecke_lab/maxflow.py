@@ -14,6 +14,8 @@ from math import lcm
 
 from .errors import InputError
 
+BRUTE_FORCE_LIMIT = 20  # the most sources min_ratio_bruteforce enumerates
+
 
 class FlowNetwork:
     """Integer max-flow by Dinic's blocking flows, warm-startable.
@@ -162,19 +164,19 @@ def _integerize(sources, neighbors, source_weight, target_weight):
 
 
 def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
-                         limit: int = 22, min_share=0) -> tuple[Fraction, frozenset]:
+                         min_share=0) -> tuple[Fraction, frozenset]:
     """Enumerate every nonempty subset of ``sources`` exactly.
 
-    Only subsets weighing at least ``min_share`` times the whole source set
-    compete.  Subset images and weights are built incrementally over bitmasks,
-    with all arithmetic on scaled integers.
+    Refuses more than BRUTE_FORCE_LIMIT sources.  Only subsets weighing at
+    least ``min_share`` times the whole source set compete.  Subset images and
+    weights are built incrementally over bitmasks, on scaled integers.
     """
     sources = sorted(sources)
     n = len(sources)
     if n == 0:
         raise InputError("empty source set")
-    if n > limit:
-        raise InputError(f"brute force limited to {limit} sources (got {n})")
+    if n > BRUTE_FORCE_LIMIT:
+        raise InputError(f"brute force limited to {BRUTE_FORCE_LIMIT} sources (got {n})")
     _targets, sw, dw, nbr = _integerize(sources, neighbors, source_weight, target_weight)
     min_share = Fraction(min_share)
     share_den = min_share.denominator
@@ -283,8 +285,8 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
 
     lam = Fraction(total_dst, total_src)
     trace = [lam]
-    limit = max(4, n * m + 2)
-    for _ in range(limit):
+    bound = max(4, n * m + 2)
+    for _ in range(bound):
         net, src_arc, sink_arc, inf = network(lam.numerator, lam.denominator)
         if net.max_flow(0, 1) == lam.numerator * total_src:
             break
@@ -301,7 +303,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
         lam = new_lam
         trace.append(lam)
     else:
-        raise RuntimeError(f"ratio iteration exceeded its bound of {limit}")
+        raise RuntimeError(f"ratio iteration exceeded its bound of {bound}")
     if not witness:
         return lam, None, tuple(trace)
 

@@ -79,7 +79,7 @@ def test_criterion_03_oracle_equivalence():
     while instances < 300:
         g = random_layered_graph(rng, max_layer0=14, max_width=6, max_height=3)
         for j in range(1, g.height + 1):
-            brute = magnification_bruteforce(g, j, limit=14)
+            brute = magnification_bruteforce(g, j)
             mincut = magnification_mincut(g, j)
             ok = ok and brute.value == mincut.value and brute.witness == mincut.witness
             comparisons += 1

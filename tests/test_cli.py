@@ -219,6 +219,41 @@ class TestVerify:
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("cores, workers", [(4, [4]), (1, []), (None, [])])
+    def test_workers_are_capped_at_the_core_count(self, tmp_path, monkeypatch,
+                                                  cores, workers):
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        base = ["verify", "prop-2.10", "--seed", "4", "--count", "6"]
+        ref = tmp_path / "ref.json"
+        assert main(base + ["--jobs", "1", "--out", str(ref)]) == 0
+        for flags, env in ((["--jobs", "10000"], None), ([], "10000")):
+            if env is not None:
+                monkeypatch.setenv("PLUNNECKE_LAB_JOBS", env)
+            out = tmp_path / "out.json"
+            assert main(base + flags + ["--out", str(out)]) == 0
+            assert out.read_bytes() == ref.read_bytes()
+        assert started == workers * 2
+
     def test_jobs_env_var_is_the_default(self, tmp_path, monkeypatch):
         out = tmp_path / "env.json"
         ref = tmp_path / "ref.json"

@@ -18,6 +18,7 @@ from plunnecke_lab import LayeredMeasureGraph, dynamics
 from plunnecke_lab.dynamics import measure, vec_id
 from plunnecke_lab.generators import (random_action, random_group_subset,
                                       random_space_subset)
+from plunnecke_lab.maxflow import FlowNetwork, min_ratio_bruteforce, min_ratio_mincut
 
 from conftest import gset, translation
 
@@ -284,6 +285,27 @@ class TestOrbitGraph:
         assert is_commutative(g).holds
 
 
+def _mincut_sizes(monkeypatch):
+    """The source count of each min-cut solve dynamics makes from now on."""
+    sizes = []
+    solver = dynamics.min_ratio_mincut
+
+    def spy(sources, *args, **kwargs):
+        sizes.append(len(sources))
+        return solver(sources, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "min_ratio_mincut", spy)
+    return sizes
+
+
+def _both_solvers(act, A, B, drop=frozenset()):
+    """(value, witness) from each ratio solver on c's neighbour relation."""
+    neighbors = {b: move_set(act, A, {b}) - drop for b in B}
+    brute = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
+    mincut = min_ratio_mincut(sorted(B), neighbors, act.atoms, act.atoms)[:2]
+    return brute, mincut
+
+
 class TestMagnificationRatio:
     def test_pinned_z6_values(self):
         act = translation(6)
@@ -293,14 +315,19 @@ class TestMagnificationRatio:
         assert c(act, gset(6, 0), {"0", "3"}).value == 1
         assert c(act, gset(6, 0, 1, 2), {"0", "3"}).value == 3
 
-    def test_methods_agree(self):
-        act = translation(6)
-        A = gset(6, 0, 1)
-        B = {"0", "2", "3"}
-        brute = c(act, A, B, method="brute")
-        mincut = c(act, A, B, method="mincut")
-        assert brute.value == mincut.value
-        assert brute.witness == mincut.witness
+    def test_methods_agree(self, monkeypatch):
+        mincut_sizes = _mincut_sizes(monkeypatch)
+        act24 = translation(24)
+        cases = [(translation(6), gset(6, 0, 1), {"0", "2", "3"})]
+        # one B on each side of c's enumeration cut-off of 10 atoms
+        cases += [(act24, gset(24, 0, 1, 5),
+                   random.Random(size).sample(sorted(act24.atoms), size)) for size in (10, 11)]
+        for act, A, B in cases:
+            brute, mincut = _both_solvers(act, A, B)
+            assert brute == mincut
+            result = c(act, A, B)
+            assert (result.value, result.witness) == brute
+        assert mincut_sizes == [11]
 
     @given(seeds)
     def test_methods_agree_with_a_drop_set(self, seed):
@@ -310,10 +337,10 @@ class TestMagnificationRatio:
         B = random_space_subset(rng, act, 12)
         pool = sorted(act.atoms)
         drop = frozenset(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
-        brute = c(act, A, B, method="brute", drop=drop)
-        mincut = c(act, A, B, method="mincut", drop=drop)
-        assert (brute.value, brute.witness) == (mincut.value, mincut.witness)
-        assert c(act, A, B, drop=drop).value == brute.value
+        brute, mincut = _both_solvers(act, A, B, drop)
+        assert brute == mincut
+        result = c(act, A, B, drop=drop)
+        assert (result.value, result.witness) == brute
 
     def test_drop_atoms_are_checked(self):
         act = translation(6)
@@ -377,6 +404,15 @@ class TestHeavyRatio:
     def test_pinned_three_quarters(self):
         act = translation(6)
         assert c_delta(act, gset(6, 0, 1, 3), {"0", "1"}, Fraction(3, 4)) == Fraction(5, 2)
+
+    def test_refuses_past_the_brute_force_limit_before_any_image(self, monkeypatch):
+        def no_images(*_args):
+            raise AssertionError("an image was formed")
+
+        monkeypatch.setattr(dynamics, "move_set", no_images)
+        act = translation(24)
+        with pytest.raises(InputError, match="<= 20"):
+            c_delta(act, gset(24, 0, 1), [str(x) for x in range(21)], Fraction(1, 2))
 
     @given(seeds, st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
     @settings(max_examples=30)
@@ -468,6 +504,26 @@ class TestRestrictedPlunnecke:
         assert report.holds
         assert report.details["restricted_subgraph_commutative"]
 
+    def test_ratios_past_the_cut_off_skip_the_witness(self, monkeypatch):
+        calls = []
+        max_flow = FlowNetwork.max_flow
+
+        def counted(net, *args, **kwargs):
+            calls.append(args)
+            return max_flow(net, *args, **kwargs)
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+        act = translation(48)
+        rng = random.Random(0)
+        B = rng.sample(sorted(act.atoms), 20)
+        E = rng.sample(sorted(act.atoms), 6)
+        report = verify_restricted_plunnecke(act, gset(48, 0, 1, 5), B, E, 1, 2)
+        assert report.details == {
+            "j": 1, "k": 2, "c_j_restricted": "17/11", "c_k_restricted": "7/5",
+            "restricted_subgraph_commutative": True}
+        # one max-flow per Dinkelbach round; a witness would take 37 more
+        assert len(calls) <= 4
+
 
 class TestHeavySubset:
     def test_pinned_z6(self):
@@ -527,6 +583,19 @@ class TestMultiplicativity:
         with pytest.raises(InputError):
             verify_multiplicativity(act, act, gset(6, 0), gset(6, 0),
                                     set(act.atoms), set(act.atoms), "big")
+
+    def test_products_up_to_the_bound_take_min_cuts(self, monkeypatch):
+        sizes = _mincut_sizes(monkeypatch)
+        act = translation(6)
+        B, B2 = {"0", "2", "3", "5"}, {"0", "1", "4", "5"}
+        assert len(B) * len(B2) == dynamics.MAX_PRODUCT_BASE
+        # the 4-atom factors enumerate, so lhs == rhs pits the two solvers
+        report = verify_multiplicativity(act, act, gset(6, 0, 1), gset(6, 0, 2), B, B2)
+        assert report.holds
+        assert sizes == [16]
+        with pytest.raises(InputError, match="MAX_PRODUCT_BASE"):
+            verify_multiplicativity(act, act, gset(6, 0, 1), gset(6, 0, 2),
+                                    B | {"1"}, B2)
 
     @given(seeds)
     @settings(max_examples=25)

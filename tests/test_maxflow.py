@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError
-from plunnecke_lab.maxflow import (FlowNetwork, lex_less, lex_min_greedy,
+from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, lex_less, lex_min_greedy,
                                    min_ratio_bruteforce, min_ratio_mincut)
 
 
@@ -254,8 +254,10 @@ def test_empty_sources_rejected():
 
 
 def test_brute_force_limit():
-    sources = [f"s{i}" for i in range(23)]
+    sources = [f"s{i:02d}" for i in range(23)]
     neighbors = {s: frozenset({"t"}) for s in sources}
     weights = {x: Fraction(1) for x in sources + ["t"]}
-    with pytest.raises(InputError):
-        min_ratio_bruteforce(sources, neighbors, weights, weights)
+    for n in (21, 22, 23):
+        with pytest.raises(InputError, match="limited to 20 sources"):
+            min_ratio_bruteforce(sources[:n], neighbors, weights, weights)
+    assert BRUTE_FORCE_LIMIT == 20

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import sys
 import types
 from fractions import Fraction
@@ -46,3 +47,19 @@ def test_verification_reports_are_frozen():
     report = plunnecke_lab.VerificationReport("x", "thm-3.5", Fraction(1), Fraction(1), True)
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.holds = False
+
+
+def test_one_home_for_the_brute_force_limit():
+    """maxflow defines the one brute-force limit; no function takes a ``limit``."""
+    src = Path(plunnecke_lab.__file__).parent
+    modules = [importlib.import_module(f"plunnecke_lab.{path.stem}")
+               for path in sorted(src.glob("*.py")) if not path.stem.startswith("__")]
+    for mod in modules:
+        for name, value in vars(mod).items():
+            if inspect.isfunction(value) and value.__module__ == mod.__name__:
+                assert "limit" not in inspect.signature(value).parameters, (mod, name)
+    assert [mod.__name__ for mod in modules if "BRUTE_FORCE_LIMIT" in vars(mod)] == [
+        "plunnecke_lab.maxflow"]
+    assert "method" not in inspect.signature(plunnecke_lab.c).parameters
+    assert [f.name for f in dataclasses.fields(plunnecke_lab.MagnificationResult)] == [
+        "value", "witness"]
