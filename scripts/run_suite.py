@@ -17,7 +17,8 @@ from pathlib import Path
 from plunnecke_lab.cli import CHECKS, main as cli_main
 
 # lemma-6.1 builds a product action per instance and lemma-5.4 enumerates
-# heavy subsets, so their batches are fixed and smaller whatever --count says
+# heavy subsets, so their batches are capped at these sizes; a smaller
+# --count caps them too
 COUNTS = {"lemma-6.1": 60, "lemma-5.4": 120}
 
 
@@ -25,7 +26,7 @@ def run(seed: int, count: int, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
     for check_id in sorted(CHECKS):
-        n = COUNTS.get(check_id, count)
+        n = min(count, COUNTS.get(check_id, count))
         json_path = out_dir / f"{check_id}.json"
         csv_path = out_dir / f"{check_id}.csv"
         started = time.perf_counter()

@@ -464,6 +464,15 @@ def heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
     adjoins a minimizing witness taken inside the complement; the measure
     strictly grows each round, so at most |B| rounds happen.
     """
+    chosen, bounded = _grow_heavy_subset(act, A, B, delta, j, k)
+    if not bounded:
+        raise RuntimeError("constructed subset misses the growth bound")
+    return chosen
+
+
+def _grow_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
+                       j: int, k: int) -> tuple[SpaceSet, bool]:
+    """``heavy_subset``'s subset, and whether it meets the growth bound."""
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1) (got {delta})")
@@ -486,9 +495,7 @@ def heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
         chosen |= extra
     else:
         raise RuntimeError("heavy subset construction exceeded its bound")
-    if not _heavy_hypothesis(act, A, B, chosen, delta, j, k):
-        raise RuntimeError("constructed subset misses the growth bound")
-    return chosen
+    return chosen, _heavy_hypothesis(act, A, B, chosen, delta, j, k)
 
 
 def verify_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
@@ -498,9 +505,8 @@ def verify_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
     re-verified together with both properties of the constructed heavy subset."""
     delta = Fraction(delta)
     B = _check_atoms(act, B)
-    chosen = heavy_subset(act, A, B, delta, j, k)
+    chosen, bound_ok = _grow_heavy_subset(act, A, B, delta, j, k)
     heavy_ok = measure(act, chosen) >= delta * measure(act, B)
-    bound_ok = _heavy_hypothesis(act, A, B, chosen, delta, j, k)
     cd = c_delta(act, iterate(A, k), B, delta)
     ratio = measure(act, move_set(act, iterate(A, j), B)) / measure(act, B)
     lhs, rhs = cd ** j, (1 - delta) ** (-k) * ratio ** k

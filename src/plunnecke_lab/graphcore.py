@@ -111,27 +111,33 @@ def validate(g: LayeredMeasureGraph) -> list[str]:
         found.append(f"layer entry for unknown vertex ({v})")
     for v in sorted(set(g.atoms) - set(g.layer)):
         found.append(f"missing layer for vertex ({v})")
-    for v in sorted(g.atoms):
-        if g.atoms[v] <= 0:
-            found.append(f"nonpositive weight at ({v})")
+    # walk unsorted; sort only what is found, by vertex or edge, then kind
+    bad_atoms = []
+    for v, w in g.atoms.items():
+        if w <= 0:
+            bad_atoms.append((v, 0, f"nonpositive weight at ({v})"))
         l = g.layer.get(v)
         if l is not None and not 0 <= l <= g.height:
-            found.append(f"layer out of range at ({v}): {l} not in 0..{g.height}")
+            bad_atoms.append((v, 1, f"layer out of range at ({v}): {l} not in 0..{g.height}"))
+    found += [message for _v, _kind, message in sorted(bad_atoms)]
     out_count: Counter = Counter()
     in_count: Counter = Counter()
-    for t, h, a in sorted(g.edges):
+    bad_edges = []
+    for e in g.edges:
+        t, h, a = e
         if t not in g.atoms or h not in g.atoms:
-            found.append(f"edge references unknown vertex ({t},{h},{a})")
+            bad_edges.append((e, 0, f"edge references unknown vertex ({t},{h},{a})"))
             continue
         if a not in g.labels:
-            found.append(f"edge references unknown label ({t},{h},{a})")
+            bad_edges.append((e, 1, f"edge references unknown label ({t},{h},{a})"))
         out_count[(t, a)] += 1
         in_count[(h, a)] += 1
         if g.atoms[t] != g.atoms[h]:
-            found.append(f"edge weight mismatch ({t},{h},{a})")
+            bad_edges.append((e, 2, f"edge weight mismatch ({t},{h},{a})"))
         lt, lh = g.layer.get(t), g.layer.get(h)
         if lt is not None and lh is not None and lh != lt + 1:
-            found.append(f"edge layer step ({t},{h},{a})")
+            bad_edges.append((e, 3, f"edge layer step ({t},{h},{a})"))
+    found += [message for _e, _kind, message in sorted(bad_edges)]
     bad_pairs = {pair for pair, c in out_count.items() if c > 1}
     bad_pairs |= {pair for pair, c in in_count.items() if c > 1}
     for v, a in sorted(bad_pairs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from . import maxflow
@@ -22,8 +23,8 @@ from .commutativity import is_commutative
 from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, require_valid)
-from .maxflow import (FlowNetwork, common_scale, lex_min_greedy, min_ratio_bruteforce,
-                      min_ratio_mincut)
+from .maxflow import (FlowNetwork, lex_min_greedy, min_ratio_bruteforce, min_ratio_mincut,
+                      pinned_queries)
 from .rational import format_rational
 from .reports import VerificationReport
 
@@ -118,25 +119,29 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
 
     The minimum is one min cut of a split-vertex network: node 0 is the
     source, node 1 the sink, and vertex v becomes a split arc v_in -> v_out
-    of its scaled weight plus force arcs s -> v_in and v_out -> t of 0.  The
-    canonical witness is grown greedily with feasibility queries that pin a
-    barred vertex's split arc, or a chosen vertex's force arcs, to infinity.
-    Pins only raise capacities, so each query continues the minimum's flow,
-    is feasible exactly when no extra flow exists, and stops at its first
-    augmenting path.
+    of its scaled weight.  The canonical witness is grown greedily with
+    ``pinned_queries`` on the minimum's flow: a barred vertex's split arc is
+    raised to infinity, and a chosen vertex gets infinite force arcs
+    s -> v_in and v_out -> t for as long as it is pinned.
     """
     C = _rate(C)
     require_valid(g)
     ids = sorted(g.atoms)
     index = {v: i for i, v in enumerate(ids)}
-    wc = [C ** (-g.layer[v]) * g.atoms[v] for v in ids]
-    scale = common_scale(wc)
-    wci = [int(w * scale) for w in wc]
+    # C**-l * w(v) is q**l * num / (p**l * den) for C = p/q and w(v) = num/den
+    p, q = C.numerator, C.denominator
+    rate = [(q ** l, p ** l) for l in range(g.height + 1)]
+    scaled = []
+    for v in ids:
+        up, down = rate[g.layer[v]]
+        w = g.atoms[v]
+        scaled.append((up * w.numerator, down * w.denominator))
+    scale = lcm(*{den for _num, den in scaled})
+    wci = [num * (scale // den) for num, den in scaled]
     inf = 1 + sum(wci)
     net = FlowNetwork(2 + 2 * len(ids))
-    split = [net.add_edge(2 + 2 * i, 3 + 2 * i, w) for i, w in enumerate(wci)]
-    force = [(net.add_edge(0, 2 + 2 * i, 0), net.add_edge(3 + 2 * i, 1, 0))
-             for i in range(len(ids))]
+    for i, w in enumerate(wci):
+        net.add_edge(2 + 2 * i, 3 + 2 * i, w)
     for t, h in sorted({(t, h) for t, h, _ in g.edges}):
         net.add_edge(3 + 2 * index[t], 2 + 2 * index[h], inf)
     for v in sorted(g.layer_set(0)):
@@ -144,18 +149,19 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     for v in sorted(g.layer_set(g.height)):
         net.add_edge(3 + 2 * index[v], 1, inf)
     minimum = net.max_flow(0, 1)
-    base = net.cap[:]
 
-    def feasible(chosen, barred) -> bool:
-        net.cap[:] = base
-        for arc in [a for i in chosen for a in force[i]] + [split[i] for i in barred]:
-            net.cap[arc] = inf
-        return net.max_flow(0, 1, cutoff=1) == 0
+    def choose(i: int) -> None:
+        net.add_edge(0, 2 + 2 * i, inf)
+        net.add_edge(3 + 2 * i, 1, inf)
+
+    def bar(i: int) -> None:
+        net.cap[2 * i] = inf  # vertex i's split arc is arc 2*i
 
     def done(chosen) -> bool:
         return (sum(wci[i] for i in chosen) == minimum
                 and is_cutset(g, [ids[i] for i in chosen]))
 
+    feasible = pinned_queries(net, choose, bar)
     cutset = frozenset(ids[i] for i in lex_min_greedy(len(ids), feasible, done))
     return CutsetReport(cutset=cutset, weight=Fraction(minimum, scale), C=C, is_minimal=True)
 

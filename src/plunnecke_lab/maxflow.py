@@ -23,8 +23,9 @@ class FlowNetwork:
     Arc ``a`` runs to ``head[a]`` with residual capacity ``cap[a]``; its
     reverse arc is ``a ^ 1`` and ``adj[v]`` lists the arcs leaving ``v``.
     ``max_flow`` augments the flow ``cap`` already holds and returns the
-    flow it adds, so after raising some ``cap[a]`` it finds just the extra
-    flow the raised capacities admit.
+    flow it adds, so after raising some ``cap[a]``, or adding arcs, it finds
+    just the extra flow they admit.  ``truncate`` removes arcs added after a
+    mark, so a network can carry an arc only while it is needed.
     """
 
     def __init__(self, n: int):
@@ -41,6 +42,17 @@ class FlowNetwork:
         self.adj[u].append(arc)
         self.adj[v].append(arc + 1)
         return arc
+
+    def truncate(self, arcs: int) -> None:
+        """Remove every arc added after the first ``arcs``, newest first.
+
+        ``arcs`` is a past ``len(head)``; the remaining arcs keep whatever
+        ``cap`` holds for them.
+        """
+        adj, head = self.adj, self.head
+        for a in range(len(head) - 1, arcs - 1, -1):
+            adj[head[a ^ 1]].pop()
+        del head[arcs:], self.cap[arcs:]
 
     def max_flow(self, s: int, t: int, cutoff: int | None = None) -> int:
         """Augment to a maximum s-t flow and return the flow this call added.
@@ -145,19 +157,16 @@ def lex_less(a: int, b: int) -> bool:
 
 
 def common_scale(values) -> int:
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.denominator)
-    return scale
+    return lcm(*{v.denominator for v in values})
 
 
 def _integerize(sources, neighbors, source_weight, target_weight):
     targets = sorted({u for s in sources for u in neighbors[s]})
-    scale = common_scale(
-        [source_weight[s] for s in sources] + [target_weight[u] for u in targets]
-    )
-    sw = [int(source_weight[s] * scale) for s in sources]
-    dw = [int(target_weight[u] * scale) for u in targets]
+    src_w = [source_weight[s] for s in sources]
+    dst_w = [target_weight[u] for u in targets]
+    scale = common_scale(src_w + dst_w)
+    sw = [w.numerator * (scale // w.denominator) for w in src_w]
+    dw = [w.numerator * (scale // w.denominator) for w in dst_w]
     tindex = {u: i for i, u in enumerate(targets)}
     nbr = [sorted(tindex[u] for u in neighbors[s]) for s in sources]
     return targets, sw, dw, nbr
@@ -222,8 +231,8 @@ def lex_min_greedy(n: int, feasible, done) -> list[int]:
     ``feasible(chosen, barred)`` says whether some optimal set contains every
     index in ``chosen`` and none in ``barred``.  Each round adds the smallest
     index whose addition stays feasible and bars the indices it skipped, so
-    each query's ``chosen`` and ``barred`` contain those of the last accepted
-    query.
+    each query's ``chosen`` and ``barred`` extend, as lists, those of the
+    last accepted query.
     """
     included: list[int] = []
     excluded: list[int] = []
@@ -241,6 +250,38 @@ def lex_min_greedy(n: int, feasible, done) -> list[int]:
     return included
 
 
+def pinned_queries(net: FlowNetwork, pin_chosen, pin_barred):
+    """``lex_min_greedy``'s feasibility queries on the maximum flow from node 0
+    to node 1 that ``net`` holds.
+
+    ``pin_chosen(i)`` and ``pin_barred(i)`` force index ``i`` in or out by
+    raising capacities or adding arcs.  Pins keep the flow feasible, so a
+    query is feasible exactly when no extra flow exists, which
+    ``max_flow(0, 1, cutoff=1)`` answers at its first augmenting path.  A
+    query pins only the indices past the last accepted query's; an accepted
+    query's pins stay, and a rejected one is undone by restoring the
+    capacities and removing its arcs.
+    """
+    base = net.cap[:]
+    kept_in = kept_out = 0
+
+    def feasible(chosen, barred) -> bool:
+        nonlocal base, kept_in, kept_out
+        for i in chosen[kept_in:]:
+            pin_chosen(i)
+        for i in barred[kept_out:]:
+            pin_barred(i)
+        if net.max_flow(0, 1, cutoff=1) == 0:
+            base = net.cap[:]
+            kept_in, kept_out = len(chosen), len(barred)
+            return True
+        net.truncate(len(base))
+        net.cap[:] = base
+        return False
+
+    return feasible
+
+
 def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
                      witness: bool = True
                      ) -> tuple[Fraction, frozenset | None, tuple[Fraction, ...]]:
@@ -250,12 +291,13 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
     of weight(N(S)) - lam * weight(S) as the source side of a min cut and
     re-normalizes lam; it stops when that minimum hits zero.  The returned
     trace holds the strictly decreasing lam sequence, one maximum flow per
-    entry.  The witness is the lexicographically smallest minimizing subset,
-    extracted with forced in/out min-cut feasibility queries on the last
-    round's network.  Forcing only raises capacities, so each query continues
-    that round's maximum flow, is feasible exactly when no extra flow exists,
-    and stops at its first augmenting path.  ``witness=False`` skips the
-    extraction and returns ``None`` in the witness's place.
+    entry.  One network serves every round: a round only re-weighs its arcs.
+    The witness is the lexicographically smallest minimizing subset,
+    extracted with ``pinned_queries`` on the last round's flow: a forced-in
+    source's source arc is raised to infinity, and a forced-out source gets
+    an infinite arc to the sink for as long as it is pinned.
+    ``witness=False`` skips the extraction and returns ``None`` in the
+    witness's place.
     """
     sources = sorted(sources)
     if not sources:
@@ -267,27 +309,32 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
     n, m = len(sources), len(dw)
     total_src = sum(sw)
     total_dst = sum(dw)
+    # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets; arcs:
+    # the n source arcs, then the middle arcs, then the m target arcs
+    net = FlowNetwork(2 + n + m)
+    for i in range(n):
+        net.add_edge(0, 2 + i, 0)
+    for i in range(n):
+        for k in nbr[i]:
+            net.add_edge(2 + i, 2 + n + k, 0)
+    for k in range(m):
+        net.add_edge(2 + n + k, 1, 0)
+    first_target = len(net.head) - 2 * m
 
-    def network(num: int, den: int):
-        # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets;
-        # each source's sink arc starts at 0 and is pinned to force it out
+    def reweigh(num: int, den: int) -> int:
+        # source arcs num*sw, middle arcs infinite, target arcs den*dw, no flow
         inf = num * total_src + den * total_dst + 1
-        net = FlowNetwork(2 + n + m)
-        src_arc, sink_arc = [], []
-        for i in range(n):
-            src_arc.append(net.add_edge(0, 2 + i, num * sw[i]))
-            sink_arc.append(net.add_edge(2 + i, 1, 0))
-            for k in nbr[i]:
-                net.add_edge(2 + i, 2 + n + k, inf)
-        for k in range(m):
-            net.add_edge(2 + n + k, 1, den * dw[k])
-        return net, src_arc, sink_arc, inf
+        cap = [inf, 0] * (len(net.head) // 2)
+        cap[:2 * n:2] = [num * w for w in sw]
+        cap[first_target::2] = [den * w for w in dw]
+        net.cap[:] = cap
+        return inf
 
     lam = Fraction(total_dst, total_src)
     trace = [lam]
     bound = max(4, n * m + 2)
     for _ in range(bound):
-        net, src_arc, sink_arc, inf = network(lam.numerator, lam.denominator)
+        inf = reweigh(lam.numerator, lam.denominator)
         if net.max_flow(0, 1) == lam.numerator * total_src:
             break
         reached = net.source_side(0)
@@ -308,14 +355,12 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
         return lam, None, tuple(trace)
 
     num, den = lam.numerator, lam.denominator
-    base = net.cap[:]
 
-    def feasible(forced_in, forced_out) -> bool:
-        # the witness queries continue the last round's maximum flow
-        net.cap[:] = base
-        for arc in [src_arc[i] for i in forced_in] + [sink_arc[i] for i in forced_out]:
-            net.cap[arc] = inf
-        return net.max_flow(0, 1, cutoff=1) == 0
+    def force_in(i: int) -> None:
+        net.cap[2 * i] = inf  # source arc i is arc 2*i
+
+    def force_out(i: int) -> None:
+        net.add_edge(2 + i, 1, inf)
 
     def attains_optimum(index_set) -> bool:
         img = set()
@@ -324,5 +369,6 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
         return (bool(index_set) and
                 den * sum(dw[k] for k in img) == num * sum(sw[i] for i in index_set))
 
+    feasible = pinned_queries(net, force_in, force_out)
     found = frozenset(sources[i] for i in lex_min_greedy(n, feasible, attains_optimum))
     return lam, found, tuple(trace)

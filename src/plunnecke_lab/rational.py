@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(value) -> Fraction:
@@ -32,10 +32,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"floating point value {value!r} is not accepted; use 'p/q'")
     text = str(value).strip()
-    if not _LITERAL.fullmatch(text):
+    literal = _LITERAL.fullmatch(text)
+    if not literal:
         raise InputError(f"bad rational literal {value!r}; expected 'p/q'")
+    numerator, denominator = literal.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError as exc:
         raise InputError(f"bad rational literal {value!r}; expected 'p/q'") from exc
     except ValueError as exc:  # the literal is past the int/str digit limit

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from plunnecke_lab import InputError, channel, dual, flow, image, induced_subgraph, \
-    iterated_image, truncate, validate
+from plunnecke_lab import InputError, LayeredMeasureGraph, channel, dual, flow, image, \
+    induced_subgraph, iterated_image, truncate, validate
 from plunnecke_lab.generators import random_layered_graph, random_one_layer_graph
 from plunnecke_lab.graphcore import BACKWARD, FORWARD
 
@@ -58,6 +58,74 @@ class TestValidate:
         g = build([("v0", 0, 1), ("v1", 1, 1)],
                   [("v0", "v1", "a"), ("v0", "v1", "b")])
         assert validate(g) == []
+
+
+def _sorted_walk_violations(g):
+    """validate's messages from a walk over sorted atoms and sorted edges."""
+    found = []
+    if g.height < 1:
+        found.append(f"height must be at least 1 (got {g.height})")
+    found += [f"layer entry for unknown vertex ({v})" for v in sorted(set(g.layer) - set(g.atoms))]
+    found += [f"missing layer for vertex ({v})" for v in sorted(set(g.atoms) - set(g.layer))]
+    for v in sorted(g.atoms):
+        if g.atoms[v] <= 0:
+            found.append(f"nonpositive weight at ({v})")
+        l = g.layer.get(v)
+        if l is not None and not 0 <= l <= g.height:
+            found.append(f"layer out of range at ({v}): {l} not in 0..{g.height}")
+    outs, ins = {}, {}
+    for t, h, a in sorted(g.edges):
+        if t not in g.atoms or h not in g.atoms:
+            found.append(f"edge references unknown vertex ({t},{h},{a})")
+            continue
+        if a not in g.labels:
+            found.append(f"edge references unknown label ({t},{h},{a})")
+        outs[(t, a)] = outs.get((t, a), 0) + 1
+        ins[(h, a)] = ins.get((h, a), 0) + 1
+        if g.atoms[t] != g.atoms[h]:
+            found.append(f"edge weight mismatch ({t},{h},{a})")
+        lt, lh = g.layer.get(t), g.layer.get(h)
+        if lt is not None and lh is not None and lh != lt + 1:
+            found.append(f"edge layer step ({t},{h},{a})")
+    bad = {pair for counts in (outs, ins) for pair, c in counts.items() if c > 1}
+    found += [f"label functionality at ({v},{a})" for v, a in sorted(bad)]
+    return found
+
+
+def _broken_graph(rng):
+    g = random_layered_graph(rng, max_layer0=5, max_width=5)
+    atoms, layer = dict(g.atoms), dict(g.layer)
+    edges, labels = set(g.edges), set(g.labels)
+    ids = sorted(atoms)
+    for _ in range(rng.randint(1, 8)):
+        v = rng.choice(ids)
+        kind = rng.randrange(8)
+        if kind == 0:
+            atoms[v] = Fraction(rng.randint(-2, 0))
+        elif kind == 1:
+            layer[v] = rng.choice([-1, g.height + 1, g.height + 3])
+        elif kind == 2:
+            layer.pop(v, None)
+        elif kind == 3:
+            layer[f"ghost{rng.randint(0, 3)}"] = 0
+        elif kind == 4:
+            edges.add((v, f"ghost{rng.randint(0, 3)}", rng.choice(sorted(labels) or ["a"])))
+        elif kind == 5:
+            edges.add((v, rng.choice(ids), rng.choice(["a", "b", "zz"])))
+        elif kind == 6:
+            atoms[v] = atoms[v] + 1
+        else:
+            labels.discard(rng.choice(sorted(labels) or ["a"]))
+    height = rng.choice([g.height, g.height, 0])
+    return LayeredMeasureGraph(atoms, layer, height, labels, edges)
+
+
+class TestValidateOrder:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_messages_match_a_sorted_walk(self, seed):
+        g = _broken_graph(random.Random(f"validate:{seed}"))
+        found = validate(g)
+        assert found and found == _sorted_walk_violations(g)
 
 
 class TestImage:

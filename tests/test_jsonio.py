@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,25 @@ def test_rationals_past_the_digit_limit_raise_input_errors():
         parse_rational("3" * 5000)
     with pytest.raises(InputError, match="digit limit"):
         format_rational(Fraction(10 ** 5000, 3))
+
+
+def test_parse_rational_matches_fraction_on_accepted_literals():
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random("parse-rational")
+    digits = lambda k: "".join(rng.choice("0123456789") for _ in range(k))
+    texts = ["0/5", "-0", "+0/7", "007/0014", "-12/18", "+3"]
+    for _ in range(300):
+        sign = rng.choice(["", "+", "-"])
+        numerator = "0" * rng.randint(0, 3) + digits(rng.randint(1, 12))
+        denominator = "0" * rng.randint(0, 2) + str(rng.randint(1, 10 ** 6))
+        texts.append(sign + numerator + rng.choice(["", "/" + denominator]))
+    for k in (limit - 1, limit):
+        texts += [digits(k), "-" + digits(k), "1/" + "9" * k, digits(k) + "/3"]
+    for text in texts:
+        assert parse_rational(text) == Fraction(text), text
+        assert parse_rational(f"  {text}\n") == Fraction(text), text
+    for text in ("3/0", "-0/0", "9" * (limit + 1), "1/" + "7" * (limit + 1)):
+        with pytest.raises((ZeroDivisionError, ValueError)):
+            Fraction(text)
+        with pytest.raises(InputError):
+            parse_rational(text)

@@ -14,7 +14,7 @@ from plunnecke_lab.dynamics import FinAbGroup, GroupSet, orbit_graph, translatio
 from plunnecke_lab.generators import (admissible_cut_rate,
                                       perfect_power_orbit_graph,
                                       random_layered_graph, random_orbit_graph)
-from plunnecke_lab import maxflow
+from plunnecke_lab import magnification, maxflow
 from plunnecke_lab.magnification import _bottom_problem
 from plunnecke_lab.maxflow import (FlowNetwork, _integerize, common_scale, lex_min_greedy,
                                    min_ratio_mincut)
@@ -361,6 +361,63 @@ class TestFlowWork:
         calls.clear()
         min_weight_cutset(g, 1)
         assert len(calls) <= 383
+
+
+class TestPinnedQueries:
+    """Witness queries pin only what is new and undo a rejected query whole."""
+
+    def test_a_rejected_query_leaves_the_last_accepted_state(self, monkeypatch):
+        original = maxflow.pinned_queries
+        seen = {"accepted": 0, "rejected": 0}
+
+        def watched(net, pin_chosen, pin_barred):
+            feasible = original(net, pin_chosen, pin_barred)
+            state = [(len(net.head), net.cap[:], [len(arcs) for arcs in net.adj])]
+
+            def checked(chosen, barred):
+                ok = feasible(chosen, barred)
+                now = (len(net.head), net.cap[:], [len(arcs) for arcs in net.adj])
+                if ok:
+                    state[0] = now
+                else:
+                    assert now == state[0]
+                seen["accepted" if ok else "rejected"] += 1
+                return ok
+
+            return checked
+
+        monkeypatch.setattr(maxflow, "pinned_queries", watched)
+        monkeypatch.setattr(magnification, "pinned_queries", watched)
+        for seed in range(30):
+            g = _seeded_graph(seed)
+            for j in range(1, g.height + 1):
+                assert magnification_mincut(g, j) == magnification_bruteforce(g, j)
+            report = min_weight_cutset(g, 1)
+            assert (report.weight, report.cutset) == _cold_cutset(g, Fraction(1))
+        assert seen["accepted"] >= 50 and seen["rejected"] >= 50
+
+    def test_one_network_per_ratio_problem(self, monkeypatch):
+        built = []
+
+        class Counted(FlowNetwork):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(maxflow, "FlowNetwork", Counted)
+        multi_round = 0
+        for seed in range(40):
+            g = _seeded_graph(seed)
+            for j in range(1, g.height + 1):
+                bottom, relation = _bottom_problem(g, j)
+                for witness in (True, False):
+                    built.clear()
+                    trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms,
+                                             witness=witness)[2]
+                    # a source without neighbours gives 0 with no network at all
+                    assert len(built) == (0 if trace == (0,) else 1)
+                    multi_round += len(trace) > 1
+        assert multi_round >= 6
 
 
 class TestCutsetPush:

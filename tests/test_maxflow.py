@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError
+from plunnecke_lab.dynamics import (FinAbGroup, GroupSet, move_set, pair_group_set,
+                                    pair_space_set, product_action, translation_action)
 from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, lex_less, lex_min_greedy,
                                    min_ratio_bruteforce, min_ratio_mincut)
 
@@ -142,6 +144,52 @@ def test_cutoff_answers_whether_more_flow_exists():
         else:
             infeasible += 1
     assert feasible >= 50 and infeasible >= 50 and stopped >= 15
+
+
+def test_truncate_leaves_the_network_that_never_had_the_arcs():
+    rng = random.Random(1974)
+    for _ in range(300):
+        n, arcs, s, t = _random_network(rng)
+        net = _build(n, arcs)
+        net.max_flow(s, t)
+        mark, saved = len(net.head), net.cap[:]
+        for _extra in range(rng.randint(1, 4)):
+            u, v = rng.choice([rng.sample(range(n), 2), [s, t], [s, s]])
+            net.add_edge(u, v, rng.choice([0, 1, 7, 10 ** 15]))
+        net.max_flow(s, t)
+        net.truncate(mark)
+        net.cap[:] = saved
+        fresh = _build(n, arcs)
+        fresh.max_flow(s, t)
+        assert (net.head, net.cap, net.adj) == (fresh.head, fresh.cap, fresh.adj)
+        assert net.max_flow(s, t) == 0
+
+
+def _product_relation(seed):
+    """c(A x A2, B x B2)'s ratio problem on a product of two cyclic translation
+    actions, with 11-20 sources."""
+    rng = random.Random(f"product:{seed}")
+    size = 11 + seed % 10
+    first = rng.choice([d for d in range(1, size + 1) if size % d == 0])
+    sides = []
+    for count in (first, size // first):
+        act = translation_action(FinAbGroup((rng.randint(count + 1, count + 6),)))
+        A = GroupSet.of(act.group, [(x,) for x in rng.sample(range(act.group.order), 2)])
+        sides.append((act, A, rng.sample(sorted(act.atoms), count)))
+    (act, A, B), (act2, A2, B2) = sides
+    pact = product_action(act, act2)
+    sources = sorted(pair_space_set(B, B2))
+    pairs = pair_group_set(A, A2)
+    neighbors = {b: move_set(pact, pairs, frozenset([b])) for b in sources}
+    return sources, neighbors, pact.atoms
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mincut_agrees_with_bruteforce_on_product_actions(seed):
+    sources, neighbors, weights = _product_relation(seed)
+    assert 11 <= len(sources) <= 20
+    value, witness, _trace = min_ratio_mincut(sources, neighbors, weights, weights)
+    assert (value, witness) == min_ratio_bruteforce(sources, neighbors, weights, weights)
 
 
 def test_cutoff_on_unit_capacities_is_exact():

@@ -15,4 +15,7 @@ def test_run_suite_writes_a_json_and_a_csv_report_per_check(tmp_path, capsys, mo
     assert len(CHECKS) == 12
     assert sorted(p.stem for p in tmp_path.glob("*.json")) == sorted(CHECKS)
     assert sorted(p.stem for p in tmp_path.glob("*.csv")) == sorted(CHECKS)
-    assert len(capsys.readouterr().out.splitlines()) == 12
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    # --count caps every batch, the fixed smaller ones included
+    assert all(line.split()[1] == "2" for line in lines)
