@@ -95,7 +95,7 @@ def magnification_mincut(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     return MagnificationResult(value, witness)
 
 
-def _mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:
+def mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:
     """The order-j magnification ratio alone: no witness is extracted."""
     bottom, relation = _bottom_problem(g, j)
     return min_ratio_mincut(bottom, relation, g.atoms, g.atoms, witness=False)[0]
@@ -222,7 +222,7 @@ def verify_graph_plunnecke(g: LayeredMeasureGraph,
     _require_commutative(g)
     h = g.height
     top = magnification_mincut(g, h)
-    ratio = {j: _mincut_value(g, j) for j in range(1, h)}
+    ratio = {j: mincut_value(g, j) for j in range(1, h)}
     ratio[h] = top.value
     checks = []
     for j in range(1, h + 1):
@@ -258,7 +258,7 @@ def verify_bottom_layer_minimal(g: LayeredMeasureGraph, C,
     """Check that layer 0 attains the minimum cutset weight when C**h <= D_h."""
     C = _rate(C)
     _require_commutative(g)
-    top_ratio = _mincut_value(g, g.height)
+    top_ratio = mincut_value(g, g.height)
     if C ** g.height > top_ratio:
         raise HypothesisError(
             f"C^h = {format_rational(C ** g.height)} exceeds the top "

@@ -57,18 +57,22 @@ class FlowNetwork:
     def max_flow(self, s: int, t: int, cutoff: int | None = None) -> int:
         """Augment to a maximum s-t flow and return the flow this call added.
 
+        Each phase labels BFS levels until t is labelled, pushes the s-t path
+        of the BFS tree, then finishes a blocking flow on the level graph.
         With ``cutoff``, return as soon as the added flow reaches it, leaving
         ``cap`` holding that partial flow.  ``cutoff=1`` on integer
-        capacities stops at the first augmenting path, so ``max_flow(s, t,
-        cutoff=1) == 0`` says, as cheaply as one search, whether any more
+        capacities stops after the first tree path, so ``max_flow(s, t,
+        cutoff=1) == 0`` says, at the cost of one search, whether any more
         flow exists.
         """
         adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
-            # BFS levels, stopping once t is labelled: no shortest path
-            # passes a vertex at t's level or beyond.
+            # BFS levels, stopping once t is labelled: every vertex below
+            # t's level is labelled by then, and no shortest path passes
+            # another vertex at t's level.  via[w] is the arc that labelled w.
             level = [-1] * self.n
+            via = [0] * self.n
             level[s] = 0
             queue = [s]
             enqueue = queue.append
@@ -78,6 +82,9 @@ class FlowNetwork:
                     w = head[a]
                     if level[w] < 0 and cap[a]:
                         level[w] = nxt
+                        via[w] = a
+                        if w == t:
+                            break
                         enqueue(w)
                 if level[t] >= 0:
                     break
@@ -85,11 +92,18 @@ class FlowNetwork:
                 return total
             # Blocking flow along level-increasing arcs, walked with an
             # explicit path (heights come from user input, so no recursion).
-            # ptr[v] is v's next untried arc; a dead end leaves the level
-            # graph.
-            ptr = [0] * self.n
+            # The walk starts at t, on the BFS tree's s-t path, so its first
+            # push needs no search.  ptr[v] is v's next untried arc; a dead
+            # end leaves the level graph.
             path: list[int] = []
-            v = s
+            v = t
+            while v != s:
+                a = via[v]
+                path.append(a)
+                v = head[a ^ 1]
+            path.reverse()
+            ptr = [0] * self.n
+            v = t
             while True:
                 if v == t:
                     push = min(map(cap.__getitem__, path))
@@ -257,7 +271,7 @@ def pinned_queries(net: FlowNetwork, pin_chosen, pin_barred):
     ``pin_chosen(i)`` and ``pin_barred(i)`` force index ``i`` in or out by
     raising capacities or adding arcs.  Pins keep the flow feasible, so a
     query is feasible exactly when no extra flow exists, which
-    ``max_flow(0, 1, cutoff=1)`` answers at its first augmenting path.  A
+    ``max_flow(0, 1, cutoff=1)`` answers with one search.  A
     query pins only the indices past the last accepted query's; an accepted
     query's pins stay, and a rejected one is undone by restoring the
     capacities and removing its arcs.

@@ -14,7 +14,7 @@ from plunnecke_lab.dynamics import FinAbGroup, GroupSet, orbit_graph, translatio
 from plunnecke_lab.generators import (admissible_cut_rate,
                                       perfect_power_orbit_graph,
                                       random_layered_graph, random_orbit_graph)
-from plunnecke_lab import magnification, maxflow
+from plunnecke_lab import generators, magnification, maxflow
 from plunnecke_lab.magnification import _bottom_problem
 from plunnecke_lab.maxflow import (FlowNetwork, _integerize, common_scale, lex_min_greedy,
                                    min_ratio_mincut)
@@ -345,6 +345,35 @@ class TestValueOnlyRatios:
         extractions.clear()
         verify_bottom_layer_minimal(g, 1)
         assert extractions == []
+
+
+    def test_admissible_cut_rate_extracts_no_witness(self, monkeypatch):
+        graphs = [random_orbit_graph(random.Random(f"cut-rate:{seed}"), max_n=16, max_h=3)
+                  for seed in range(40)]
+
+        def rates():
+            # each rate, and the draw after it: the rng advances as before
+            out = []
+            for seed, g in enumerate(graphs):
+                rng = random.Random(f"cut-rate-draw:{seed}")
+                out.append((admissible_cut_rate(rng, g), rng.random()))
+            return out
+
+        # the witnessed route the rates used to read
+        monkeypatch.setattr(generators, "mincut_value",
+                            lambda g, j: magnification_mincut(g, j).value)
+        expected = rates()
+        monkeypatch.undo()
+
+        def no_witness(*_args):
+            raise AssertionError("witness extracted")
+
+        monkeypatch.setattr(maxflow, "lex_min_greedy", no_witness)
+        with pytest.raises(AssertionError, match="witness extracted"):
+            magnification_mincut(graphs[0], graphs[0].height)
+        got = rates()
+        assert got == expected
+        assert len({rate for rate, _draw in got}) >= 2
 
 
 class TestFlowWork:

@@ -146,6 +146,74 @@ def test_cutoff_answers_whether_more_flow_exists():
     assert feasible >= 50 and infeasible >= 50 and stopped >= 15
 
 
+def _pinned_warm_start(rng):
+    """A random network at its maximum flow, with 0-3 arcs then raised as
+    pins are: returns the network, s, t and each arc's capacity."""
+    n, arcs, s, t = _random_network(rng)
+    net = FlowNetwork(n)
+    handles = [net.add_edge(u, v, c) for u, v, c in arcs]
+    net.max_flow(s, t)
+    capacity = []
+    for _u, _v, c in arcs:
+        capacity += (c, 0)
+    for arc in rng.sample(handles, min(len(handles), rng.randint(0, 3))):
+        raise_by = rng.choice([1, 4, 10 ** 15])
+        net.cap[arc] += raise_by
+        capacity[arc] += raise_by
+    return net, s, t, capacity
+
+
+def _net_out(net, capacity, v):
+    # flow on arc a is capacity[a] - cap[a]; an arc and its reverse cancel
+    return sum(capacity[a] - net.cap[a] for a in net.adj[v])
+
+
+def test_cutoff_leaves_a_feasible_flow():
+    rng = random.Random(1972)
+    found = 0
+    for _ in range(300):
+        net, s, t, capacity = _pinned_warm_start(rng)
+        saved = net.cap[:]
+        for cutoff in (1, 2, 10 ** 12):
+            net.cap[:] = saved
+            before = _net_out(net, capacity, s)
+            got = net.max_flow(s, t, cutoff=cutoff)
+            found += got > 0
+            for a in range(0, len(capacity), 2):
+                flow = capacity[a] - net.cap[a]
+                assert 0 <= flow <= capacity[a] and net.cap[a + 1] == flow
+            for v in range(net.n):
+                if v not in (s, t):
+                    assert _net_out(net, capacity, v) == 0
+            assert _net_out(net, capacity, s) - before == got
+    assert found >= 100
+
+
+def test_first_push_runs_along_one_simple_path():
+    rng = random.Random(1984)
+    found = 0
+    for _ in range(300):
+        net, s, t, _capacity = _pinned_warm_start(rng)
+        before = net.cap[:]
+        got = net.max_flow(s, t, cutoff=1)
+        changed = [a for a in range(len(before)) if net.cap[a] != before[a]]
+        if not got:
+            assert changed == []
+            continue
+        found += 1
+        path = {net.head[a ^ 1]: a for a in changed if net.cap[a] < before[a]}
+        assert sorted(changed) == sorted({a ^ k for a in path.values() for k in (0, 1)})
+        for a in path.values():
+            assert before[a] - net.cap[a] == net.cap[a ^ 1] - before[a ^ 1] == got
+        v, seen = s, {s}
+        while v != t:
+            v = net.head[path[v]]
+            assert v not in seen
+            seen.add(v)
+        assert len(seen) == len(path) + 1
+    assert found >= 50
+
+
 def test_truncate_leaves_the_network_that_never_had_the_arcs():
     rng = random.Random(1974)
     for _ in range(300):
