@@ -8,7 +8,7 @@ periodic subsets of Z^d.  All arithmetic is exact rational.
 
 __version__ = "0.1.0"
 
-from .commutativity import CommutativityVerdict, is_commutative, is_semi_commutative
+from .commutativity import CommutativityVerdict, is_commutative
 from .density import (PeriodicSet, ShiftSystem, banach_density,
                       correspondence_system, iterate_sumset, normalize,
                       periodic_sumset, verify_correspondence,
@@ -39,7 +39,7 @@ __all__ = [
     "banach_density", "c", "c_delta", "channel",
     "correspondence_system", "cut_weight", "cutset_push", "dual", "flow",
     "format_rational", "heavy_subset", "image", "induced_subgraph",
-    "is_commutative", "is_cutset", "is_semi_commutative", "iterate",
+    "is_commutative", "is_cutset", "iterate",
     "iterate_sumset", "iterated_image", "magnification_bruteforce",
     "magnification_mincut", "min_weight_cutset", "move_set", "normalize",
     "orbit_graph", "parse_rational", "periodic_sumset", "product_action",

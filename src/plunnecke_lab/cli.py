@@ -34,10 +34,11 @@ from .commutativity import is_commutative
 from .density import (PeriodicSet, banach_density, contains, periodic_sumset,
                       verify_correspondence, verify_density_plunnecke,
                       verify_density_summands, window_scan)
-from .dynamics import (FinAbGroup, GroupSet, orbit_graph, translation_action,
-                       validate_action, verify_different_summands,
-                       verify_dyn_plunnecke, verify_heavy_subset,
-                       verify_multiplicativity, verify_restricted_plunnecke)
+from .dynamics import (MAX_GROUP_ORDER, FinAbGroup, GroupSet, orbit_graph,
+                       translation_action, validate_action,
+                       verify_different_summands, verify_dyn_plunnecke,
+                       verify_heavy_subset, verify_multiplicativity,
+                       verify_restricted_plunnecke)
 from .errors import HypothesisError, InputError
 from .graphcore import dual, flow, require_valid, validate
 from .magnification import (cut_weight, cutset_push, magnification_bruteforce,
@@ -485,10 +486,14 @@ MAX_COUNT = 10_000
 # The range each numeric option admits, per command: a cyclic modulus is at
 # least 2, counts, worker numbers, sizes and heights are at least 1, a
 # dimension is positive, and no run draws more than MAX_COUNT instances.
+# A height is at most MAX_ORDER, since an orbit graph's height is the order
+# of A^h; a modulus and a layer-0 size are at most MAX_GROUP_ORDER.
 _BOUNDS = {
     "verify": {"count": (1, MAX_COUNT), "jobs": (1, math.inf)},
-    "generate": {"count": (1, MAX_COUNT), "max_n": (2, math.inf), "max_a": (1, math.inf),
-                 "max_h": (1, math.inf), "max_layer0": (1, math.inf),
+    "orbit-graph": {"h": (1, MAX_ORDER)},
+    "generate": {"count": (1, MAX_COUNT), "max_n": (2, MAX_GROUP_ORDER),
+                 "max_a": (1, math.inf), "max_h": (1, MAX_ORDER),
+                 "max_layer0": (1, MAX_GROUP_ORDER),
                  "max_period": (1, math.inf), "dim": (1, math.inf)},
 }
 

@@ -1,13 +1,23 @@
 """Commutativity of layered measure graphs, decided by counting.
 
 For every edge (x, y, a) the edges leaving y must inject into the edges
-leaving x so that matched heads are joined by an a-labelled edge.  A graph is
-commutative when this holds for the graph and for its dual.  Labels are
+leaving x so that matched heads are joined by an a-labelled edge.  Labels are
 partial injections, so an edge (y, z, b) can only be matched to an edge from
 x to the unique a-tail of z.  The candidates therefore fall into complete
 bipartite blocks, one per a-tail, and by Hall's theorem an injection exists
 iff every block offers at least as many edges leaving x as it needs edges
 leaving y.  Each witness injection pairs a block's edges in sorted order.
+
+A graph is commutative when this holds for the graph and for its dual, but
+one pass decides both.  Take x two layers below z and a label a.  Let
+F(x, a, z) count the 2-paths x -> z whose first edge is labelled a, and
+S(x, a, z) those whose second edge is labelled a.  As labels are partial
+injections, F = M(a.x, z) and S = M(x, a^-1.z), where M counts the edges
+between two vertices and a term is 0 where a.x or a^-1.z is undefined.  The
+forward pass holds iff F <= S everywhere, and the dual pass iff S <= F
+everywhere.  For each (x, z), both F and S summed over all labels count
+the 2-paths x -> z, so either inequality forces equality: each pass implies
+the other.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphcore import Edge, LayeredMeasureGraph, dual, require_valid
+from .graphcore import Edge, LayeredMeasureGraph, require_valid
 
 Injection = tuple[tuple[Edge, Edge], ...]
 
@@ -53,8 +63,8 @@ def _injections(edges: Iterable[Edge]) -> CommutativityVerdict:
     return CommutativityVerdict(True, None, witnesses)
 
 
-def is_semi_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
-    """Check the forward injection condition edge by edge.
+def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
+    """Commutativity of a valid graph, by one forward pass.
 
     On failure the first failing edge in (tail, head, label) order is
     reported; on success the verdict carries one witness injection per edge.
@@ -63,47 +73,20 @@ def is_semi_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
     return _injections(g.edges)
 
 
-def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
-    """Semi-commutativity of the graph and of its dual.
-
-    A failure found only in the dual check reports the offending dual edge,
-    i.e. with reversed orientation relative to ``g``.
-    """
-    require_valid(g)
-    first = _injections(g.edges)
-    if not first.holds:
-        return first
-    second = _injections((h, t, a) for t, h, a in g.edges)
-    if not second.holds:
-        return second
-    return CommutativityVerdict(
-        True, None, {**first.matching_witnesses, **second.matching_witnesses})
-
-
 def check_witnesses(g: LayeredMeasureGraph, verdict: CommutativityVerdict) -> bool:
-    """Re-verify a positive verdict: injectivity plus head-compatibility.
-
-    The dual's witnesses are keyed by dual edges; each entry is checked
-    against the edge set its key belongs to (a triple cannot occur in both,
-    since edges always advance one layer).
-    """
+    """Re-verify a positive verdict: injectivity plus head-compatibility."""
     if not verdict.holds or verdict.matching_witnesses is None:
         return False
-    dual_edges = dual(g).edges
     for key, pairs in verdict.matching_witnesses.items():
-        if key in g.edges:
-            edge_set = g.edges
-        elif key in dual_edges:
-            edge_set = dual_edges
-        else:
+        if key not in g.edges:
             return False
         x, y, a = key
         targets = [phi for _, phi in pairs]
         if len(set(targets)) != len(targets):
             return False
         for e, phi in pairs:
-            if e[0] != y or phi[0] != x or e not in edge_set or phi not in edge_set:
+            if e[0] != y or phi[0] != x or e not in g.edges or phi not in g.edges:
                 return False
-            if (phi[1], e[1], a) not in edge_set:
+            if (phi[1], e[1], a) not in g.edges:
                 return False
     return True

@@ -141,15 +141,16 @@ def banach_density(A: PeriodicSet) -> Fraction:
     return Fraction(len(A.residues), box)
 
 
-def _check_pairs(count: int) -> None:
+def check_pairs(count: int, what: str = "residue sum") -> None:
+    """Raise InputError if ``what`` would add up more than MAX_SUMSET_PAIRS pairs."""
     if count > MAX_SUMSET_PAIRS:
-        raise InputError(f"residue sum needs more than {MAX_SUMSET_PAIRS} pairs "
+        raise InputError(f"{what} needs more than {MAX_SUMSET_PAIRS} pairs "
                          f"(MAX_SUMSET_PAIRS)")
 
 
 def _sum_mod(xs, ys, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """{x + y mod box : x in xs, y in ys}, coordinatewise."""
-    _check_pairs(len(xs) * len(ys))
+    check_pairs(len(xs) * len(ys))
     return frozenset(
         tuple((a + b) % m for a, b, m in zip(x, y, box)) for x in xs for y in ys
     )
@@ -167,7 +168,7 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
     if A.dim != B.dim:
         raise InputError(f"dimension mismatch ({A.dim} vs {B.dim})")
     if A.is_finite and B.is_finite:
-        _check_pairs(len(A.residues) * len(B.residues))
+        check_pairs(len(A.residues) * len(B.residues))
         return PeriodicSet.finite(
             A.dim,
             (tuple(a + b for a, b in zip(x, y)) for x in A.residues for y in B.residues),
@@ -322,7 +323,7 @@ def _project_mod(A: PeriodicSet, p: int) -> frozenset[int]:
         return frozenset(pt[0] % p for pt in A.residues)
     q = A.period[0]
     g = gcd(q, p)
-    _check_pairs(len(A.residues) * (p // g))
+    check_pairs(len(A.residues) * (p // g))
     return frozenset((r[0] + g * m) % p for r in A.residues for m in range(p // g))
 
 

@@ -21,8 +21,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import maxflow
-from .errors import InputError
 from .commutativity import is_commutative
+from .density import check_pairs
+from .errors import InputError
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .magnification import MagnificationResult
 from .maxflow import min_ratio_bruteforce, min_ratio_mincut
@@ -92,9 +93,13 @@ class GroupSet:
 
 
 def product_set(A: GroupSet, B: GroupSet) -> GroupSet:
-    """Exact sumset {a + b} inside the common group."""
+    """Exact sumset {a + b} inside the common group.
+
+    Refuses more than density.MAX_SUMSET_PAIRS pairs before forming any.
+    """
     if A.group != B.group:
         raise InputError("sets live in different groups")
+    check_pairs(len(A.elements) * len(B.elements), "translate sumset")
     g = A.group
     return GroupSet(g, frozenset(g.add(a, b) for a in A.elements for b in B.elements))
 
@@ -236,9 +241,13 @@ def _check_group_set(act: FiniteAction, A: GroupSet) -> None:
 
 
 def move_set(act: FiniteAction, A: GroupSet, S: Iterable[str]) -> SpaceSet:
-    """A.S = {a.x : a in A, x in S}; distributes over unions of atoms."""
+    """A.S = {a.x : a in A, x in S}; distributes over unions of atoms.
+
+    Refuses more than density.MAX_SUMSET_PAIRS pairs before forming any.
+    """
     _check_group_set(act, A)
     S = _check_atoms(act, S)
+    check_pairs(len(A.elements) * len(S), "translate image")
     return frozenset(act.apply(a, x) for a in A.elements for x in S)
 
 
@@ -246,7 +255,8 @@ def measure(act: FiniteAction, S: Iterable[str]) -> Fraction:
     return sum((act.atoms[x] for x in S), Fraction(0))
 
 
-def _check_action_size(size: int, what: str) -> None:
+def check_action_size(size: int, what: str) -> None:
+    """Raise InputError if ``what`` would have more than MAX_GROUP_ORDER atoms."""
     if size > MAX_GROUP_ORDER:
         raise InputError(f"{what} would have {size} atoms, over "
                          f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
@@ -257,7 +267,7 @@ def translation_action(group: FinAbGroup) -> FiniteAction:
 
     Refuses a group of more than MAX_GROUP_ORDER elements before listing any.
     """
-    _check_action_size(group.order, "translation action")
+    check_action_size(group.order, "translation action")
     ids = {e: vec_id(e) for e in group.elements()}
     weight = Fraction(1, group.order)
     perms = []
@@ -273,7 +283,7 @@ def product_action(first: FiniteAction, second: FiniteAction) -> FiniteAction:
     Refuses a product space of more than MAX_GROUP_ORDER atoms before
     building any.
     """
-    _check_action_size(len(first.atoms) * len(second.atoms), "product action")
+    check_action_size(len(first.atoms) * len(second.atoms), "product action")
     group = FinAbGroup(first.group.moduli + second.group.moduli)
     atoms = {
         f"{x}|{y}": wx * wy
@@ -289,7 +299,11 @@ def product_action(first: FiniteAction, second: FiniteAction) -> FiniteAction:
 
 
 def pair_group_set(A: GroupSet, B: GroupSet) -> GroupSet:
-    """A x B inside the direct sum of the two groups."""
+    """A x B inside the direct sum of the two groups.
+
+    Refuses more than density.MAX_SUMSET_PAIRS pairs before forming any.
+    """
+    check_pairs(len(A.elements) * len(B.elements), "translate product")
     group = FinAbGroup(A.group.moduli + B.group.moduli)
     return GroupSet(group, frozenset(a + b for a in A.elements for b in B.elements))
 

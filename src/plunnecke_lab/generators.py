@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import jsonio
 from .density import PeriodicSet, check_period_box
-from .dynamics import (FinAbGroup, FiniteAction, GroupSet, orbit_graph,
-                       product_action, translation_action)
+from .dynamics import (FinAbGroup, FiniteAction, GroupSet, check_action_size,
+                       orbit_graph, product_action, translation_action)
 from .graphcore import LayeredMeasureGraph
 # magnification_mincut is not called here; it stays bound because the
 # benchmark's tracer test expects to wrap a binding of it in this module.
@@ -71,9 +71,16 @@ def random_one_layer_graph(rng: random.Random, max_side: int = 15) -> LayeredMea
                                 max_height=1)
 
 
+def _check_cyclic_size(max_n: int, max_cycles: int = 3) -> None:
+    """Refuse, before anything is drawn, cyclic actions that may pass
+    MAX_GROUP_ORDER atoms: up to max_cycles cycles of length up to max_n."""
+    check_action_size(max_cycles * max_n, f"the largest cyclic action of Z/{max_n}")
+
+
 def random_cyclic_action(rng: random.Random, modulus: int,
                          max_cycles: int = 3) -> FiniteAction:
     """Z/modulus acting by disjoint rotations, weights constant per cycle."""
+    _check_cyclic_size(modulus, max_cycles)
     group = FinAbGroup((modulus,))
     divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
     lengths = [rng.choice(divisors) for _ in range(rng.randint(1, max_cycles))]
@@ -95,6 +102,10 @@ def random_cyclic_action(rng: random.Random, modulus: int,
 
 def random_action(rng: random.Random, max_coords: int = 2, max_n: int = 12) -> FiniteAction:
     """One or two commuting cyclic factors, translation or rotation style."""
+    _check_cyclic_size(max_n)
+    if max_coords > 1:
+        # each of several factors has at most 2 * min(max_n, 6) atoms
+        check_action_size((2 * min(max_n, 6)) ** max_coords, "the largest product action")
     coords = rng.randint(1, max_coords)
     parts = []
     for _ in range(coords):
@@ -124,6 +135,7 @@ def random_space_subset(rng: random.Random, act: FiniteAction, max_size: int) ->
 def random_orbit_graph(rng: random.Random, max_n: int = 12, max_a: int = 4,
                        max_h: int = 4) -> LayeredMeasureGraph:
     """Orbit graph of a random cyclic-group action; commutative by construction."""
+    _check_cyclic_size(max_n)
     n = rng.randint(2, max_n)
     act = translation_action(FinAbGroup((n,))) if rng.random() < 0.5 \
         else random_cyclic_action(rng, n)

@@ -18,7 +18,6 @@ from plunnecke_lab import (PeriodicSet, cut_weight, cutset_push, dual, flow,
                            verify_graph_plunnecke, verify_heavy_subset,
                            verify_multiplicativity, verify_restricted_plunnecke)
 from plunnecke_lab.cli import main
-from plunnecke_lab.commutativity import is_semi_commutative
 from plunnecke_lab.generators import (admissible_cut_rate,
                                       perfect_power_orbit_graph,
                                       random_action, random_group_subset,
@@ -65,7 +64,7 @@ def test_criterion_02_orbit_commutativity(chain_counterexample):
         g = random_orbit_graph(rng, max_n=12, max_a=4, max_h=4)
         ok = ok and is_commutative(g).holds
         count += 1
-    pinned = is_semi_commutative(chain_counterexample)
+    pinned = is_commutative(chain_counterexample)
     ok = ok and not pinned.holds and pinned.failing_edge == ("v0", "v1", "a")
     _report(2, ok, f"{count} random orbit graphs commute; the chain "
                    "counterexample fails at (v0,v1,a)", started, budget=10.0)

@@ -340,6 +340,22 @@ class TestMalformedBundlesExitTwo:
         assert time.perf_counter() - start < 1
         assert "MAX_ORDER" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_translate_sumset_past_the_pair_budget_is_refused_at_once(
+            self, tmp_path, capsys):
+        # |A + A| = 45150 sums of 300 translates, then 45150 * 300 pairs
+        one_atom = {"moduli": [10 ** 9], "atoms": [{"id": "x", "weight": "1"}],
+                    "generators": [{"perm": {"x": "x"}}]}
+        translates = random.Random(12).sample(range(10 ** 9), 300)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"instance": "wide", "action": one_atom,
+                                    "A": [[t] for t in translates], "B": ["x"],
+                                    "j": 1, "k": 3}))
+        start = time.perf_counter()
+        assert main(["verify", "thm-4.2", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "MAX_SUMSET_PAIRS" in err["error"]
+
     def test_order_at_the_bound_runs(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps(_z4_bundle(j=1, k=MAX_ORDER)))
@@ -381,6 +397,28 @@ class TestGenerateCommand:
         assert json.loads(proc.stderr)["kind"] == "input"
         assert not list(tmp_path.iterdir())
 
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("orbit", "--max-h", MAX_ORDER + 1), ("graph", "--max-h", MAX_ORDER + 1),
+        ("graph", "--max-layer0", dynamics.MAX_GROUP_ORDER + 1),
+        ("action", "--max-n", dynamics.MAX_GROUP_ORDER + 1),
+    ])
+    def test_sizes_past_their_maximum_exit_two(self, tmp_path, capsys, kind, flag, value):
+        out_dir = tmp_path / "gen"
+        assert main(["generate", kind, flag, str(value), "--dir", str(out_dir)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"{flag} must be at most {value - 1} (got {value})",
+                       "kind": "input"}
+        assert not out_dir.exists()
+
+    def test_cyclic_action_past_the_budget_is_refused_at_once(self, tmp_path, capsys):
+        # --max-n is in range, but three cycles of length 500000 are not
+        start = time.perf_counter()
+        assert main(["generate", "action", "--seed", "3", "--max-n", "500000",
+                     "--dir", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "MAX_GROUP_ORDER" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_count_exits_two(self, tmp_path, capsys, value):
@@ -431,6 +469,25 @@ class TestOrbitGraphCommand:
                      "--h", "1"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "input" and "MAX_GROUP_ORDER" in err["error"]
+
+    @pytest.mark.parametrize("h", [MAX_ORDER + 1, 8000])
+    def test_height_past_the_maximum_exits_two_before_building(
+            self, capsys, monkeypatch, h):
+        def refuse(*_args):
+            raise AssertionError("orbit graph built past the bound")
+
+        monkeypatch.setattr(cli, "translation_action", refuse)
+        monkeypatch.setattr(cli, "orbit_graph", refuse)
+        assert main(["orbit-graph", "--moduli", "64", "--A", "0;1;2", "--Y", "0",
+                     "--h", str(h)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"--h must be at most {MAX_ORDER} (got {h})",
+                       "kind": "input"}
+
+    def test_height_at_the_maximum_runs(self, capsys):
+        assert main(["orbit-graph", "--moduli", "4", "--A", "0;1", "--Y", "0",
+                     "--h", str(MAX_ORDER)]) == 0
+        assert _stdout_doc(capsys)["height"] == MAX_ORDER
 
     def test_bad_numeric_flags_exit_two(self):
         assert main(["orbit-graph", "--moduli", "x", "--A", "0", "--Y", "0",

@@ -14,9 +14,10 @@ from plunnecke_lab import (FinAbGroup, InputError, c, c_delta, jsonio,
                            validate, validate_action, verify_different_summands,
                            verify_dyn_plunnecke, verify_heavy_subset,
                            verify_multiplicativity, verify_restricted_plunnecke)
-from plunnecke_lab import LayeredMeasureGraph, dynamics
+from plunnecke_lab import LayeredMeasureGraph, density, dynamics
 from plunnecke_lab.dynamics import measure, vec_id
-from plunnecke_lab.generators import (random_action, random_group_subset,
+from plunnecke_lab.generators import (random_action, random_cyclic_action,
+                                      random_group_subset, random_orbit_graph,
                                       random_space_subset)
 from plunnecke_lab.maxflow import FlowNetwork, min_ratio_bruteforce, min_ratio_mincut
 
@@ -49,6 +50,20 @@ class TestGroupSets:
 
     def test_zeroth_power_is_identity_singleton(self):
         assert iterate(gset(6, 2, 3), 0).elements == {(0,)}
+
+    def test_sumsets_and_images_keep_the_pair_budget(self, monkeypatch):
+        monkeypatch.setattr(density, "MAX_SUMSET_PAIRS", 6)
+        A, B = gset(10, 0, 1, 2), gset(10, 0, 5)
+        assert len(product_set(A, B).elements) == 6
+        assert len(move_set(translation(10), A, {"0", "5"})) == 6
+        with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
+            product_set(A, A)
+        with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
+            iterate(A, 2)
+        with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
+            dynamics.pair_group_set(A, A)
+        with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
+            move_set(translation(10), A, {"0", "1", "2"})
 
     @pytest.mark.parametrize("moduli", [("3",), (True,), (3, False), (0,), (2.0,), ()])
     def test_moduli_must_be_positive_ints(self, moduli):
@@ -124,6 +139,25 @@ class TestActionBudget:
             translation_action(FinAbGroup((13,)))
         with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
             product_action(translation(13), translation(1))
+
+    def test_random_cyclic_actions_are_refused_before_any_draw(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} drawn past the budget")
+
+        big = 2 ** 19  # three cycles of this length pass MAX_GROUP_ORDER
+        for make in (lambda: random_cyclic_action(NoDraws(), big),
+                     lambda: random_action(NoDraws(), max_n=big),
+                     lambda: random_action(NoDraws(), max_coords=6),
+                     lambda: random_orbit_graph(NoDraws(), max_n=big)):
+            with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+                make()
+
+    def test_random_cyclic_action_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_GROUP_ORDER", 12)
+        assert validate_action(random_cyclic_action(random.Random(1), 4)) == []
+        with pytest.raises(InputError, match="MAX_GROUP_ORDER"):
+            random_cyclic_action(random.Random(1), 5)
 
     def test_a_huge_modulus_on_few_atoms_still_multiplies(self):
         huge = jsonio.action_from_doc({
