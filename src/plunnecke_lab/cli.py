@@ -8,8 +8,8 @@ that uses it.
 Exit codes: 0 = everything holds / everything valid, 1 = some check came back
 false (the counterexample is in the report), 2 = input error (malformed
 document, unknown file, an option or bundle order past its bound, or a check
-refused because its hypothesis fails).  An exit 2 writes one JSON line to
-stderr.
+refused because its hypothesis fails).  An exit 2, a command line argparse
+rejects included, writes one JSON line to stderr.
 
 Reports are canonical JSON (sorted keys, fixed layout); timing is off by
 default so repeated runs with the same seed are byte-identical.
@@ -288,12 +288,10 @@ def _cmd_magnify(args) -> int:
             res = magnification_mincut(g, j)
             row["value_mincut"] = format_rational(res.value)
             row["witness_mincut"] = sorted(res.witness)
+        row["value"] = row.get("value_mincut", row.get("value_brute"))
         if method == "both":
-            row["agree"] = (row["value_brute"] == row["value_mincut"])
+            row["agree"] = row["value_brute"] == row["value_mincut"]
             agree = agree and row["agree"]
-            row["value"] = row["value_mincut"]
-        else:
-            row["value"] = row.get("value_mincut", row.get("value_brute"))
         rows.append(row)
     _emit({"command": "magnify", "results": rows}, args.out)
     return 0 if agree else 1
@@ -487,12 +485,13 @@ MAX_COUNT = 10_000
 # least 2, counts, worker numbers, sizes and heights are at least 1, a
 # dimension is positive, and no run draws more than MAX_COUNT instances.
 # A height is at most MAX_ORDER, since an orbit graph's height is the order
-# of A^h; a modulus and a layer-0 size are at most MAX_GROUP_ORDER.
+# of A^h; a modulus, a translate-set size and a layer-0 size are at most
+# MAX_GROUP_ORDER.
 _BOUNDS = {
     "verify": {"count": (1, MAX_COUNT), "jobs": (1, math.inf)},
     "orbit-graph": {"h": (1, MAX_ORDER)},
     "generate": {"count": (1, MAX_COUNT), "max_n": (2, MAX_GROUP_ORDER),
-                 "max_a": (1, math.inf), "max_h": (1, MAX_ORDER),
+                 "max_a": (1, MAX_GROUP_ORDER), "max_h": (1, MAX_ORDER),
                  "max_layer0": (1, MAX_GROUP_ORDER),
                  "max_period": (1, math.inf), "dim": (1, math.inf)},
 }
@@ -520,8 +519,15 @@ def _payload_doc(exc: HypothesisError):
     return str(payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an InputError; subparsers inherit this."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plunnecke-lab",
         description="Exact checks for sumset-growth inequalities on measure "
                     "graphs, group actions, and periodic sets.")
@@ -608,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; exceptions are mapped to the exit-code contract."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_bounds(args)
         return args.handler(args)
     except HypothesisError as exc:

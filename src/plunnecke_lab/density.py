@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import HypothesisError, InputError
 from .rational import format_rational
@@ -135,10 +135,7 @@ def banach_density(A: PeriodicSet) -> Fraction:
     """|residues| / prod(period); upper and lower densities agree for this class."""
     if A.is_finite:
         return Fraction(0)
-    box = 1
-    for p in A.period:
-        box *= p
-    return Fraction(len(A.residues), box)
+    return Fraction(len(A.residues), prod(A.period))
 
 
 def check_pairs(count: int, what: str = "residue sum") -> None:

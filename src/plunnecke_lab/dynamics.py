@@ -14,6 +14,7 @@ lookup per coordinate whatever its size.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +38,7 @@ MAX_PRODUCT_BASE = 16  # the most atoms in lemma-6.1's B x B2
 # The most atoms a constructed action may have: a translation action has one
 # per group element, a product action one per pair of factor atoms.
 MAX_GROUP_ORDER = 2 ** 20
+MAX_ORBIT_EDGES = 2 ** 18  # the most edges orbit_graph forms
 
 
 def vec_id(vec: tuple[int, ...]) -> str:
@@ -59,10 +61,7 @@ class FinAbGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for n in self.moduli:
-            out *= n
-        return out
+        return math.prod(self.moduli)
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -145,9 +144,13 @@ class FiniteAction:
         return tuple(validate_action(self))
 
     @cached_property
+    def _cycle_tables(self) -> tuple[dict[str, tuple[tuple[str, ...], int]], ...]:
+        return tuple(_cycle_table(perm) for perm in self.generator_perms)
+
+    @cached_property
     def _cycles(self) -> tuple[dict[str, tuple[tuple[str, ...], int]], ...]:
         require_valid_action(self)
-        return tuple(_cycle_table(perm) for perm in self.generator_perms)
+        return self._cycle_tables
 
     def apply(self, element, atom: str) -> str:
         """``element . atom``; raises InputError on an invalid action.
@@ -212,9 +215,9 @@ def validate_action(act: FiniteAction) -> list[str]:
                 if pi[pj[v]] != pj[pi[v]]:
                     found.append(f"generators {i} and {j} do not commute at ({v})")
                     break
-    for i, (perm, n) in enumerate(zip(act.generator_perms, act.group.moduli)):
-        # perm^n fixes v iff the length of v's cycle divides n
-        table = _cycle_table(perm)
+    # every generator permutes the atoms, so its cycle table can be built;
+    # perm^n fixes v iff the length of v's cycle divides n
+    for i, (table, n) in enumerate(zip(act._cycle_tables, act.group.moduli)):
         for v in sorted(atoms):
             if n % len(table[v][0]):
                 found.append(f"generator {i} order does not divide {n} at ({v})")
@@ -317,7 +320,8 @@ def orbit_graph(act: FiniteAction, A: GroupSet, Y: Iterable[str], h: int
     """Layered graph on (atom, k) for atom in A^k.Y, with a-labelled steps.
 
     Vertex ids are "atom@k"; labels are the translate vectors. The result is
-    always a valid commutative graph.
+    always a valid commutative graph.  A graph of more than MAX_ORBIT_EDGES
+    edges is refused before the first layer that would pass it is formed.
     """
     require_valid_action(act)
     _check_group_set(act, A)
@@ -333,6 +337,10 @@ def orbit_graph(act: FiniteAction, A: GroupSet, Y: Iterable[str], h: int
     vertices = [(f"{x}@0", 0, act.atoms[x]) for x in Y]
     edges = []
     for k in range(h):
+        if len(edges) + len(layer) * len(labels) > MAX_ORBIT_EDGES:
+            raise InputError(
+                f"orbit graph would have {len(edges) + len(layer) * len(labels)} edges "
+                f"by layer {k + 1}, over MAX_ORBIT_EDGES = {MAX_ORBIT_EDGES}")
         # one apply per edge gives both layer k+1 and the edges into it
         after = set()
         for x in layer:
@@ -349,14 +357,15 @@ def orbit_graph(act: FiniteAction, A: GroupSet, Y: Iterable[str], h: int
 def restricted_orbit_subgraph(act: FiniteAction, A: GroupSet, B: Iterable[str],
                               E: Iterable[str], k: int) -> LayeredMeasureGraph:
     """Orbit graph on (A, B, k) restricted to B at the bottom and, at layer j,
-    to A^j.B minus A^(j-1).E."""
+    to A^j.B minus A^(j-1).E; layer j of the orbit graph is A^j.B already."""
     E = _check_atoms(act, E)
     full = orbit_graph(act, A, B, k)
-    keep = {f"{x}@0" for x in frozenset(B)}
+    drop = set()
     for j in range(1, k + 1):
-        layer_atoms = move_set(act, iterate(A, j), B) - move_set(act, iterate(A, j - 1), E)
-        keep |= {f"{x}@{j}" for x in layer_atoms}
-    return induced_subgraph(full, keep & set(full.atoms))
+        if j > 1:
+            E = move_set(act, A, E)
+        drop |= {f"{x}@{j}" for x in E}
+    return induced_subgraph(full, set(full.atoms) - drop)
 
 
 def _ratio(act: FiniteAction, A: GroupSet, B: Iterable[str],
@@ -370,8 +379,8 @@ def _ratio(act: FiniteAction, A: GroupSet, B: Iterable[str],
         raise InputError("B must be nonempty")
     neighbors = {b: move_set(act, A, frozenset([b])) - drop for b in B}
     if len(B) <= _ENUMERATE_MAX:
-        return min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
-    return min_ratio_mincut(sorted(B), neighbors, act.atoms, act.atoms, witness=witness)[:2]
+        return min_ratio_bruteforce(sorted(B), neighbors, act.atoms)
+    return min_ratio_mincut(sorted(B), neighbors, act.atoms, witness=witness)[:2]
 
 
 def c(act: FiniteAction, A: GroupSet, B: Iterable[str],
@@ -401,8 +410,7 @@ def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction
     if len(B) > maxflow.BRUTE_FORCE_LIMIT:
         raise InputError(f"heavy ratio is brute force only; |B| <= {maxflow.BRUTE_FORCE_LIMIT}")
     neighbors = {b: move_set(act, A, frozenset([b])) for b in B}
-    value, _ = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms,
-                                    min_share=delta)
+    value, _ = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, min_share=delta)
     return value
 
 

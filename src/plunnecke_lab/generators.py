@@ -84,7 +84,6 @@ def random_cyclic_action(rng: random.Random, modulus: int,
     group = FinAbGroup((modulus,))
     divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
     lengths = [rng.choice(divisors) for _ in range(rng.randint(1, max_cycles))]
-    atoms: dict[str, Fraction] = {}
     perm: dict[str, str] = {}
     raw: dict[str, Fraction] = {}
     idx = 0

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from . import maxflow
@@ -24,7 +23,7 @@ from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, require_valid)
 from .maxflow import (FlowNetwork, lex_min_greedy, min_ratio_bruteforce, min_ratio_mincut,
-                      pinned_queries)
+                      pinned_queries, to_integers)
 from .rational import format_rational
 from .reports import VerificationReport
 
@@ -85,20 +84,20 @@ def magnification_bruteforce(g: LayeredMeasureGraph, j: int) -> MagnificationRes
     for those.
     """
     bottom, relation = _bottom_problem(g, j, brute=True)
-    return MagnificationResult(*min_ratio_bruteforce(bottom, relation, g.atoms, g.atoms))
+    return MagnificationResult(*min_ratio_bruteforce(bottom, relation, g.atoms))
 
 
 def magnification_mincut(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     """Same value and witness as the brute-force method, via iterated min-cuts."""
     bottom, relation = _bottom_problem(g, j)
-    value, witness, _trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
+    value, witness, _trace = min_ratio_mincut(bottom, relation, g.atoms)
     return MagnificationResult(value, witness)
 
 
 def mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:
     """The order-j magnification ratio alone: no witness is extracted."""
     bottom, relation = _bottom_problem(g, j)
-    return min_ratio_mincut(bottom, relation, g.atoms, g.atoms, witness=False)[0]
+    return min_ratio_mincut(bottom, relation, g.atoms, witness=False)[0]
 
 
 def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:
@@ -130,14 +129,8 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     index = {v: i for i, v in enumerate(ids)}
     # C**-l * w(v) is q**l * num / (p**l * den) for C = p/q and w(v) = num/den
     p, q = C.numerator, C.denominator
-    rate = [(q ** l, p ** l) for l in range(g.height + 1)]
-    scaled = []
-    for v in ids:
-        up, down = rate[g.layer[v]]
-        w = g.atoms[v]
-        scaled.append((up * w.numerator, down * w.denominator))
-    scale = lcm(*{den for _num, den in scaled})
-    wci = [num * (scale // den) for num, den in scaled]
+    wci, scale = to_integers([(q ** g.layer[v] * g.atoms[v].numerator,
+                               p ** g.layer[v] * g.atoms[v].denominator) for v in ids])
     inf = 1 + sum(wci)
     net = FlowNetwork(2 + 2 * len(ids))
     for i, w in enumerate(wci):

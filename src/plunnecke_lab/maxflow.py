@@ -2,9 +2,10 @@
 
 Capacities are arbitrary-precision integers (rational inputs get scaled by a
 common denominator), so min-cut values and every ratio computed here are
-exact.  The ratio solvers minimize  weight(N(S)) / weight(S)  over nonempty
-subsets S of a source set, where N(S) is the union of per-source neighbor
-sets; ties are broken toward the lexicographically smallest witness.
+exact; ``to_integers`` is the one place denominators are cleared.  The ratio
+solvers minimize  weight(N(S)) / weight(S)  for one measure ``weight`` over
+nonempty subsets S of a source set, where N(S) is the union of per-source
+neighbor sets; ties are broken toward the lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -170,23 +171,24 @@ def lex_less(a: int, b: int) -> bool:
     return (a >> low.bit_length()) == 0
 
 
-def common_scale(values) -> int:
-    return lcm(*{v.denominator for v in values})
+def to_integers(pairs) -> tuple[list[int], int]:
+    """Clear the denominators of ``(num, den)`` pairs: ``(ints, scale)`` with
+    ``scale`` the lcm of the dens and ``ints[i] = num_i * scale // den_i``."""
+    scale = lcm(*{den for _num, den in pairs})
+    return [num * (scale // den) for num, den in pairs], scale
 
 
-def _integerize(sources, neighbors, source_weight, target_weight):
+def _integerize(sources, neighbors, weight):
+    """Scaled source weights, sorted targets' weights, and source -> target indices."""
     targets = sorted({u for s in sources for u in neighbors[s]})
-    src_w = [source_weight[s] for s in sources]
-    dst_w = [target_weight[u] for u in targets]
-    scale = common_scale(src_w + dst_w)
-    sw = [w.numerator * (scale // w.denominator) for w in src_w]
-    dw = [w.numerator * (scale // w.denominator) for w in dst_w]
+    ints, _scale = to_integers([(weight[v].numerator, weight[v].denominator)
+                                for v in (*sources, *targets)])
     tindex = {u: i for i, u in enumerate(targets)}
     nbr = [sorted(tindex[u] for u in neighbors[s]) for s in sources]
-    return targets, sw, dw, nbr
+    return ints[:len(sources)], ints[len(sources):], nbr
 
 
-def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
+def min_ratio_bruteforce(sources, neighbors, weight,
                          min_share=0) -> tuple[Fraction, frozenset]:
     """Enumerate every nonempty subset of ``sources`` exactly.
 
@@ -200,14 +202,11 @@ def min_ratio_bruteforce(sources, neighbors, source_weight, target_weight,
         raise InputError("empty source set")
     if n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute force limited to {BRUTE_FORCE_LIMIT} sources (got {n})")
-    _targets, sw, dw, nbr = _integerize(sources, neighbors, source_weight, target_weight)
+    sw, dw, nbr = _integerize(sources, neighbors, weight)
     min_share = Fraction(min_share)
     share_den = min_share.denominator
     need = min_share.numerator * sum(sw)
-    nmask = [0] * n
-    for i in range(n):
-        for k in nbr[i]:
-            nmask[i] |= 1 << k
+    nmask = [sum(1 << k for k in ks) for ks in nbr]  # each ks lists distinct indices
     size = 1 << n
     imgs = [0] * size
     img_w = [0] * size
@@ -296,8 +295,7 @@ def pinned_queries(net: FlowNetwork, pin_chosen, pin_barred):
     return feasible
 
 
-def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
-                     witness: bool = True
+def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
                      ) -> tuple[Fraction, frozenset | None, tuple[Fraction, ...]]:
     """Iterative ratio minimization over min-cuts.
 
@@ -319,7 +317,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
     zeros = sorted(s for s in sources if not neighbors[s])
     if zeros:
         return Fraction(0), frozenset({zeros[0]}) if witness else None, (Fraction(0),)
-    _targets, sw, dw, nbr = _integerize(sources, neighbors, source_weight, target_weight)
+    sw, dw, nbr = _integerize(sources, neighbors, weight)
     n, m = len(sources), len(dw)
     total_src = sum(sw)
     total_dst = sum(dw)
@@ -344,6 +342,11 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
         net.cap[:] = cap
         return inf
 
+    def ratio(index_set) -> Fraction:
+        # scaled weight of the image of a nonempty index set over its own
+        img = set().union(*(nbr[i] for i in index_set))
+        return Fraction(sum(dw[k] for k in img), sum(sw[i] for i in index_set))
+
     lam = Fraction(total_dst, total_src)
     trace = [lam]
     bound = max(4, n * m + 2)
@@ -355,10 +358,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
         side = [i for i in range(n) if 2 + i in reached]
         if not side:
             raise RuntimeError("improving cut came back empty")
-        img = set()
-        for i in side:
-            img.update(nbr[i])
-        new_lam = Fraction(sum(dw[k] for k in img), sum(sw[i] for i in side))
+        new_lam = ratio(side)
         if not new_lam < lam:
             raise RuntimeError("ratio iteration failed to decrease")
         lam = new_lam
@@ -368,8 +368,6 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
     if not witness:
         return lam, None, tuple(trace)
 
-    num, den = lam.numerator, lam.denominator
-
     def force_in(i: int) -> None:
         net.cap[2 * i] = inf  # source arc i is arc 2*i
 
@@ -377,11 +375,7 @@ def min_ratio_mincut(sources, neighbors, source_weight, target_weight, *,
         net.add_edge(2 + i, 1, inf)
 
     def attains_optimum(index_set) -> bool:
-        img = set()
-        for i in index_set:
-            img.update(nbr[i])
-        return (bool(index_set) and
-                den * sum(dw[k] for k in img) == num * sum(sw[i] for i in index_set))
+        return bool(index_set) and ratio(index_set) == lam
 
     feasible = pinned_queries(net, force_in, force_out)
     found = frozenset(sources[i] for i in lex_min_greedy(n, feasible, attains_optimum))

@@ -402,6 +402,7 @@ class TestGenerateCommand:
         ("orbit", "--max-h", MAX_ORDER + 1), ("graph", "--max-h", MAX_ORDER + 1),
         ("graph", "--max-layer0", dynamics.MAX_GROUP_ORDER + 1),
         ("action", "--max-n", dynamics.MAX_GROUP_ORDER + 1),
+        ("orbit", "--max-a", dynamics.MAX_GROUP_ORDER + 1),
     ])
     def test_sizes_past_their_maximum_exit_two(self, tmp_path, capsys, kind, flag, value):
         out_dir = tmp_path / "gen"
@@ -494,6 +495,48 @@ class TestOrbitGraphCommand:
                      "--h", "1"]) == 2
         assert main(["orbit-graph", "--moduli", "4", "--A", "0;q", "--Y", "0",
                      "--h", "1"]) == 2
+
+    def test_graph_past_the_edge_budget_exits_two_and_writes_nothing(
+            self, tmp_path, capsys):
+        # layers 0..127k of Z/65536: 342272 edges by layer 7
+        out = tmp_path / "g.json"
+        start = time.perf_counter()
+        assert main(["orbit-graph", "--moduli", "65536",
+                     "--A", ";".join(str(a) for a in range(128)), "--Y", "0",
+                     "--h", "8", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "MAX_ORBIT_EDGES" in err["error"]
+        assert not list(tmp_path.iterdir())
+
+
+class TestArgparseErrors:
+    """A command line argparse rejects keeps the exit-2 contract: one JSON
+    line on stderr, no usage text."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm-3.5", "--count", "x"],               # bad int
+        ["magnify", "--j", "1", "--method", "bogus", "f.json"],  # bad choice
+        ["magnify", "f.json"],                                # missing --j
+        ["validate", "f.json", "--bogus"],                    # unknown flag
+        [],                                                   # no subcommand
+    ])
+    def test_rejected_command_line_exits_two_with_one_json_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "usage:" not in captured.err
+        err = json.loads(lines[0])
+        assert sorted(err) == ["error", "kind"] and err["kind"] == "input"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["--version"]])
+    def test_help_and_version_still_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestDensityCommand:

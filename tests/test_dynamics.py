@@ -15,6 +15,7 @@ from plunnecke_lab import (FinAbGroup, InputError, c, c_delta, jsonio,
                            verify_dyn_plunnecke, verify_heavy_subset,
                            verify_multiplicativity, verify_restricted_plunnecke)
 from plunnecke_lab import LayeredMeasureGraph, density, dynamics
+from plunnecke_lab.graphcore import induced_subgraph
 from plunnecke_lab.dynamics import measure, vec_id
 from plunnecke_lab.generators import (random_action, random_cyclic_action,
                                       random_group_subset, random_orbit_graph,
@@ -243,6 +244,22 @@ class TestCycleTables:
         with pytest.raises(InputError, match="wrong rank"):
             translation(3).apply((1, 1), "0")
 
+    def test_validating_then_applying_builds_one_table_per_generator(self, monkeypatch):
+        act = product_action(translation(4), translation(3))
+        built = []
+        table = dynamics._cycle_table
+
+        def counted(perm):
+            built.append(perm)
+            return table(perm)
+
+        monkeypatch.setattr(dynamics, "_cycle_table", counted)
+        assert validate_action(act) == []
+        assert act.apply((1, 2), "0|0") == "1|2"
+        assert act.violations == ()
+        assert act.apply((3, 1), "1|2") == "0|0"
+        assert len(built) == 2
+
 
 def _two_pass_orbit_graph(act, A, Y, h):
     """Oracle for orbit_graph's one pass: layers by move_set, then every edge
@@ -288,6 +305,30 @@ class TestOrbitGraph:
         assert len(g.edges) == 57
         assert len(calls) == 57
         assert g == two_pass
+
+    def test_edge_budget_is_inclusive(self, monkeypatch):
+        # layers {0}, {0..2}, {0..4} with 3 translates: 3 + 9 = 12 edges
+        act, A = translation(10), gset(10, 0, 1, 2)
+        monkeypatch.setattr(dynamics, "MAX_ORBIT_EDGES", 12)
+        assert len(orbit_graph(act, A, {"0"}, 2).edges) == 12
+        monkeypatch.setattr(dynamics, "MAX_ORBIT_EDGES", 11)
+        with pytest.raises(InputError, match="MAX_ORBIT_EDGES = 11"):
+            orbit_graph(act, A, {"0"}, 2)
+
+    def test_edge_budget_refuses_before_forming_the_layer(self, monkeypatch):
+        act, A = translation(10), gset(10, 0, 1, 2)
+        monkeypatch.setattr(dynamics, "MAX_ORBIT_EDGES", 11)
+        applied = []
+        original = dynamics.FiniteAction.apply
+
+        def counted(self, element, atom):
+            applied.append(atom)
+            return original(self, element, atom)
+
+        monkeypatch.setattr(dynamics.FiniteAction, "apply", counted)
+        with pytest.raises(InputError, match="12 edges by layer 2"):
+            orbit_graph(act, A, {"0"}, 2)
+        assert len(applied) == 3  # layer 1's edges only
 
     @given(seeds)
     def test_matches_the_two_pass_construction(self, seed):
@@ -335,8 +376,8 @@ def _mincut_sizes(monkeypatch):
 def _both_solvers(act, A, B, drop=frozenset()):
     """(value, witness) from each ratio solver on c's neighbour relation."""
     neighbors = {b: move_set(act, A, {b}) - drop for b in B}
-    brute = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, act.atoms)
-    mincut = min_ratio_mincut(sorted(B), neighbors, act.atoms, act.atoms)[:2]
+    brute = min_ratio_bruteforce(sorted(B), neighbors, act.atoms)
+    mincut = min_ratio_mincut(sorted(B), neighbors, act.atoms)[:2]
     return brute, mincut
 
 
@@ -507,7 +548,34 @@ class TestDynPlunnecke:
         assert verify_dyn_plunnecke(act, A, B, j, k).holds
 
 
+def _sumset_restricted_subgraph(act, A, B, E, k):
+    """Oracle: the orbit graph kept at B, and at layer j at the sumset image
+    A^j.B minus A^(j-1).E, each formed afresh from iterate."""
+    full = orbit_graph(act, A, B, k)
+    keep = {f"{x}@0" for x in frozenset(B)}
+    for j in range(1, k + 1):
+        layer_atoms = move_set(act, iterate(A, j), B) - move_set(act, iterate(A, j - 1), E)
+        keep |= {f"{x}@{j}" for x in layer_atoms}
+    return induced_subgraph(full, keep & set(full.atoms))
+
+
 class TestRestrictedPlunnecke:
+    @given(seeds)
+    def test_subgraph_matches_the_sumset_construction(self, seed):
+        rng = random.Random(seed)
+        act = random_action(rng, max_coords=2, max_n=8)
+        A = random_group_subset(rng, act.group, 3)
+        B = random_space_subset(rng, act, 4)
+        E = random_space_subset(rng, act, 3) if rng.random() < 0.8 else frozenset()
+        k = rng.randint(1, 3)
+        assert (restricted_orbit_subgraph(act, A, B, E, k)
+                == _sumset_restricted_subgraph(act, A, B, E, k))
+
+    def test_subgraph_forms_no_iterated_sumset(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "iterate", None)
+        sub = restricted_orbit_subgraph(translation(6), gset(6, 0, 1), {"0"}, {"5"}, 3)
+        assert sorted(sub.layer_set(3)) == ["2@3", "3@3"]
+
     def test_pinned_z6(self):
         act = translation(6)
         report = verify_restricted_plunnecke(act, gset(6, 0, 1), {"0"}, {"5"}, 1, 2, "r")

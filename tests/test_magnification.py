@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from plunnecke_lab.generators import (admissible_cut_rate,
                                       random_layered_graph, random_orbit_graph)
 from plunnecke_lab import generators, magnification, maxflow
 from plunnecke_lab.magnification import _bottom_problem
-from plunnecke_lab.maxflow import (FlowNetwork, _integerize, common_scale, lex_min_greedy,
+from plunnecke_lab.maxflow import (FlowNetwork, _integerize, lex_min_greedy,
                                    min_ratio_mincut)
 
 from conftest import build
@@ -79,7 +80,7 @@ class TestMagnification:
         j = data.draw(st.integers(1, g.height))
         bottom = sorted(g.layer_set(0))
         neighbors = {v: iterated_image(g, frozenset([v]), j) for v in bottom}
-        _value, _witness, trace = min_ratio_mincut(bottom, neighbors, g.atoms, g.atoms)
+        _value, _witness, trace = min_ratio_mincut(bottom, neighbors, g.atoms)
         assert all(trace[i + 1] < trace[i] for i in range(len(trace) - 1))
         layer_j = {u for vs in neighbors.values() for u in vs}
         assert len(trace) <= max(1, len(bottom) * max(1, len(layer_j))) + 2
@@ -184,7 +185,7 @@ def _cold_cutset(g, rate):
     ids = sorted(g.atoms)
     index = {v: i for i, v in enumerate(ids)}
     wc = [rate ** -g.layer[v] * g.atoms[v] for v in ids]
-    scale = common_scale(wc)
+    scale = lcm(*{w.denominator for w in wc})
     wci = [int(w * scale) for w in wc]
     inf = 1 + sum(wci)
     edges = sorted({(index[t], index[h]) for t, h, _ in g.edges})
@@ -219,7 +220,7 @@ def _cold_magnification(g, j):
     per round and per query, forced sources pinned through infinite arcs."""
     bottom = sorted(g.layer_set(0))
     relation = {v: iterated_image(g, frozenset([v]), j) for v in bottom}
-    _targets, sw, dw, nbr = _integerize(bottom, relation, g.atoms, g.atoms)
+    sw, dw, nbr = _integerize(bottom, relation, g.atoms)
     n, m = len(sw), len(dw)
 
     def network(lam, forced_in=(), forced_out=()):
@@ -301,8 +302,8 @@ class TestValueOnlyRatios:
         g = _seeded_graph(seed)
         for j in range(1, g.height + 1):
             bottom, relation = _bottom_problem(g, j)
-            value, witness, trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
-            assert min_ratio_mincut(bottom, relation, g.atoms, g.atoms,
+            value, witness, trace = min_ratio_mincut(bottom, relation, g.atoms)
+            assert min_ratio_mincut(bottom, relation, g.atoms,
                                     witness=False) == (value, None, trace)
             assert value == magnification_bruteforce(g, j).value
 
@@ -314,14 +315,14 @@ class TestValueOnlyRatios:
             for j in range(1, g.height + 1):
                 bottom, relation = _bottom_problem(g, j)
                 calls.clear()
-                trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms,
+                trace = min_ratio_mincut(bottom, relation, g.atoms,
                                          witness=False)[2]
                 # a source without neighbours gives 0 with no flow at all
                 rounds = 0 if trace == (0,) else len(trace)
                 assert calls == [None] * rounds
                 multi_round += rounds > 1
                 calls.clear()
-                min_ratio_mincut(bottom, relation, g.atoms, g.atoms)
+                min_ratio_mincut(bottom, relation, g.atoms)
                 # the extraction's queries all stop at their first augmenting path
                 assert calls[:rounds] == [None] * rounds
                 assert set(calls[rounds:]) <= {1}
@@ -441,7 +442,7 @@ class TestPinnedQueries:
                 bottom, relation = _bottom_problem(g, j)
                 for witness in (True, False):
                     built.clear()
-                    trace = min_ratio_mincut(bottom, relation, g.atoms, g.atoms,
+                    trace = min_ratio_mincut(bottom, relation, g.atoms,
                                              witness=witness)[2]
                     # a source without neighbours gives 0 with no network at all
                     assert len(built) == (0 if trace == (0,) else 1)

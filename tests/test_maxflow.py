@@ -256,8 +256,8 @@ def _product_relation(seed):
 def test_mincut_agrees_with_bruteforce_on_product_actions(seed):
     sources, neighbors, weights = _product_relation(seed)
     assert 11 <= len(sources) <= 20
-    value, witness, _trace = min_ratio_mincut(sources, neighbors, weights, weights)
-    assert (value, witness) == min_ratio_bruteforce(sources, neighbors, weights, weights)
+    value, witness, _trace = min_ratio_mincut(sources, neighbors, weights)
+    assert (value, witness) == min_ratio_bruteforce(sources, neighbors, weights)
 
 
 def test_cutoff_on_unit_capacities_is_exact():
@@ -323,8 +323,8 @@ relations = st.integers(0, 10 ** 9).map(
 @given(relations)
 def test_mincut_agrees_with_bruteforce(rel):
     sources, neighbors, weights = rel
-    v1, w1 = min_ratio_bruteforce(sources, neighbors, weights, weights)
-    v2, w2, trace = min_ratio_mincut(sources, neighbors, weights, weights)
+    v1, w1 = min_ratio_bruteforce(sources, neighbors, weights)
+    v2, w2, trace = min_ratio_mincut(sources, neighbors, weights)
     assert v1 == v2
     assert w1 == w2
     assert all(trace[i + 1] < trace[i] for i in range(len(trace) - 1))
@@ -333,7 +333,7 @@ def test_mincut_agrees_with_bruteforce(rel):
 @given(relations)
 def test_witness_reproduces_value(rel):
     sources, neighbors, weights = rel
-    value, witness, _ = min_ratio_mincut(sources, neighbors, weights, weights)
+    value, witness, _ = min_ratio_mincut(sources, neighbors, weights)
     image = frozenset(u for s in witness for u in neighbors[s])
     mu_img = sum((weights[u] for u in image), Fraction(0))
     mu_set = sum((weights[s] for s in witness), Fraction(0))
@@ -344,12 +344,12 @@ def test_witness_reproduces_value(rel):
 def test_zero_when_some_source_has_no_neighbors():
     neighbors = {"a": frozenset({"t"}), "b": frozenset()}
     weights = {"a": Fraction(1), "b": Fraction(1), "t": Fraction(1)}
-    value, witness, _ = min_ratio_mincut(["a", "b"], neighbors, weights, weights)
+    value, witness, _ = min_ratio_mincut(["a", "b"], neighbors, weights)
     assert value == 0
     assert witness == {"b"}
-    assert min_ratio_mincut(["a", "b"], neighbors, weights, weights,
+    assert min_ratio_mincut(["a", "b"], neighbors, weights,
                             witness=False) == (0, None, (0,))
-    value, witness = min_ratio_bruteforce(["a", "b"], neighbors, weights, weights)
+    value, witness = min_ratio_bruteforce(["a", "b"], neighbors, weights)
     assert value == 0
     assert witness == {"b"}
 
@@ -357,16 +357,16 @@ def test_zero_when_some_source_has_no_neighbors():
 def test_iteration_bound_is_enforced():
     neighbors = {"a": frozenset({"t"})}
     weights = {"a": Fraction(1), "t": Fraction(2)}
-    value, witness, trace = min_ratio_mincut(["a"], neighbors, weights, weights)
+    value, witness, trace = min_ratio_mincut(["a"], neighbors, weights)
     assert value == 2 and witness == {"a"}
     assert len(trace) <= 1 * 1 + 2
 
 
 def test_empty_sources_rejected():
     with pytest.raises(InputError):
-        min_ratio_bruteforce([], {}, {}, {})
+        min_ratio_bruteforce([], {}, {})
     with pytest.raises(InputError):
-        min_ratio_mincut([], {}, {}, {})
+        min_ratio_mincut([], {}, {})
 
 
 def test_brute_force_limit():
@@ -375,5 +375,5 @@ def test_brute_force_limit():
     weights = {x: Fraction(1) for x in sources + ["t"]}
     for n in (21, 22, 23):
         with pytest.raises(InputError, match="limited to 20 sources"):
-            min_ratio_bruteforce(sources[:n], neighbors, weights, weights)
+            min_ratio_bruteforce(sources[:n], neighbors, weights)
     assert BRUTE_FORCE_LIMIT == 20

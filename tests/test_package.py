@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -63,3 +64,23 @@ def test_one_home_for_the_brute_force_limit():
     assert "method" not in inspect.signature(plunnecke_lab.c).parameters
     assert [f.name for f in dataclasses.fields(plunnecke_lab.MagnificationResult)] == [
         "value", "witness"]
+
+
+def test_one_measure_per_ratio_problem_and_one_home_for_scaling():
+    """No function takes separate source and target weights, and only
+    maxflow clears denominators, so only maxflow imports ``lcm``."""
+    src = Path(plunnecke_lab.__file__).parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                assert not names & {"source_weight", "target_weight"}, (path.name, node)
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names):
+                importers.append(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+                importers.append(path.stem)
+    assert importers == ["maxflow"]
+    assert not hasattr(plunnecke_lab.maxflow, "common_scale")
