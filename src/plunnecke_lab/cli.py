@@ -18,6 +18,7 @@ default so repeated runs with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -464,16 +465,30 @@ def _cmd_generate(args) -> int:
     sizes = {keyword: getattr(args, flag) for flag, keyword in flags.items()
              if getattr(args, flag) is not None}
     out_dir = Path(args.dir)
+    made_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
-    files = []
-    for i in range(args.count):
-        doc = to_doc(make(rng, **sizes))
-        path = out_dir / f"{args.kind}_{args.seed:04d}_{i:04d}.json"
-        path.write_text(jsonio.dumps_canonical(doc))
-        files.append(str(path))
-    _emit({"command": "generate", "kind": args.kind, "seed": args.seed, "files": files},
-          args.out)
+    # A draw can be refused (MAX_ORBIT_EDGES depends on the drawn sizes), so
+    # each document is written under a hidden name and renamed only after
+    # the last draw: a refused run leaves no file or directory it created.
+    paths = [out_dir / f"{args.kind}_{args.seed:04d}_{i:04d}.json"
+             for i in range(args.count)]
+    staged = []
+    try:
+        for path in paths:
+            staged.append(path.with_name(f".{path.name}.tmp"))
+            staged[-1].write_text(jsonio.dumps_canonical(to_doc(make(rng, **sizes))))
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        for d in made_dirs:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    for tmp, path in zip(staged, paths):
+        tmp.replace(path)
+    _emit({"command": "generate", "kind": args.kind, "seed": args.seed,
+           "files": [str(path) for path in paths]}, args.out)
     return 0
 
 

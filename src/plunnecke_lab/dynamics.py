@@ -28,7 +28,7 @@ from .errors import InputError
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .magnification import MagnificationResult
 from .maxflow import min_ratio_bruteforce, min_ratio_mincut
-from .rational import format_rational
+from .rational import exact_weights, format_rational
 from .reports import VerificationReport
 
 SpaceSet = frozenset[str]
@@ -121,7 +121,8 @@ class FiniteAction:
 
     One permutation per coordinate generator; the permutations must commute
     pairwise and have orders dividing their moduli, so they extend to a
-    well-defined action of the whole group.
+    well-defined action of the whole group.  Weights are stored as
+    Fractions: ints are converted, and any other type raises InputError.
     """
 
     group: FinAbGroup
@@ -131,7 +132,7 @@ class FiniteAction:
     __hash__ = None
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", MappingProxyType(dict(self.atoms)))
+        object.__setattr__(self, "atoms", MappingProxyType(exact_weights(self.atoms)))
         object.__setattr__(self, "generator_perms", tuple(
             MappingProxyType(dict(perm)) for perm in self.generator_perms))
 

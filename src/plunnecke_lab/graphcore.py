@@ -13,7 +13,6 @@ predecessor maps and layer sets once, on first use, and keeps them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError
+from .rational import exact_weights
 
 Edge = tuple[str, str, str]  # (tail, head, label)
 VertexSet = frozenset[str]
@@ -33,7 +33,9 @@ BACKWARD = "backward"
 class LayeredMeasureGraph:
     """Finite atomic measure space with labelled layer-advancing edges.
 
-    Compared by content; not hashable (``hash(g)`` raises ``TypeError``).
+    Weights are stored as Fractions: ints are converted, and any other type
+    raises InputError.  Compared by content; not hashable (``hash(g)``
+    raises ``TypeError``).
     """
 
     atoms: Mapping[str, Fraction]  # vertex id -> weight (> 0)
@@ -45,7 +47,7 @@ class LayeredMeasureGraph:
     __hash__ = None
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", MappingProxyType(dict(self.atoms)))
+        object.__setattr__(self, "atoms", MappingProxyType(exact_weights(self.atoms)))
         object.__setattr__(self, "layer", MappingProxyType(dict(self.layer)))
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -61,7 +63,7 @@ class LayeredMeasureGraph:
         ``vertices``: iterable of ``(id, layer, weight)``;
         ``edges``: iterable of ``(tail, head, label)``.
         """
-        atoms = {v: Fraction(w) for v, _, w in vertices}
+        atoms = {v: w for v, _, w in vertices}
         layer = {v: l for v, l, _ in vertices}
         edge_set = frozenset(tuple(e) for e in edges)
         if height is None:
@@ -111,35 +113,43 @@ def validate(g: LayeredMeasureGraph) -> list[str]:
         found.append(f"layer entry for unknown vertex ({v})")
     for v in sorted(set(g.atoms) - set(g.layer)):
         found.append(f"missing layer for vertex ({v})")
-    # walk unsorted; sort only what is found, by vertex or edge, then kind
+    # walk unsorted; sort only what is found, by vertex or edge, then kind.
+    # Weights are Fractions, so a weight's sign is its numerator's, and two
+    # endpoints usually share one parsed weight object.
+    atoms, layer = g.atoms, g.layer
     bad_atoms = []
-    for v, w in g.atoms.items():
-        if w <= 0:
+    for v, w in atoms.items():
+        if w.numerator <= 0:
             bad_atoms.append((v, 0, f"nonpositive weight at ({v})"))
-        l = g.layer.get(v)
+        l = layer.get(v)
         if l is not None and not 0 <= l <= g.height:
             bad_atoms.append((v, 1, f"layer out of range at ({v}): {l} not in 0..{g.height}"))
     found += [message for _v, _kind, message in sorted(bad_atoms)]
-    out_count: Counter = Counter()
-    in_count: Counter = Counter()
+    outs: set[tuple[str, str]] = set()
+    ins: set[tuple[str, str]] = set()
+    bad_pairs: set[tuple[str, str]] = set()
     bad_edges = []
     for e in g.edges:
         t, h, a = e
-        if t not in g.atoms or h not in g.atoms:
+        if t not in atoms or h not in atoms:
             bad_edges.append((e, 0, f"edge references unknown vertex ({t},{h},{a})"))
             continue
         if a not in g.labels:
             bad_edges.append((e, 1, f"edge references unknown label ({t},{h},{a})"))
-        out_count[(t, a)] += 1
-        in_count[(h, a)] += 1
-        if g.atoms[t] != g.atoms[h]:
+        out_pair, in_pair = (t, a), (h, a)
+        if out_pair in outs:
+            bad_pairs.add(out_pair)
+        outs.add(out_pair)
+        if in_pair in ins:
+            bad_pairs.add(in_pair)
+        ins.add(in_pair)
+        wt, wh = atoms[t], atoms[h]
+        if wt is not wh and wt != wh:
             bad_edges.append((e, 2, f"edge weight mismatch ({t},{h},{a})"))
-        lt, lh = g.layer.get(t), g.layer.get(h)
+        lt, lh = layer.get(t), layer.get(h)
         if lt is not None and lh is not None and lh != lt + 1:
             bad_edges.append((e, 3, f"edge layer step ({t},{h},{a})"))
     found += [message for _e, _kind, message in sorted(bad_edges)]
-    bad_pairs = {pair for pair, c in out_count.items() if c > 1}
-    bad_pairs |= {pair for pair, c in in_count.items() if c > 1}
     for v, a in sorted(bad_pairs):
         found.append(f"label functionality at ({v},{a})")
     return found

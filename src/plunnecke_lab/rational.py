@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from typing import Mapping
 
 from .errors import InputError
 
@@ -21,8 +23,12 @@ def parse_rational(value) -> Fraction:
     The text, stripped of surrounding whitespace, must be an optional sign
     and ASCII digits with an optional ``/digits``; decimals, exponents and
     digit separators are rejected.  Fractions and ints pass through
-    unchanged; floats and bools are rejected.
+    unchanged; floats and bools are rejected.  Equal literal strings give
+    the same (immutable) ``Fraction``, from a cache of the last
+    ``LITERAL_CACHE_SIZE`` accepted literals; refusals are not cached.
     """
+    if type(value) is str:
+        return _parse_literal(value, sys.get_int_max_str_digits())
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -31,6 +37,22 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise InputError(f"floating point value {value!r} is not accepted; use 'p/q'")
+    return _parse_text(value)
+
+
+# Generated bundles write their weights with few distinct literals (a pass
+# of the benchmark's battery parses 74,994 weights written with 547), so a
+# small cache holds all of them.
+LITERAL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=LITERAL_CACHE_SIZE)
+def _parse_literal(text: str, digit_limit: int) -> Fraction:
+    """The digit limit is part of the key, so lowering it refuses long literals again."""
+    return _parse_text(text)
+
+
+def _parse_text(value) -> Fraction:
     text = str(value).strip()
     literal = _LITERAL.fullmatch(text)
     if not literal:
@@ -43,6 +65,21 @@ def parse_rational(value) -> Fraction:
     except ValueError as exc:  # the literal is past the int/str digit limit
         raise InputError(f"rational literal of {len(text)} characters is past "
                          f"the {sys.get_int_max_str_digits()}-digit limit") from exc
+
+
+def exact_weights(weights: Mapping[str, object]) -> dict[str, Fraction]:
+    """A copy of ``weights`` with ints turned into Fractions.
+
+    Any other type, floats, bools and strings included, raises InputError.
+    """
+    out = dict(weights)
+    for key, w in out.items():
+        if type(w) is not Fraction:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise InputError(f"weight of ({key}) must be a Fraction or an int "
+                                 f"(got {w!r})")
+            out[key] = Fraction(w)
+    return out
 
 
 def format_rational(value) -> str:

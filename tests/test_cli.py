@@ -442,6 +442,19 @@ class TestGenerateCommand:
         assert not list(tmp_path.iterdir())
 
 
+    def test_refused_draw_leaves_no_file_it_created(self, tmp_path, capsys):
+        # the first orbit graph fits MAX_ORBIT_EDGES, the second does not
+        argv = ["generate", "orbit", "--max-n", "4096", "--max-a", "4096", "--max-h", "8",
+                "--count", "5", "--seed", "1"]
+        assert main([*argv, "--dir", str(tmp_path / "new" / "dir")]) == 2
+        assert "MAX_ORBIT_EDGES" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.iterdir())
+        kept = tmp_path / "orbit_0001_0000.json"
+        kept.write_text("earlier\n")
+        assert main([*argv, "--dir", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == [kept]
+        assert kept.read_text() == "earlier\n"
+
     def test_max_period_caps_every_axis_in_two_dimensions(self, tmp_path):
         assert main(["generate", "periodic", "--dim", "2", "--max-period", "2",
                      "--count", "40", "--dir", str(tmp_path)]) == 0

@@ -104,6 +104,17 @@ class TestActions:
     def test_random_actions_validate(self, seed):
         assert validate_action(random_action(random.Random(seed))) == []
 
+    def test_int_weights_are_stored_as_fractions(self):
+        act = dynamics.FiniteAction(FinAbGroup((2,)), {"0": 1}, ({"0": "0"},))
+        assert type(act.atoms["0"]) is Fraction
+        assert validate_action(act) == []
+
+    @pytest.mark.parametrize("weight", [0.5, True, "1/2"])
+    def test_other_weight_types_are_refused(self, weight):
+        with pytest.raises(InputError, match=r"weight of \(0\) must be a Fraction or an int"):
+            dynamics.FiniteAction(FinAbGroup((2,)), {"0": weight, "1": weight},
+                                  ({"0": "1", "1": "0"},))
+
 
 class TestActionBudget:
     """Actions past MAX_GROUP_ORDER atoms are refused before any is listed."""

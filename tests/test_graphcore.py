@@ -128,6 +128,56 @@ class TestValidateOrder:
         assert found and found == _sorted_walk_violations(g)
 
 
+class TestValidateCases:
+    """Cases the broken graphs above never build, checked against the sorted walk."""
+
+    @pytest.mark.parametrize("wt, wh", [(Fraction(1, 2), Fraction(2, 4)), (1, Fraction(1))])
+    def test_equal_endpoint_weights_held_by_distinct_objects(self, wt, wh):
+        g = build([("v0", 0, wt), ("v1", 1, wh)], [("v0", "v1", "a")])
+        assert g.atoms["v0"] is not g.atoms["v1"]
+        assert validate(g) == _sorted_walk_violations(g) == []
+
+    @pytest.mark.parametrize("wt, wh", [(Fraction(1, 2), Fraction(1, 3)), (1, 2),
+                                        (Fraction(1, 2), Fraction(-1, 2))])
+    def test_unequal_endpoint_weights(self, wt, wh):
+        g = build([("v0", 0, wt), ("v1", 1, wh)], [("v0", "v1", "a")])
+        assert "edge weight mismatch (v0,v1,a)" in validate(g)
+        assert validate(g) == _sorted_walk_violations(g)
+
+    def test_zero_and_negative_weights(self):
+        g = build([("v0", 0, 0), ("v1", 1, 0), ("u0", 0, -1), ("u1", 1, Fraction(-1, 3)),
+                   ("w0", 0, Fraction(1, 3))],
+                  [("v0", "v1", "a"), ("u0", "u1", "a"), ("w0", "u1", "b")])
+        assert validate(g) == _sorted_walk_violations(g) == [
+            "nonpositive weight at (u0)", "nonpositive weight at (u1)",
+            "nonpositive weight at (v0)", "nonpositive weight at (v1)",
+            "edge weight mismatch (u0,u1,a)", "edge weight mismatch (w0,u1,b)"]
+
+    def test_pairs_repeated_three_times_are_named_once(self):
+        g = build([("v0", 0, 1), ("x0", 0, 1), ("y0", 0, 1), ("z0", 0, 1),
+                   ("x1", 1, 1), ("y1", 1, 1), ("z1", 1, 1)],
+                  [("v0", h, "a") for h in ("x1", "y1", "z1")]
+                  + [(t, "z1", "b") for t in ("x0", "y0", "z0")])
+        assert validate(g) == _sorted_walk_violations(g) == [
+            "label functionality at (v0,a)", "label functionality at (z1,b)"]
+
+
+class TestWeightTypes:
+    def test_int_weights_are_stored_as_fractions(self):
+        g = LayeredMeasureGraph({"a": 1, "b": Fraction(1)}, {"a": 0, "b": 1}, 1, {"x"},
+                                {("a", "b", "x")})
+        assert all(type(w) is Fraction for w in g.atoms.values())
+        assert validate(g) == []
+
+    @pytest.mark.parametrize("weight", [0.5, True, "1/2"])
+    def test_other_weight_types_are_refused(self, weight):
+        with pytest.raises(InputError, match=r"weight of \(a\) must be a Fraction or an int"):
+            LayeredMeasureGraph({"a": weight, "b": weight}, {"a": 0, "b": 1}, 1, {"x"},
+                                {("a", "b", "x")})
+        with pytest.raises(InputError, match="must be a Fraction or an int"):
+            build([("a", 0, weight), ("b", 1, weight)], [("a", "b", "x")])
+
+
 class TestImage:
     def test_forward(self, path2):
         assert image(path2, {"v0"}, "a") == {"v1"}

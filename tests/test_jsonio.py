@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError, PeriodicSet, format_rational, parse_rational
-from plunnecke_lab import jsonio
+from plunnecke_lab import jsonio, rational
 from plunnecke_lab.generators import (random_action, random_layered_graph,
                                       random_periodic_or_finite)
 
@@ -121,6 +121,47 @@ def test_rationals_past_the_digit_limit_raise_input_errors():
         parse_rational("3" * 5000)
     with pytest.raises(InputError, match="digit limit"):
         format_rational(Fraction(10 ** 5000, 3))
+
+
+def test_equal_literals_share_one_fraction():
+    first = parse_rational("3/12")
+    again = parse_rational("".join(["3/", "12"]))  # equal text, another str object
+    assert again is first and again == Fraction(1, 4)
+    assert parse_rational(" 3/12") == first
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e3", "bad rational literal '1e3'; expected 'p/q'"),
+    ("1/0", "bad rational literal '1/0'; expected 'p/q'"),
+    (" ", "bad rational literal ' '; expected 'p/q'"),
+    ([1], "bad rational literal [1]; expected 'p/q'"),
+    (None, "bad rational literal None; expected 'p/q'"),
+    ("3" * 5000, f"rational literal of 5000 characters is past the "
+                 f"{sys.get_int_max_str_digits()}-digit limit"),
+])
+def test_refused_literals_are_refused_on_every_call(value, message):
+    for _ in range(3):
+        with pytest.raises(InputError) as exc:
+            parse_rational(value)
+        assert str(exc.value) == message
+
+
+def test_a_cached_literal_is_refused_after_the_digit_limit_drops():
+    text = "7" * 700
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(text) == int(text)
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(InputError, match="digit limit"):
+            parse_rational(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parse_rational(text) == int(text)
+
+
+def test_literal_cache_size_is_pinned():
+    assert rational.LITERAL_CACHE_SIZE == 1024
+    assert rational._parse_literal.cache_info().maxsize == 1024
 
 
 def test_parse_rational_matches_fraction_on_accepted_literals():
