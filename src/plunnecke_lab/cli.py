@@ -48,8 +48,6 @@ from .magnification import (cut_weight, cutset_push, magnification_bruteforce,
 from .rational import format_rational, parse_rational
 from .reports import CSV_COLUMNS, VerificationReport, csv_row
 
-JOBS_ENV = "PLUNNECKE_LAB_JOBS"
-
 # The largest order j or k a bundle may ask for.  Iterated sumsets and the
 # k-th powers of the comparands grow with the order; generated bundles use
 # k <= 3.
@@ -226,13 +224,6 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the parsed namespace and returns the exit code.
 # ---------------------------------------------------------------------------
@@ -347,7 +338,7 @@ def _cmd_verify(args) -> int:
     else:
         rng = random.Random(args.seed)
         bundles = [draw(rng, f"{kind}-{args.seed}-{i:04d}") for i in range(args.count)]
-    workers = min(args.jobs or _default_jobs(), len(bundles), os.cpu_count() or 1)
+    workers = min(args.jobs, len(bundles), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it pulls in multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
@@ -581,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", help="instance kind (defaults to the check's kind)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out")
     p.add_argument("--csv")

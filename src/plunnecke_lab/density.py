@@ -55,22 +55,25 @@ class PeriodicSet:
 
     @classmethod
     def periodic(cls, period, residues) -> "PeriodicSet":
-        period = tuple(int(p) for p in period)
+        period = tuple(period)
+        if any(type(p) is not int for p in period):
+            raise InputError(f"period entries must be integers (got {period})")
         if not period or any(p < 1 for p in period):
             raise InputError(f"period must be positive (got {period})")
         check_period_box(period)
         reduced = frozenset(
-            tuple(int(x) % p for x, p in zip(_as_vector(r, len(period)), period))
+            tuple(x % p for x, p in zip(_point(r, len(period)), period))
             for r in residues
         )
         return cls(len(period), period, reduced)
 
     @classmethod
     def finite(cls, dim, points) -> "PeriodicSet":
-        dim = int(dim)
+        if type(dim) is not int:
+            raise InputError(f"dimension must be an integer (got {dim!r})")
         if dim < 1:
             raise InputError(f"dimension must be positive (got {dim})")
-        return cls(dim, None, frozenset(_as_vector(p, dim) for p in points))
+        return cls(dim, None, frozenset(_point(p, dim) for p in points))
 
     @property
     def is_finite(self) -> bool:
@@ -89,6 +92,17 @@ def check_period_box(period) -> None:
         if box > MAX_PERIOD_BOX:
             raise InputError(
                 f"period box has more than {MAX_PERIOD_BOX} cells (MAX_PERIOD_BOX)")
+
+
+def _point(value, dim: int) -> tuple[int, ...]:
+    """``_as_vector`` refusing non-int coordinates, for constructors; ``contains``,
+    the window scan's oracle, keeps the unchecked form for speed."""
+    vec = (value,) if isinstance(value, int) else tuple(value)
+    if any(type(x) is not int for x in vec):
+        raise InputError(f"coordinates must be integers (got {vec})")
+    if len(vec) != dim:
+        raise InputError(f"point {vec} does not have dimension {dim}")
+    return vec
 
 
 def _as_vector(value, dim: int) -> tuple[int, ...]:
@@ -337,19 +351,25 @@ def _build_shift_system(B: PeriodicSet) -> ShiftSystem:
     return ShiftSystem(p, word, frozenset(i for i in range(p) if word[i]))
 
 
-def _correspondence_facts(B: PeriodicSet, A0: PeriodicSet) -> dict:
+def _correspondence_facts(B: PeriodicSet,
+                          A0: PeriodicSet) -> tuple[ShiftSystem, dict, dict]:
     if A0.dim != 1:
         raise InputError("translate sets for the correspondence are one-dimensional")
     system = _build_shift_system(B)
     translated = system.translate(_project_mod(A0, system.period), system.clopen)
-    return {
-        "system": system,
+    measures = {
         "mu_clopen": system.measure(system.clopen),
         "d_base": banach_density(B),
         "mu_translated": system.measure(translated),
         "d_sum": banach_density(periodic_sumset(A0, B)),
         "d_translates": banach_density(A0),
     }
+    bridges = {
+        "base_equality": measures["mu_clopen"] == measures["d_base"],
+        "sum_equality": measures["mu_translated"] == measures["d_sum"],
+        "translate_bound": measures["mu_translated"] >= measures["d_translates"],
+    }
+    return system, measures, bridges
 
 
 def correspondence_system(B: PeriodicSet, A0: PeriodicSet | None = None) -> ShiftSystem:
@@ -361,40 +381,28 @@ def correspondence_system(B: PeriodicSet, A0: PeriodicSet | None = None) -> Shif
     """
     if A0 is None:
         A0 = PeriodicSet.finite(1, [(0,)])
-    facts = _correspondence_facts(B, A0)
-    if facts["mu_clopen"] != facts["d_base"]:
+    system, _measures, bridges = _correspondence_facts(B, A0)
+    if not bridges["base_equality"]:
         raise RuntimeError("clopen measure does not match the base density")
-    if facts["mu_translated"] != facts["d_sum"]:
+    if not bridges["sum_equality"]:
         raise RuntimeError("translated clopen measure does not match the sumset density")
-    if facts["mu_translated"] < facts["d_translates"]:
+    if not bridges["translate_bound"]:
         raise RuntimeError("translated clopen measure fell below the translate density")
-    return facts["system"]
+    return system
 
 
 def verify_correspondence(B: PeriodicSet, A0: PeriodicSet,
                           instance: str = "periodic") -> VerificationReport:
     """Report form of the three correspondence assertions."""
-    facts = _correspondence_facts(B, A0)
-    base_ok = facts["mu_clopen"] == facts["d_base"]
-    sum_ok = facts["mu_translated"] == facts["d_sum"]
-    dom_ok = facts["mu_translated"] >= facts["d_translates"]
+    _system, measures, bridges = _correspondence_facts(B, A0)
     return VerificationReport(
         instance=instance,
         theorem="lemma-7.1",
-        lhs=facts["mu_translated"],
-        rhs=facts["d_sum"],
-        holds=base_ok and sum_ok and dom_ok,
+        lhs=measures["mu_translated"],
+        rhs=measures["d_sum"],
+        holds=all(bridges.values()),
         witness=[],
-        details={
-            "mu_clopen": format_rational(facts["mu_clopen"]),
-            "d_base": format_rational(facts["d_base"]),
-            "mu_translated": format_rational(facts["mu_translated"]),
-            "d_sum": format_rational(facts["d_sum"]),
-            "d_translates": format_rational(facts["d_translates"]),
-            "base_equality": base_ok,
-            "sum_equality": sum_ok,
-            "translate_bound": dom_ok,
-        },
+        details={**{key: format_rational(m) for key, m in measures.items()}, **bridges},
     )
 
 

@@ -42,7 +42,7 @@ MAX_ORBIT_EDGES = 2 ** 18  # the most edges orbit_graph forms
 
 
 def vec_id(vec: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in vec)
+    return ",".join(map(str, vec))
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,9 @@ class FinAbGroup:
         vec = tuple(vec)
         if len(vec) != self.rank:
             raise InputError(f"element {vec} has wrong rank for moduli {self.moduli}")
-        return tuple(int(x) % n for x, n in zip(vec, self.moduli))
+        if any(type(x) is not int for x in vec):
+            raise InputError(f"element {vec} must have integer coordinates")
+        return tuple(x % n for x, n in zip(vec, self.moduli))
 
     def add(self, u, v) -> tuple[int, ...]:
         return tuple((a + b) % n for a, b, n in zip(u, v, self.moduli))
@@ -195,34 +197,35 @@ def validate_action(act: FiniteAction) -> list[str]:
         found.append(
             f"need {act.group.rank} generator permutations (got {len(act.generator_perms)})")
         return found
-    atoms = set(act.atoms)
-    for v in sorted(atoms):
-        if act.atoms[v] <= 0:
-            found.append(f"nonpositive weight at ({v})")
-    total = sum(act.atoms.values(), Fraction(0))
-    if total != 1:
-        found.append(f"weights must sum to 1 (got {format_rational(total)})")
+    # sort only what is found; an atom and its image usually share one weight
+    weights = act.atoms
+    atoms = set(weights)
+    pairs = [w.as_integer_ratio() for w in weights.values()]
+    for v in sorted(v for v, (num, _den) in zip(weights, pairs) if num <= 0):
+        found.append(f"nonpositive weight at ({v})")
+    ints, scale = maxflow.to_integers(pairs)
+    total = sum(ints)
+    if total != scale:
+        found.append(f"weights must sum to 1 (got {format_rational(Fraction(total, scale))})")
     for i, perm in enumerate(act.generator_perms):
         if set(perm) != atoms or set(perm.values()) != atoms:
             found.append(f"generator {i} is not a permutation of the atoms")
             return found
-        for v in sorted(atoms):
-            if act.atoms[perm[v]] != act.atoms[v]:
-                found.append(f"generator {i} changes the weight of ({v})")
+        for v in sorted(v for v, w in weights.items()
+                        if (u := weights[perm[v]]) is not w and u != w):
+            found.append(f"generator {i} changes the weight of ({v})")
     for i in range(len(act.generator_perms)):
         for j in range(i + 1, len(act.generator_perms)):
             pi, pj = act.generator_perms[i], act.generator_perms[j]
-            for v in sorted(atoms):
-                if pi[pj[v]] != pj[pi[v]]:
-                    found.append(f"generators {i} and {j} do not commute at ({v})")
-                    break
+            bad = [v for v in atoms if pi[pj[v]] != pj[pi[v]]]
+            if bad:
+                found.append(f"generators {i} and {j} do not commute at ({min(bad)})")
     # every generator permutes the atoms, so its cycle table can be built;
     # perm^n fixes v iff the length of v's cycle divides n
     for i, (table, n) in enumerate(zip(act._cycle_tables, act.group.moduli)):
-        for v in sorted(atoms):
-            if n % len(table[v][0]):
-                found.append(f"generator {i} order does not divide {n} at ({v})")
-                break
+        bad = [v for v, (cycle, _at) in table.items() if n % len(cycle)]
+        if bad:
+            found.append(f"generator {i} order does not divide {n} at ({min(bad)})")
     return found
 
 
@@ -270,15 +273,20 @@ def translation_action(group: FinAbGroup) -> FiniteAction:
     """The group acting on itself by addition, with uniform weights.
 
     Refuses a group of more than MAX_GROUP_ORDER elements before listing any.
+    Adding the i-th unit vector rotates each run of n_i * stride elements, in
+    ``group.elements()`` order, by stride, the product of the later moduli.
     """
     check_action_size(group.order, "translation action")
-    ids = {e: vec_id(e) for e in group.elements()}
-    weight = Fraction(1, group.order)
+    ids = [vec_id(e) for e in group.elements()]
     perms = []
-    for i in range(group.rank):
-        unit = tuple(1 if k == i else 0 for k in range(group.rank))
-        perms.append({ids[e]: ids[group.add(e, unit)] for e in group.elements()})
-    return FiniteAction(group, {ids[e]: weight for e in group.elements()}, tuple(perms))
+    for i, n in enumerate(group.moduli):
+        stride = math.prod(group.moduli[i + 1:])
+        images = []
+        for start in range(0, len(ids), n * stride):
+            run = ids[start:start + n * stride]
+            images += run[stride:] + run[:stride]
+        perms.append(dict(zip(ids, images)))
+    return FiniteAction(group, dict.fromkeys(ids, Fraction(1, group.order)), tuple(perms))
 
 
 def product_action(first: FiniteAction, second: FiniteAction) -> FiniteAction:
@@ -344,11 +352,13 @@ def orbit_graph(act: FiniteAction, A: GroupSet, Y: Iterable[str], h: int
                 f"by layer {k + 1}, over MAX_ORBIT_EDGES = {MAX_ORBIT_EDGES}")
         # one apply per edge gives both layer k+1 and the edges into it
         after = set()
+        up = f"@{k + 1}"
         for x in layer:
+            tail = f"{x}@{k}"
             for a, label in labels:
                 y = act.apply(a, x)
                 after.add(y)
-                edges.append((f"{x}@{k}", f"{y}@{k + 1}", label))
+                edges.append((tail, y + up, label))
         vertices += [(f"{y}@{k + 1}", k + 1, act.atoms[y]) for y in after]
         layer = after
     return LayeredMeasureGraph.build(

@@ -34,8 +34,8 @@ class LayeredMeasureGraph:
     """Finite atomic measure space with labelled layer-advancing edges.
 
     Weights are stored as Fractions: ints are converted, and any other type
-    raises InputError.  Compared by content; not hashable (``hash(g)``
-    raises ``TypeError``).
+    raises InputError, as does a height or a layer that is not an int.
+    Compared by content; not hashable (``hash(g)`` raises ``TypeError``).
     """
 
     atoms: Mapping[str, Fraction]  # vertex id -> weight (> 0)
@@ -47,8 +47,14 @@ class LayeredMeasureGraph:
     __hash__ = None
 
     def __post_init__(self):
+        if type(self.height) is not int:
+            raise InputError(f"graph height must be an integer (got {self.height!r})")
+        layer = dict(self.layer)
+        if not set(map(type, layer.values())) <= {int}:
+            v = next(v for v, l in layer.items() if type(l) is not int)
+            raise InputError(f"layer of ({v}) must be an integer (got {layer[v]!r})")
         object.__setattr__(self, "atoms", MappingProxyType(exact_weights(self.atoms)))
-        object.__setattr__(self, "layer", MappingProxyType(dict(self.layer)))
+        object.__setattr__(self, "layer", MappingProxyType(layer))
         object.__setattr__(self, "labels", frozenset(self.labels))
         object.__setattr__(self, "edges", frozenset(self.edges))
 

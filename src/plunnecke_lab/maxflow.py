@@ -153,24 +153,6 @@ class FlowNetwork:
         return seen
 
 
-def lex_less(a: int, b: int) -> bool:
-    """Lexicographic order on index sets encoded as bitmasks (bit i = i-th id).
-
-    Matches tuple comparison of the sorted index sequences, so the empty set
-    is smallest and {0} < {0, 1} < {1}.
-    """
-    if a == b:
-        return False
-    if a == 0:
-        return True
-    if b == 0:
-        return False
-    low = (a ^ b) & -(a ^ b)
-    if a & low:
-        return (b >> low.bit_length()) != 0
-    return (a >> low.bit_length()) == 0
-
-
 def to_integers(pairs) -> tuple[list[int], int]:
     """Clear the denominators of ``(num, den)`` pairs: ``(ints, scale)`` with
     ``scale`` the lcm of the dens and ``ints[i] = num_i * scale // den_i``."""
@@ -193,8 +175,11 @@ def min_ratio_bruteforce(sources, neighbors, weight,
     """Enumerate every nonempty subset of ``sources`` exactly.
 
     Refuses more than BRUTE_FORCE_LIMIT sources.  Only subsets weighing at
-    least ``min_share`` times the whole source set compete.  Subset images and
-    weights are built incrementally over bitmasks, on scaled integers.
+    least ``min_share`` times the whole source set compete.  Subsets are
+    walked depth-first, each right after its prefix, so in lexicographic
+    order of their sorted indices, and the first one to beat every earlier
+    one strictly is the lex-min minimizer.  Images and weights, on scaled
+    integers, are kept per depth: memory is linear in the number of sources.
     """
     sources = sorted(sources)
     n = len(sources)
@@ -207,35 +192,32 @@ def min_ratio_bruteforce(sources, neighbors, weight,
     share_den = min_share.denominator
     need = min_share.numerator * sum(sw)
     nmask = [sum(1 << k for k in ks) for ks in nbr]  # each ks lists distinct indices
-    size = 1 << n
-    imgs = [0] * size
-    img_w = [0] * size
-    set_w = [0] * size
-    best_num = best_den = 0
-    best_mask = 0
-    for m in range(1, size):
-        low = m & -m
-        i = low.bit_length() - 1
-        rest = m ^ low
-        added = nmask[i] & ~imgs[rest]
-        imgs[m] = imgs[rest] | added
-        w = img_w[rest]
-        while added:
-            b = added & -added
-            w += dw[b.bit_length() - 1]
-            added ^= b
-        img_w[m] = w
-        set_w[m] = set_w[rest] + sw[i]
-        if set_w[m] * share_den < need:
-            continue
-        if best_mask == 0:
-            best_num, best_den, best_mask = w, set_w[m], m
-            continue
-        diff = w * best_den - best_num * set_w[m]
-        if diff < 0 or (diff == 0 and lex_less(m, best_mask)):
-            best_num, best_den, best_mask = w, set_w[m], m
-    witness = frozenset(sources[i] for i in range(n) if best_mask >> i & 1)
-    return Fraction(best_num, best_den), witness
+    # the current subset is pick[:d]; entry e of img, img_w and set_w holds
+    # the image mask, image weight and set weight of the prefix pick[:e]
+    pick = [0] * n
+    img, img_w, set_w = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    best_num, best_den, best = 1, 0, ()  # 1/0: any competing subset beats it
+    d = i = 0
+    while True:
+        if i < n:
+            added = nmask[i] & ~img[d]
+            w = img_w[d]
+            while added:
+                b = added & -added
+                w += dw[b.bit_length() - 1]
+                added ^= b
+            s = set_w[d] + sw[i]
+            pick[d] = i
+            d += 1
+            img[d], img_w[d], set_w[d] = img[d - 1] | nmask[i], w, s
+            if s * share_den >= need and w * best_den < best_num * s:
+                best_num, best_den, best = w, s, pick[:d]
+            i += 1
+        elif d:
+            d -= 1
+            i = pick[d] + 1
+        else:
+            return Fraction(best_num, best_den), frozenset(sources[k] for k in best)
 
 
 def lex_min_greedy(n: int, feasible, done) -> list[int]:

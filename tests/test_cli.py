@@ -246,19 +246,24 @@ class TestVerify:
         base = ["verify", "prop-2.10", "--seed", "4", "--count", "6"]
         ref = tmp_path / "ref.json"
         assert main(base + ["--jobs", "1", "--out", str(ref)]) == 0
-        for flags, env in ((["--jobs", "10000"], None), ([], "10000")):
-            if env is not None:
-                monkeypatch.setenv("PLUNNECKE_LAB_JOBS", env)
+        # without --jobs the run is serial: only the first run starts workers
+        for flags in (["--jobs", "10000"], []):
             out = tmp_path / "out.json"
             assert main(base + flags + ["--out", str(out)]) == 0
             assert out.read_bytes() == ref.read_bytes()
-        assert started == workers * 2
+        assert started == workers
 
-    def test_jobs_env_var_is_the_default(self, tmp_path, monkeypatch):
+    def test_jobs_default_to_one_whatever_the_environment(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a serial run started a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "env.json"
         ref = tmp_path / "ref.json"
         base = ["verify", "prop-2.10", "--seed", "4", "--count", "6"]
-        assert main(base + ["--out", str(ref)]) == 0
+        assert main(base + ["--jobs", "1", "--out", str(ref)]) == 0
         monkeypatch.setenv("PLUNNECKE_LAB_JOBS", "2")
         assert main(base + ["--out", str(out)]) == 0
         assert out.read_bytes() == ref.read_bytes()
@@ -829,7 +834,6 @@ _GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_ARGV))
 def test_command_output_matches_its_golden_digest(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("PLUNNECKE_LAB_JOBS", raising=False)
     monkeypatch.chdir(tmp_path)
     _write_golden_inputs(tmp_path)
     assert _pinned_run(_GOLDEN_ARGV[name].split()) == _GOLDEN[name]

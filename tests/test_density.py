@@ -241,6 +241,25 @@ class TestBudgets:
             window_scan(never, side, radius, dim=dim)
 
 
+class TestIntegerInputs:
+    @pytest.mark.parametrize("period, residues", [((2.5,), [(0.7,)]), ((2,), [(0.7,)]),
+                                                  ((True,), [(0,)]), ((4,), [(1, "2")]),
+                                                  ((4,), [False])])
+    def test_periodic_refuses_non_int_values(self, period, residues):
+        with pytest.raises(InputError, match="must be integers"):
+            PeriodicSet.periodic(period, residues)
+
+    @pytest.mark.parametrize("dim, points", [(1.9, [(1.2,)]), (True, [(1,)]),
+                                             (1, [(1.2,)]), (1, [True])])
+    def test_finite_refuses_non_int_values(self, dim, points):
+        with pytest.raises(InputError, match="must be (an integer|integers)"):
+            PeriodicSet.finite(dim, points)
+
+    def test_int_points_and_bare_ints_are_kept(self):
+        assert PeriodicSet.periodic((4,), [5, (-2,)]).residues == {(1,), (2,)}
+        assert PeriodicSet.finite(2, [(1, -2)]).residues == {(1, -2)}
+
+
 class TestBanachDensity:
     def test_pinned_values(self):
         assert banach_density(two_z) == Fraction(1, 2)
@@ -381,6 +400,19 @@ class TestCorrespondence:
         system = correspondence_system(per((6,), (0,), (1,), (3,)))
         images = {system.shift(t) for t in range(system.period)}
         assert images == set(range(system.period))
+
+    def test_a_failed_bridge_raises_and_reports_false(self, monkeypatch):
+        true_density = density.banach_density
+        monkeypatch.setattr(density, "banach_density",
+                            lambda A: true_density(A) + Fraction(1, 7))
+        b, a0 = per((4,), (0,), (1,)), PeriodicSet.finite(1, [(0,), (1,)])
+        with pytest.raises(RuntimeError, match="clopen measure does not match"):
+            correspondence_system(b, a0)
+        report = verify_correspondence(b, a0)
+        assert not report.holds
+        assert report.details["base_equality"] is False
+        assert report.details["sum_equality"] is False
+        assert report.details["translate_bound"] is True
 
     @given(seeds)
     def test_all_three_bridges_hold_on_random_instances(self, seed):

@@ -71,6 +71,11 @@ class TestGroupSets:
         with pytest.raises(InputError):
             FinAbGroup(moduli)
 
+    @pytest.mark.parametrize("element", [(1.7,), (True,), ("2",)])
+    def test_elements_must_have_int_coordinates(self, element):
+        with pytest.raises(InputError, match="integer coordinates"):
+            dynamics.GroupSet.of(FinAbGroup((4,)), [(1,), element])
+
 
 class TestActions:
     def test_translation_action_shape(self):
@@ -190,6 +195,69 @@ def _walked_order_violations(act):
                 found.append(f"generator {i} order does not divide {n} at ({v})")
                 break
     return found
+
+
+def _sorted_walk_action_violations(act):
+    """validate_action's messages from walks over sorted atoms, summing
+    weights as Fractions."""
+    perms = act.generator_perms
+    if len(perms) != act.group.rank:
+        return [f"need {act.group.rank} generator permutations (got {len(perms)})"]
+    atoms = sorted(act.atoms)
+    found = [f"nonpositive weight at ({v})" for v in atoms if act.atoms[v] <= 0]
+    total = sum(act.atoms.values(), Fraction(0))
+    if total != 1:
+        found.append(f"weights must sum to 1 (got {total.numerator}/{total.denominator})")
+    for i, perm in enumerate(perms):
+        if sorted(perm) != atoms or sorted(perm.values()) != atoms:
+            return found + [f"generator {i} is not a permutation of the atoms"]
+        found += [f"generator {i} changes the weight of ({v})"
+                  for v in atoms if act.atoms[perm[v]] != act.atoms[v]]
+    for i, j in combinations(range(len(perms)), 2):
+        bad = [v for v in atoms if perms[i][perms[j][v]] != perms[j][perms[i][v]]]
+        found += [f"generators {i} and {j} do not commute at ({v})" for v in bad[:1]]
+    return found + _walked_order_violations(act)
+
+
+def _broken_action(rng):
+    act = random_action(rng)
+    atoms = dict(act.atoms)
+    perms = [dict(perm) for perm in act.generator_perms]
+    moduli = list(act.group.moduli)
+    ids = sorted(atoms)
+    for _ in range(rng.randint(1, 4)):
+        v, u = rng.choice(ids), rng.choice(ids)
+        perm = rng.choice(perms)
+        kind = rng.randrange(7)
+        if kind == 0:
+            atoms[v] = Fraction(rng.randint(-2, 0))
+        elif kind == 1:
+            atoms[v] = atoms[v] + Fraction(1, rng.randint(2, 5))
+        elif kind == 2:  # the same value in a distinct object
+            atoms[v] = Fraction(2 * atoms[v].numerator, 2 * atoms[v].denominator)
+        elif kind == 3:
+            perm[v], perm[u] = perm[u], perm[v]
+        elif kind == 4:
+            moduli[rng.randrange(len(moduli))] = rng.randint(1, 12)
+        elif kind == 5 and rng.random() < 0.3:
+            perm[v] = perm[u]
+        elif kind == 6 and rng.random() < 0.1:
+            perms.pop()
+    return dynamics.FiniteAction(FinAbGroup(tuple(moduli)), atoms, tuple(perms))
+
+
+class TestValidateActionOrder:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_messages_match_a_sorted_walk(self, seed):
+        act = _broken_action(random.Random(f"validate_action:{seed}"))
+        assert validate_action(act) == _sorted_walk_action_violations(act)
+
+    def test_the_broken_actions_reach_every_message(self):
+        messages = [m for seed in range(80) for m in validate_action(
+            _broken_action(random.Random(f"validate_action:{seed}")))]
+        for phrase in ("need", "nonpositive weight", "must sum to 1", "not a permutation",
+                       "changes the weight", "do not commute", "order does not divide"):
+            assert any(phrase in m for m in messages), phrase
 
 
 class TestCycleTables:

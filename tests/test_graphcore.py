@@ -178,6 +178,24 @@ class TestWeightTypes:
             build([("a", 0, weight), ("b", 1, weight)], [("a", "b", "x")])
 
 
+class TestLayerTypes:
+    @pytest.mark.parametrize("layer", ["0", 0.0, False])
+    def test_non_int_layers_are_refused(self, layer):
+        with pytest.raises(InputError, match=r"layer of \(a\) must be an integer"):
+            LayeredMeasureGraph({"a": 1, "b": 1}, {"a": layer, "b": 1}, 1, {"x"},
+                                {("a", "b", "x")})
+
+    @pytest.mark.parametrize("height", [1.5, 1.0, True, "1"])
+    def test_non_int_heights_are_refused(self, height):
+        with pytest.raises(InputError, match="graph height must be an integer"):
+            LayeredMeasureGraph({"a": 1, "b": 1}, {"a": 0, "b": 1}, height, {"x"},
+                                {("a", "b", "x")})
+
+    def test_float_layers_with_a_float_height_are_refused(self):
+        with pytest.raises(InputError, match="must be an integer"):
+            build([("a", 0.0, 1), ("b", 1.5, 1)], [("a", "b", "x")])
+
+
 class TestImage:
     def test_forward(self, path2):
         assert image(path2, {"v0"}, "a") == {"v1"}

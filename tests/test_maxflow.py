@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from plunnecke_lab import InputError
 from plunnecke_lab.dynamics import (FinAbGroup, GroupSet, move_set, pair_group_set,
                                     pair_space_set, product_action, translation_action)
-from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, lex_less, lex_min_greedy,
+from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, lex_min_greedy,
                                    min_ratio_bruteforce, min_ratio_mincut)
 
 
@@ -295,12 +297,6 @@ def test_lex_min_greedy_queries_only_add_constraints():
         assert queries and witness == list(accepted[-1][0])
 
 
-@given(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9)))
-def test_lex_less_matches_tuple_order(a, b):
-    mask = lambda s: sum(1 << i for i in s)
-    assert lex_less(mask(a), mask(b)) == (tuple(sorted(a)) < tuple(sorted(b)))
-
-
 def _random_relation(rng, max_src=7, max_dst=6):
     n_src = rng.randint(1, max_src)
     n_dst = rng.randint(1, max_dst)
@@ -377,3 +373,62 @@ def test_brute_force_limit():
         with pytest.raises(InputError, match="limited to 20 sources"):
             min_ratio_bruteforce(sources[:n], neighbors, weights)
     assert BRUTE_FORCE_LIMIT == 20
+
+
+def _ratio_oracle(sources, neighbors, weights, min_share=0):
+    """The definition: every nonempty subset that weighs at least
+    ``min_share`` of the whole, minimized by (ratio, sorted ids) in Fractions."""
+    ids = sorted(sources)
+    need = Fraction(min_share) * sum(weights[s] for s in ids)
+    best = None
+    for size in range(1, len(ids) + 1):
+        for subset in itertools.combinations(ids, size):
+            mass = sum(weights[s] for s in subset)
+            if mass < need:
+                continue
+            image = set().union(*(neighbors[s] for s in subset))
+            key = (sum((weights[u] for u in image), Fraction(0)) / mass, subset)
+            if best is None or key < best:
+                best = key
+    return best[0], frozenset(best[1])
+
+
+def test_bruteforce_matches_the_definition():
+    """Seeded battery: equal weights (so ties are common), sources with no
+    neighbours, every min_share below, and up to 12 sources."""
+    rng = random.Random(20141)
+    shares = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+    equal_weighted = empty = 0
+    for trial in range(360):
+        n = rng.randint(10, 12) if trial % 30 == 0 else rng.randint(1, 7)
+        targets = [f"t{k}" for k in range(rng.randint(0, 6))]
+        density = rng.random()
+        neighbors = {f"s{i}": frozenset(t for t in targets if rng.random() < density)
+                     for i in range(n)}
+        equal = trial % 2 == 0
+        weights = {x: Fraction(1) if equal else Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                   for x in [*neighbors, *targets]}
+        min_share = shares[trial % len(shares)]
+        got = min_ratio_bruteforce(list(neighbors), neighbors, weights, min_share)
+        assert got == _ratio_oracle(neighbors, neighbors, weights, min_share), trial
+        equal_weighted += equal
+        empty += not all(neighbors.values())
+    assert equal_weighted >= 150 and empty >= 100
+
+
+def test_bruteforce_memory_does_not_grow_with_the_subset_count():
+    # tables indexed by subset would hold 2**16 entries each, 512 KiB of
+    # pointers per table before the ints they point to; small images keep
+    # the traced run short
+    rng = random.Random(16)
+    sources = [f"s{i:02d}" for i in range(16)]
+    targets = [f"t{k:02d}" for k in range(16)]
+    neighbors = {s: frozenset(rng.sample(targets, 2)) for s in sources}
+    weights = {x: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for x in sources + targets}
+    tracemalloc.start()
+    try:
+        min_ratio_bruteforce(sources, neighbors, weights)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

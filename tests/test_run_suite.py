@@ -6,8 +6,7 @@ from plunnecke_lab.cli import CHECKS
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_suite.py"
 
 
-def test_run_suite_writes_a_json_and_a_csv_report_per_check(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("PLUNNECKE_LAB_JOBS", raising=False)
+def test_run_suite_writes_a_json_and_a_csv_report_per_check(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("run_suite", SCRIPT)
     run_suite = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_suite)
