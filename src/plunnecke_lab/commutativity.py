@@ -23,7 +23,8 @@ the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .graphcore import Edge, LayeredMeasureGraph, require_valid
 
@@ -34,7 +35,17 @@ Injection = tuple[tuple[Edge, Edge], ...]
 class CommutativityVerdict:
     holds: bool
     failing_edge: Edge | None = None
-    matching_witnesses: dict[Edge, Injection] | None = None
+    matching_witnesses: Mapping[Edge, Injection] | None = None  # a read-only copy
+
+    def __post_init__(self):
+        if self.matching_witnesses is not None:
+            object.__setattr__(self, "matching_witnesses",
+                               MappingProxyType(dict(self.matching_witnesses)))
+
+    def __reduce__(self):
+        witnesses = self.matching_witnesses
+        return (type(self), (self.holds, self.failing_edge,
+                             None if witnesses is None else dict(witnesses)))
 
 
 def _injections(edges: Iterable[Edge]) -> CommutativityVerdict:

@@ -59,15 +59,22 @@ def graph_from_doc(doc: dict) -> LayeredMeasureGraph:
     labels = frozenset(str(a) for a in _need_list(doc, "labels", "graph document"))
     atoms: dict[str, Fraction] = {}
     layer: dict[str, int] = {}
+    # A row that is a dict with every field is read directly; any other row
+    # goes through _need, which names its first missing field.
     for row in _need_list(doc, "vertices", "graph document"):
-        vid = str(_need(row, "id", "graph vertex"))
+        full = type(row) is dict and "id" in row and "weight" in row and "layer" in row
+        vid = str(row["id"] if full else _need(row, "id", "graph vertex"))
         if vid in atoms:
             raise InputError(f"duplicate vertex id ({vid})")
-        atoms[vid] = parse_rational(_need(row, "weight", "graph vertex"))
-        layer[vid] = _as_int(_need(row, "layer", "graph vertex"), f"layer of ({vid})")
+        atoms[vid] = parse_rational(row["weight"] if full
+                                    else _need(row, "weight", "graph vertex"))
+        layer[vid] = _as_int(row["layer"] if full else _need(row, "layer", "graph vertex"),
+                             f"layer of ({vid})")
     edges = frozenset(
-        (str(_need(row, "tail", "graph edge")), str(_need(row, "head", "graph edge")),
-         str(_need(row, "label", "graph edge")))
+        (str(row["tail"]), str(row["head"]), str(row["label"]))
+        if type(row) is dict and "tail" in row and "head" in row and "label" in row
+        else (str(_need(row, "tail", "graph edge")), str(_need(row, "head", "graph edge")),
+              str(_need(row, "label", "graph edge")))
         for row in _need_list(doc, "edges", "graph document")
     )
     return LayeredMeasureGraph(atoms, layer, height, labels, edges)
@@ -92,13 +99,16 @@ def action_from_doc(doc: dict) -> FiniteAction:
     group = FinAbGroup(tuple(_as_int(n, "modulus") for n in moduli))
     atoms: dict[str, Fraction] = {}
     for row in _need_list(doc, "atoms", "action document"):
-        aid = str(_need(row, "id", "action atom"))
+        full = type(row) is dict and "id" in row and "weight" in row
+        aid = str(row["id"] if full else _need(row, "id", "action atom"))
         if aid in atoms:
             raise InputError(f"duplicate atom id ({aid})")
-        atoms[aid] = parse_rational(_need(row, "weight", "action atom"))
+        atoms[aid] = parse_rational(row["weight"] if full
+                                    else _need(row, "weight", "action atom"))
     perms = []
     for row in _need_list(doc, "generators", "action document"):
-        perm = _need(row, "perm", "action generator")
+        perm = (row["perm"] if type(row) is dict and "perm" in row
+                else _need(row, "perm", "action generator"))
         if not isinstance(perm, dict):
             raise InputError("'perm' in action generator must be a JSON object")
         perms.append({str(k): str(v) for k, v in perm.items()})

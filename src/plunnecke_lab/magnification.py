@@ -132,23 +132,22 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     wci, scale = to_integers([(q ** g.layer[v] * g.atoms[v].numerator,
                                p ** g.layer[v] * g.atoms[v].denominator) for v in ids])
     inf = 1 + sum(wci)
-    net = FlowNetwork(2 + 2 * len(ids))
-    for i, w in enumerate(wci):
-        net.add_edge(2 + 2 * i, 3 + 2 * i, w)
-    for t, h in sorted({(t, h) for t, h, _ in g.edges}):
-        net.add_edge(3 + 2 * index[t], 2 + 2 * index[h], inf)
-    for v in sorted(g.layer_set(0)):
-        net.add_edge(0, 2 + 2 * index[v], inf)
-    for v in sorted(g.layer_set(g.height)):
-        net.add_edge(3 + 2 * index[v], 1, inf)
+    net = FlowNetwork(2 + 2 * len(ids), [
+        *((2 + 2 * i, 3 + 2 * i, w) for i, w in enumerate(wci)),
+        *((3 + 2 * index[t], 2 + 2 * index[h], inf)
+          for t, h in sorted({(t, h) for t, h, _ in g.edges})),
+        *((0, 2 + 2 * index[v], inf) for v in sorted(g.layer_set(0))),
+        *((3 + 2 * index[v], 1, inf) for v in sorted(g.layer_set(g.height)))])
     minimum = net.max_flow(0, 1)
 
     def choose(i: int) -> None:
         net.add_edge(0, 2 + 2 * i, inf)
         net.add_edge(3 + 2 * i, 1, inf)
 
-    def bar(i: int) -> None:
-        net.cap[2 * i] = inf  # vertex i's split arc is arc 2*i
+    def bar(i: int) -> tuple[int, int]:
+        old = net.cap[2 * i]  # vertex i's split arc is arc 2*i
+        net.cap[2 * i] = inf
+        return 2 * i, old
 
     def done(chosen) -> bool:
         return (sum(wci[i] for i in chosen) == minimum

@@ -6,6 +6,13 @@ exact; ``to_integers`` is the one place denominators are cleared.  The ratio
 solvers minimize  weight(N(S)) / weight(S)  for one measure ``weight`` over
 nonempty subsets S of a source set, where N(S) is the union of per-source
 neighbor sets; ties are broken toward the lexicographically smallest witness.
+Both refuse a source weight <= 0 and a neighbor weight < 0.
+
+``min_ratio_mincut`` runs Dinkelbach's rounds on one network.  The rounds
+are nested, each keeping source arcs only for the last round's source side,
+and each opens with a greedy flow; its docstring says why both leave every
+result unchanged.  The witness queries of ``pinned_queries`` undo a rejected
+query by reversing the one path it pushed, not by copying every capacity.
 """
 
 from __future__ import annotations
@@ -29,11 +36,21 @@ class FlowNetwork:
     mark, so a network can carry an arc only while it is needed.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, arcs=()):
+        """``n`` nodes and the arcs ``(u, v, cap)`` of ``arcs``, laid out as
+        the same ``add_edge`` calls would lay them out."""
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.head: list[int] = []
-        self.cap: list[int] = []
+        adj = self.adj = [[] for _ in range(n)]
+        arcs = list(arcs)
+        head = self.head = [0] * (2 * len(arcs))
+        head[::2] = [v for _u, v, _c in arcs]
+        head[1::2] = [u for u, _v, _c in arcs]
+        cap = self.cap = [0] * (2 * len(arcs))
+        cap[::2] = [c for _u, _v, c in arcs]
+        for a, (u, v, _c) in enumerate(arcs):
+            adj[u].append(2 * a)
+            adj[v].append(2 * a + 1)
+        self.last_push: tuple[list[int], int] | None = None
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add the arc u -> v of capacity ``cap`` and return its index."""
@@ -61,10 +78,11 @@ class FlowNetwork:
         Each phase labels BFS levels until t is labelled, pushes the s-t path
         of the BFS tree, then finishes a blocking flow on the level graph.
         With ``cutoff``, return as soon as the added flow reaches it, leaving
-        ``cap`` holding that partial flow.  ``cutoff=1`` on integer
+        ``cap`` holding that partial flow and ``last_push`` holding the arcs
+        and amount of the push that reached it.  ``cutoff=1`` on integer
         capacities stops after the first tree path, so ``max_flow(s, t,
         cutoff=1) == 0`` says, at the cost of one search, whether any more
-        flow exists.
+        flow exists, and when it is 1, ``last_push`` is all the call changed.
         """
         adj, head, cap = self.adj, self.head, self.cap
         total = 0
@@ -94,8 +112,9 @@ class FlowNetwork:
             # Blocking flow along level-increasing arcs, walked with an
             # explicit path (heights come from user input, so no recursion).
             # The walk starts at t, on the BFS tree's s-t path, so its first
-            # push needs no search.  ptr[v] is v's next untried arc; a dead
-            # end leaves the level graph.
+            # push needs no search.  ptr[v] is v's next untried arc, made
+            # only once a push falls short of the cutoff; a dead end leaves
+            # the level graph.
             path: list[int] = []
             v = t
             while v != s:
@@ -103,7 +122,7 @@ class FlowNetwork:
                 path.append(a)
                 v = head[a ^ 1]
             path.reverse()
-            ptr = [0] * self.n
+            ptr = None
             v = t
             while True:
                 if v == t:
@@ -113,12 +132,15 @@ class FlowNetwork:
                         cap[a ^ 1] += push
                     total += push
                     if cutoff is not None and total >= cutoff:
+                        self.last_push = (path, push)
                         return total
                     k = 0
                     while cap[path[k]]:
                         k += 1
                     del path[k:]
                     v = head[path[-1]] if path else s
+                    if ptr is None:
+                        ptr = [0] * self.n
                     continue
                 arcs = adj[v]
                 i, end = ptr[v], len(arcs)
@@ -161,8 +183,17 @@ def to_integers(pairs) -> tuple[list[int], int]:
 
 
 def _integerize(sources, neighbors, weight):
-    """Scaled source weights, sorted targets' weights, and source -> target indices."""
+    """Scaled source weights, sorted targets' weights, and source -> target indices.
+
+    A source weight <= 0 or a target weight < 0 is refused first.
+    """
     targets = sorted({u for s in sources for u in neighbors[s]})
+    for v in sources:
+        if weight[v].numerator <= 0:
+            raise InputError(f"source weight of ({v}) must be positive (got {weight[v]})")
+    for u in targets:
+        if weight[u].numerator < 0:
+            raise InputError(f"neighbor weight of ({u}) must be nonnegative (got {weight[u]})")
     ints, _scale = to_integers([(weight[v].numerator, weight[v].denominator)
                                 for v in (*sources, *targets)])
     tindex = {u: i for i, u in enumerate(targets)}
@@ -174,8 +205,9 @@ def min_ratio_bruteforce(sources, neighbors, weight,
                          min_share=0) -> tuple[Fraction, frozenset]:
     """Enumerate every nonempty subset of ``sources`` exactly.
 
-    Refuses more than BRUTE_FORCE_LIMIT sources.  Only subsets weighing at
-    least ``min_share`` times the whole source set compete.  Subsets are
+    Refuses more than BRUTE_FORCE_LIMIT sources and a ``min_share`` outside
+    [0, 1].  Only subsets weighing at least ``min_share`` times the whole
+    source set compete, so the whole set always does.  Subsets are
     walked depth-first, each right after its prefix, so in lexicographic
     order of their sorted indices, and the first one to beat every earlier
     one strictly is the lex-min minimizer.  Images and weights, on scaled
@@ -187,8 +219,10 @@ def min_ratio_bruteforce(sources, neighbors, weight,
         raise InputError("empty source set")
     if n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute force limited to {BRUTE_FORCE_LIMIT} sources (got {n})")
-    sw, dw, nbr = _integerize(sources, neighbors, weight)
     min_share = Fraction(min_share)
+    if not 0 <= min_share <= 1:
+        raise InputError(f"min_share must lie in [0, 1] (got {min_share})")
+    sw, dw, nbr = _integerize(sources, neighbors, weight)
     share_den = min_share.denominator
     need = min_share.numerator * sum(sw)
     nmask = [sum(1 << k for k in ks) for ks in nbr]  # each ks lists distinct indices
@@ -249,29 +283,37 @@ def pinned_queries(net: FlowNetwork, pin_chosen, pin_barred):
     """``lex_min_greedy``'s feasibility queries on the maximum flow from node 0
     to node 1 that ``net`` holds.
 
-    ``pin_chosen(i)`` and ``pin_barred(i)`` force index ``i`` in or out by
-    raising capacities or adding arcs.  Pins keep the flow feasible, so a
+    ``pin_chosen(i)`` and ``pin_barred(i)`` force index ``i`` in or out,
+    either by raising one arc's capacity, returning ``(arc, old capacity)``,
+    or by adding arcs, returning ``None``.  Pins keep the flow feasible, so a
     query is feasible exactly when no extra flow exists, which
-    ``max_flow(0, 1, cutoff=1)`` answers with one search.  A
-    query pins only the indices past the last accepted query's; an accepted
-    query's pins stay, and a rejected one is undone by restoring the
-    capacities and removing its arcs.
+    ``max_flow(0, 1, cutoff=1)`` answers with one search.  A query pins only
+    the indices past the last accepted query's, and an accepted query's pins
+    stay.  A rejected query undoes only what it changed: its one augmenting
+    path is pushed back, its raised arcs get their old capacities, and its
+    added arcs are removed.
     """
-    base = net.cap[:]
+    mark = len(net.head)
     kept_in = kept_out = 0
 
     def feasible(chosen, barred) -> bool:
-        nonlocal base, kept_in, kept_out
-        for i in chosen[kept_in:]:
-            pin_chosen(i)
-        for i in barred[kept_out:]:
-            pin_barred(i)
+        nonlocal mark, kept_in, kept_out
+        raised = [pin_chosen(i) for i in chosen[kept_in:]]
+        raised += [pin_barred(i) for i in barred[kept_out:]]
         if net.max_flow(0, 1, cutoff=1) == 0:
-            base = net.cap[:]
+            mark = len(net.head)
             kept_in, kept_out = len(chosen), len(barred)
             return True
-        net.truncate(len(base))
-        net.cap[:] = base
+        cap = net.cap
+        path, push = net.last_push
+        for a in path:
+            cap[a] += push
+            cap[a ^ 1] -= push
+        for pin in raised:
+            if pin is not None:
+                arc, old = pin
+                cap[arc] = old
+        net.truncate(mark)
         return False
 
     return feasible
@@ -279,50 +321,87 @@ def pinned_queries(net: FlowNetwork, pin_chosen, pin_barred):
 
 def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
                      ) -> tuple[Fraction, frozenset | None, tuple[Fraction, ...]]:
-    """Iterative ratio minimization over min-cuts.
+    """Iterative ratio minimization over min-cuts (Dinkelbach's method).
 
     Starting from the full-set ratio, each round finds a nonempty minimizer
-    of weight(N(S)) - lam * weight(S) as the source side of a min cut and
-    re-normalizes lam; it stops when that minimum hits zero.  The returned
-    trace holds the strictly decreasing lam sequence, one maximum flow per
-    entry.  One network serves every round: a round only re-weighs its arcs.
+    of f(S) = weight(N(S)) - lam * weight(S) as the source side of a min cut
+    and re-normalizes lam; it stops when that minimum hits zero.  The
+    returned trace holds the strictly decreasing lam sequence, one maximum
+    flow per entry.  One network serves every round, and a round only
+    re-weighs its arcs:
+
+    - Rounds are nested.  For lam' < lam, every minimizer of f at lam' lies
+      inside every minimizer at lam: with S a minimizer at lam and S' one
+      at lam', submodularity gives f_lam(S | S') + f_lam'(S & S') <=
+      f_lam(S) + f_lam'(S') - (lam - lam') * weight(S' - S), so the positive
+      source weights force S' - S to be empty (Gallo, Grigoriadis and
+      Tarjan, 1989).  A round after the first therefore gives source arcs
+      only to the last round's source side, the live sources, and is
+      optimal when the flow saturates them.  Its minimal min cut, its
+      optimum and every optimal set are those of the full network: a dead
+      source lies in no optimal set of either.
+    - Each round opens with a greedy flow along s -> i -> k -> t, one pass
+      over the middle arcs, and a max flow finishes it.
+
     The witness is the lexicographically smallest minimizing subset,
     extracted with ``pinned_queries`` on the last round's flow: a forced-in
     source's source arc is raised to infinity, and a forced-out source gets
     an infinite arc to the sink for as long as it is pinned.
     ``witness=False`` skips the extraction and returns ``None`` in the
-    witness's place.
+    witness's place.  A source weight <= 0 or a neighbor weight < 0 is
+    refused before any network is built.
     """
     sources = sorted(sources)
     if not sources:
         raise InputError("empty source set")
-    zeros = sorted(s for s in sources if not neighbors[s])
-    if zeros:
-        return Fraction(0), frozenset({zeros[0]}) if witness else None, (Fraction(0),)
     sw, dw, nbr = _integerize(sources, neighbors, weight)
+    if not all(nbr):
+        # a source without neighbors gives 0; the lex-min set of ratio 0 is
+        # the first source whose neighbors all weigh 0
+        first = next(i for i, ks in enumerate(nbr) if not any(dw[k] for k in ks))
+        return Fraction(0), frozenset({sources[first]}) if witness else None, (Fraction(0),)
     n, m = len(sources), len(dw)
     total_src = sum(sw)
     total_dst = sum(dw)
     # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets; arcs:
-    # the n source arcs, then the middle arcs, then the m target arcs
-    net = FlowNetwork(2 + n + m)
-    for i in range(n):
-        net.add_edge(0, 2 + i, 0)
-    for i in range(n):
-        for k in nbr[i]:
-            net.add_edge(2 + i, 2 + n + k, 0)
-    for k in range(m):
-        net.add_edge(2 + n + k, 1, 0)
-    first_target = len(net.head) - 2 * m
+    # the n source arcs, then the middle arcs source by source, then the m
+    # target arcs; first_mid[i] is source i's first middle arc
+    net = FlowNetwork(2 + n + m, [
+        *((0, 2 + i, 0) for i in range(n)),
+        *((2 + i, 2 + n + k, 0) for i, ks in enumerate(nbr) for k in ks),
+        *((2 + n + k, 1, 0) for k in range(m))])
+    first_mid = [2 * n]
+    for ks in nbr:
+        first_mid.append(first_mid[-1] + 2 * len(ks))
+    first_target = first_mid[-1]
 
-    def reweigh(num: int, den: int) -> int:
-        # source arcs num*sw, middle arcs infinite, target arcs den*dw, no flow
+    def reweigh(num: int, den: int, live) -> tuple[int, int]:
+        # source arcs num*sw for live sources and 0 for the rest, middle arcs
+        # infinite, target arcs den*dw; returns infinity and the greedy flow
         inf = num * total_src + den * total_dst + 1
         cap = [inf, 0] * (len(net.head) // 2)
-        cap[:2 * n:2] = [num * w for w in sw]
-        cap[first_target::2] = [den * w for w in dw]
-        net.cap[:] = cap
-        return inf
+        cap[:2 * n] = [0] * (2 * n)
+        room = [den * w for w in dw]
+        for i in live:
+            give = left = num * sw[i]
+            a = first_mid[i]
+            for k in nbr[i]:
+                r = room[k]
+                if r:
+                    if left <= r:
+                        room[k] = r - left
+                        cap[a], cap[a + 1] = inf - left, left
+                        left = 0
+                        break
+                    room[k] = 0
+                    cap[a], cap[a + 1] = inf - r, r
+                    left -= r
+                a += 2
+            cap[2 * i], cap[2 * i + 1] = left, give - left
+        cap[first_target::2] = room
+        cap[first_target + 1::2] = [den * w - r for w, r in zip(dw, room)]
+        net.cap = cap
+        return inf, sum(cap[1:2 * n:2])
 
     def ratio(index_set) -> Fraction:
         # scaled weight of the image of a nonempty index set over its own
@@ -331,16 +410,18 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
 
     lam = Fraction(total_dst, total_src)
     trace = [lam]
+    live, live_weight = range(n), total_src
     bound = max(4, n * m + 2)
     for _ in range(bound):
-        inf = reweigh(lam.numerator, lam.denominator)
-        if net.max_flow(0, 1) == lam.numerator * total_src:
+        inf, opening = reweigh(lam.numerator, lam.denominator, live)
+        if opening + net.max_flow(0, 1) == lam.numerator * live_weight:
             break
         reached = net.source_side(0)
-        side = [i for i in range(n) if 2 + i in reached]
-        if not side:
+        live = [i for i in live if 2 + i in reached]
+        if not live:
             raise RuntimeError("improving cut came back empty")
-        new_lam = ratio(side)
+        live_weight = sum(sw[i] for i in live)
+        new_lam = ratio(live)
         if not new_lam < lam:
             raise RuntimeError("ratio iteration failed to decrease")
         lam = new_lam
@@ -350,8 +431,10 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     if not witness:
         return lam, None, tuple(trace)
 
-    def force_in(i: int) -> None:
-        net.cap[2 * i] = inf  # source arc i is arc 2*i
+    def force_in(i: int) -> tuple[int, int]:
+        old = net.cap[2 * i]  # source arc i is arc 2*i
+        net.cap[2 * i] = inf
+        return 2 * i, old
 
     def force_out(i: int) -> None:
         net.add_edge(2 + i, 1, inf)

@@ -1,11 +1,13 @@
 import itertools
+import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
-from plunnecke_lab import (InputError, LayeredMeasureGraph, channel, commutativity, dual,
-                           is_commutative, validate)
+from plunnecke_lab import (HypothesisError, InputError, LayeredMeasureGraph, channel,
+                           commutativity, dual, is_commutative, validate)
 from plunnecke_lab.commutativity import check_witnesses
 from plunnecke_lab.generators import random_layered_graph, random_orbit_graph
 
@@ -202,6 +204,23 @@ def test_witnesses_satisfy_injectivity_and_compatibility(o1, o1_full):
         assert check_witnesses(g, verdict)
         # one witness injection per edge of the graph
         assert set(verdict.matching_witnesses) == g.edges
+
+
+def test_verdict_witnesses_are_read_only_and_pickle(o1, chain_counterexample):
+    verdict = is_commutative(o1)
+    edge = min(verdict.matching_witnesses)
+    with pytest.raises(TypeError):
+        verdict.matching_witnesses[edge] = ()
+    with pytest.raises(TypeError):
+        del verdict.matching_witnesses[edge]
+    for v in (verdict, is_commutative(chain_counterexample)):
+        again = pickle.loads(pickle.dumps(v))
+        assert again == v
+        assert again.matching_witnesses is None or isinstance(
+            again.matching_witnesses, MappingProxyType)
+    # the refusal's payload crosses worker processes by pickling
+    refused = HypothesisError("not commutative", payload=is_commutative(chain_counterexample))
+    assert pickle.loads(pickle.dumps(refused)).payload == refused.payload
 
 
 @given(orbit_graphs)

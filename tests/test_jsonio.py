@@ -56,6 +56,75 @@ def test_missing_fields_name_the_location():
         jsonio.graph_from_doc({"labels": [], "vertices": [], "edges": []})
 
 
+_VERTEX = {"id": "v", "layer": 0, "weight": "1/2"}
+_EDGE = {"tail": "v", "head": "w", "label": "a"}
+_ATOM = {"id": "0", "weight": "1/2"}
+
+
+def _without(row, *keys):
+    return {k: v for k, v in row.items() if k not in keys}
+
+
+def _graph(vertices, edges=()):
+    return {"height": 1, "labels": ["a"], "vertices": list(vertices), "edges": list(edges)}
+
+
+def _action(atoms, generators=()):
+    return {"moduli": [1], "atoms": list(atoms), "generators": list(generators)}
+
+
+def _message(parse, doc):
+    with pytest.raises(InputError) as caught:
+        parse(doc)
+    return str(caught.value)
+
+
+_BAD_WEIGHT = _message(parse_rational, "x")
+_ROW_MESSAGES = [
+    # each row's first missing field is named, in the order the fields are read
+    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "id")]), "missing 'id' in graph vertex"),
+    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "weight")]),
+     "missing 'weight' in graph vertex"),
+    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "layer")]),
+     "missing 'layer' in graph vertex"),
+    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "id", "weight", "layer")]),
+     "missing 'id' in graph vertex"),
+    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "weight", "layer")]),
+     "missing 'weight' in graph vertex"),
+    (jsonio.graph_from_doc, _graph([["v", 0, "1/2"]]), "missing 'id' in graph vertex"),
+    (jsonio.graph_from_doc, _graph(["v"]), "missing 'id' in graph vertex"),
+    (jsonio.graph_from_doc, _graph([None]), "missing 'id' in graph vertex"),
+    # a duplicate id or a bad weight is found before a later missing field
+    (jsonio.graph_from_doc, _graph([_VERTEX, _without(_VERTEX, "weight")]),
+     "duplicate vertex id (v)"),
+    (jsonio.graph_from_doc, _graph([{"id": "v", "weight": "x"}]), _BAD_WEIGHT),
+    (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "tail")]),
+     "missing 'tail' in graph edge"),
+    (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "head")]),
+     "missing 'head' in graph edge"),
+    (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "label")]),
+     "missing 'label' in graph edge"),
+    (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "head", "label")]),
+     "missing 'head' in graph edge"),
+    (jsonio.graph_from_doc, _graph([_VERTEX], [["v", "w", "a"]]), "missing 'tail' in graph edge"),
+    (jsonio.action_from_doc, _action([_without(_ATOM, "id")]), "missing 'id' in action atom"),
+    (jsonio.action_from_doc, _action([_without(_ATOM, "weight")]),
+     "missing 'weight' in action atom"),
+    (jsonio.action_from_doc, _action([["0", "1/2"]]), "missing 'id' in action atom"),
+    (jsonio.action_from_doc, _action([_ATOM, _without(_ATOM, "weight")]),
+     "duplicate atom id (0)"),
+    (jsonio.action_from_doc, _action([_ATOM], [{}]), "missing 'perm' in action generator"),
+    (jsonio.action_from_doc, _action([_ATOM], [[{"0": "0"}]]),
+     "missing 'perm' in action generator"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ROW_MESSAGES)))
+def test_each_missing_row_field_keeps_its_message(case):
+    parse, doc, message = _ROW_MESSAGES[case]
+    assert _message(parse, doc) == message
+
+
 def test_kind_detection():
     assert jsonio.detect_doc_kind({"vertices": []}) == "graph"
     assert jsonio.detect_doc_kind({"moduli": [2]}) == "action"

@@ -430,9 +430,9 @@ class TestPinnedQueries:
         built = []
 
         class Counted(FlowNetwork):
-            def __init__(self, n):
+            def __init__(self, n, arcs=()):
                 built.append(n)
-                super().__init__(n)
+                super().__init__(n, arcs)
 
         monkeypatch.setattr(maxflow, "FlowNetwork", Counted)
         multi_round = 0

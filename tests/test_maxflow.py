@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from plunnecke_lab import InputError
 from plunnecke_lab.dynamics import (FinAbGroup, GroupSet, move_set, pair_group_set,
                                     pair_space_set, product_action, translation_action)
-from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, lex_min_greedy,
+from plunnecke_lab import maxflow
+from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, _integerize, lex_min_greedy,
                                    min_ratio_bruteforce, min_ratio_mincut)
 
 
@@ -432,3 +433,163 @@ def test_bruteforce_memory_does_not_grow_with_the_subset_count():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_arc_list_network_matches_add_edge_calls():
+    rng = random.Random(1989)
+    for _ in range(300):
+        n, arcs, _s, _t = _random_network(rng)
+        laid_out = FlowNetwork(n, arcs)
+        built = _build(n, arcs)
+        assert (laid_out.head, laid_out.cap, laid_out.adj) == (built.head, built.cap, built.adj)
+        extra = (rng.randrange(n), rng.randrange(n), rng.choice([0, 1, 10 ** 13]))
+        assert laid_out.add_edge(*extra) == built.add_edge(*extra)
+        assert (laid_out.head, laid_out.cap, laid_out.adj) == (built.head, built.cap, built.adj)
+
+
+def _cold_min_ratio(sources, neighbors, weight):
+    """The ratio solver before its rounds were nested: every round re-weighs
+    the full source set from zero flow, and a rejected witness query is
+    undone by restoring a copy of every capacity.  Sources without
+    neighbors are left to the shortcut both solvers share."""
+    sources = sorted(sources)
+    sw, dw, nbr = _integerize(sources, neighbors, weight)
+    n, m = len(sw), len(dw)
+    net = FlowNetwork(2 + n + m)
+    for i in range(n):
+        net.add_edge(0, 2 + i, 0)
+    for i in range(n):
+        for k in nbr[i]:
+            net.add_edge(2 + i, 2 + n + k, 0)
+    for k in range(m):
+        net.add_edge(2 + n + k, 1, 0)
+    first_target = len(net.head) - 2 * m
+
+    def reweigh(num, den):
+        inf = num * sum(sw) + den * sum(dw) + 1
+        cap = [inf, 0] * (len(net.head) // 2)
+        cap[:2 * n:2] = [num * w for w in sw]
+        cap[first_target::2] = [den * w for w in dw]
+        net.cap[:] = cap
+        return inf
+
+    def ratio(index_set):
+        img = set().union(*(nbr[i] for i in index_set))
+        return Fraction(sum(dw[k] for k in img), sum(sw[i] for i in index_set))
+
+    lam = Fraction(sum(dw), sum(sw))
+    trace = [lam]
+    while True:
+        inf = reweigh(lam.numerator, lam.denominator)
+        if net.max_flow(0, 1) == lam.numerator * sum(sw):
+            break
+        reached = net.source_side(0)
+        lam = ratio([i for i in range(n) if 2 + i in reached])
+        trace.append(lam)
+    base = net.cap[:]
+    kept = [0, 0]
+
+    def feasible(chosen, barred):
+        for i in chosen[kept[0]:]:
+            net.cap[2 * i] = inf
+        for i in barred[kept[1]:]:
+            net.add_edge(2 + i, 1, inf)
+        if net.max_flow(0, 1, cutoff=1) == 0:
+            base[:] = net.cap
+            kept[:] = len(chosen), len(barred)
+            return True
+        net.truncate(len(base))
+        net.cap[:] = base
+        return False
+
+    chosen = lex_min_greedy(n, feasible, lambda s: bool(s) and ratio(s) == lam)
+    return lam, frozenset(sources[i] for i in chosen), tuple(trace)
+
+
+def _tied_relation(rng):
+    """Up to 30 sources and 40 targets, every source with a neighbor; small
+    integer weights make ties common, and some targets weigh 0."""
+    n = rng.randint(1, 30) if rng.random() < 0.2 else rng.randint(1, 10)
+    m = rng.randint(1, 40) if rng.random() < 0.2 else rng.randint(1, 12)
+    targets = [f"t{k:02d}" for k in range(m)]
+    density = rng.uniform(0.05, 0.6)
+    neighbors = {}
+    for i in range(n):
+        picked = [t for t in targets if rng.random() < density]
+        neighbors[f"s{i:02d}"] = frozenset(picked or [rng.choice(targets)])
+    zero_share = rng.choice([0, 0, 0.2, 0.6])
+    weight = {s: Fraction(rng.randint(1, 3), rng.choice([1, 1, 2])) for s in neighbors}
+    weight.update({t: Fraction(0) if rng.random() < zero_share else Fraction(rng.randint(1, 3))
+                   for t in targets})
+    return sorted(neighbors), neighbors, weight
+
+
+def test_nested_rounds_match_the_cold_start_solver(monkeypatch):
+    """Value, witness, trace and max-flows per solve, on 3,000 seeded
+    instances, against the solver that restarts every round from zero flow."""
+    calls = []
+    original = FlowNetwork.max_flow
+
+    def counted(net, s, t, cutoff=None):
+        calls.append(cutoff)
+        return original(net, s, t, cutoff)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    rng = random.Random(1989)
+    rounds = zero_optimum = 0
+    for trial in range(3000):
+        rel = _tied_relation(rng)
+        calls.clear()
+        got = min_ratio_mincut(*rel)
+        solved = calls[:]
+        calls.clear()
+        assert got == _cold_min_ratio(*rel), trial
+        assert solved == calls, trial
+        rounds += len(got[2]) > 2
+        zero_optimum += got[0] == 0
+    assert rounds >= 300 and zero_optimum >= 100
+
+
+def test_a_source_whose_neighbors_all_weigh_zero_comes_first():
+    # "a" reaches only a target of weight 0, so {"a"} ties with {"b"} at 0
+    # and precedes it
+    neighbors = {"a": frozenset({"t"}), "b": frozenset()}
+    weights = {"a": Fraction(1), "b": Fraction(1), "t": Fraction(0)}
+    assert min_ratio_bruteforce(["a", "b"], neighbors, weights) == (0, {"a"})
+    assert min_ratio_mincut(["a", "b"], neighbors, weights) == (0, {"a"}, (0,))
+
+
+_REFUSED = [
+    # (source weights, target weight, min_share, message)
+    ({"a": 0, "b": 0}, 1, 0, r"source weight of \(a\) must be positive \(got 0\)"),
+    ({"a": 1, "b": -1}, 1, 0, r"source weight of \(b\) must be positive \(got -1\)"),
+    ({"a": 1, "b": 1}, -1, 0, r"neighbor weight of \(t\) must be nonnegative \(got -1\)"),
+    ({"a": 1, "b": 1}, 1, 2, r"min_share must lie in \[0, 1\] \(got 2\)"),
+    ({"a": 1, "b": 1}, 1, Fraction(-1, 2), r"min_share must lie in \[0, 1\] \(got -1/2\)"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_REFUSED)))
+def test_ratio_solvers_refuse_what_they_cannot_answer(case, monkeypatch):
+    source_weight, target_weight, min_share, message = _REFUSED[case]
+    neighbors = {"a": frozenset({"t"}), "b": frozenset({"t"})}
+    weights = {**{s: Fraction(w) for s, w in source_weight.items()},
+               "t": Fraction(target_weight)}
+
+    def built(*_args):
+        raise AssertionError("a table or network was built")
+
+    monkeypatch.setattr(maxflow, "to_integers", built)
+    monkeypatch.setattr(maxflow, "FlowNetwork", built)
+    with pytest.raises(InputError, match=message):
+        min_ratio_bruteforce(["a", "b"], neighbors, weights, min_share)
+    if not min_share:
+        with pytest.raises(InputError, match=message):
+            min_ratio_mincut(["a", "b"], neighbors, weights)
+
+
+def test_zero_weight_neighbors_stay_allowed():
+    neighbors = {"a": frozenset({"t", "u"}), "b": frozenset({"u"})}
+    weights = {"a": Fraction(1), "b": Fraction(2), "t": Fraction(0), "u": Fraction(3)}
+    assert min_ratio_bruteforce(["a", "b"], neighbors, weights) == (1, {"a", "b"})
+    assert min_ratio_mincut(["a", "b"], neighbors, weights)[:2] == (1, {"a", "b"})
