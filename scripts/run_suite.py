@@ -35,7 +35,7 @@ def run(seed: int, count: int, out_dir: Path) -> int:
             "--out", str(json_path), "--csv", str(csv_path),
         ])
         took = time.perf_counter() - started
-        status = {0: "ok", 1: "VIOLATED", 2: "input error"}.get(code, "?")
+        status = {0: "ok", 1: "VIOLATED", 2: "input error", 3: "INTERNAL"}.get(code, "?")
         print(f"{check_id:<11} {n:>4} instances  {status:<11} {took:6.2f}s  -> {json_path}")
         worst = max(worst, code)
     return worst

@@ -95,27 +95,19 @@ def check_period_box(period) -> None:
 
 
 def _point(value, dim: int) -> tuple[int, ...]:
-    """``_as_vector`` refusing non-int coordinates, for constructors; ``contains``,
-    the window scan's oracle, keeps the unchecked form for speed."""
-    vec = (value,) if isinstance(value, int) else tuple(value)
-    if any(type(x) is not int for x in vec):
-        raise InputError(f"coordinates must be integers (got {vec})")
-    if len(vec) != dim:
-        raise InputError(f"point {vec} does not have dimension {dim}")
-    return vec
-
-
-def _as_vector(value, dim: int) -> tuple[int, ...]:
-    if isinstance(value, int):
-        value = (value,)
-    vec = tuple(int(x) for x in value)
+    """``value``, an int or a tuple or list of ints, as a point of ``Z^dim``;
+    anything else raises InputError.  A tuple is checked without a copy."""
+    vec = value if type(value) is tuple else tuple(value) if type(value) is list else (value,)
+    for x in vec:
+        if type(x) is not int:
+            raise InputError(f"coordinates must be integers (got {vec})")
     if len(vec) != dim:
         raise InputError(f"point {vec} does not have dimension {dim}")
     return vec
 
 
 def contains(A: PeriodicSet, point) -> bool:
-    point = _as_vector(point, A.dim)
+    point = _point(point, A.dim)
     if A.is_finite:
         return point in A.residues
     return tuple(x % p for x, p in zip(point, A.period)) in A.residues

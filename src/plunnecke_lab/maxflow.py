@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
+from .rational import exact_weight
 
 BRUTE_FORCE_LIMIT = 20  # the most sources min_ratio_bruteforce enumerates
 
@@ -185,9 +186,12 @@ def to_integers(pairs) -> tuple[list[int], int]:
 def _integerize(sources, neighbors, weight):
     """Scaled source weights, sorted targets' weights, and source -> target indices.
 
-    A source weight <= 0 or a target weight < 0 is refused first.
+    A weight that is not a Fraction or an int (``rational.exact_weight``), a
+    source weight <= 0 and a target weight < 0 are refused first.
     """
     targets = sorted({u for s in sources for u in neighbors[s]})
+    weight = {v: w if type(w := weight[v]) is Fraction else exact_weight(v, w)
+              for v in (*sources, *targets)}
     for v in sources:
         if weight[v].numerator <= 0:
             raise InputError(f"source weight of ({v}) must be positive (got {weight[v]})")

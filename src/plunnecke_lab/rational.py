@@ -68,18 +68,16 @@ def _parse_text(value) -> Fraction:
 
 
 def exact_weights(weights: Mapping[str, object]) -> dict[str, Fraction]:
-    """A copy of ``weights`` with ints turned into Fractions.
+    """A copy of ``weights`` with ints turned into Fractions (``exact_weight``)."""
+    return {key: w if type(w) is Fraction else exact_weight(key, w) for key, w in weights.items()}
 
-    Any other type, floats, bools and strings included, raises InputError.
-    """
-    out = dict(weights)
-    for key, w in out.items():
-        if type(w) is not Fraction:
-            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-                raise InputError(f"weight of ({key}) must be a Fraction or an int "
-                                 f"(got {w!r})")
-            out[key] = Fraction(w)
-    return out
+
+def exact_weight(key, w) -> Fraction:
+    """``w`` as a Fraction: an int is converted, and any other type, floats,
+    bools and strings included, raises InputError naming ``key``."""
+    if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+        raise InputError(f"weight of ({key}) must be a Fraction or an int (got {w!r})")
+    return Fraction(w)
 
 
 def format_rational(value) -> str:

@@ -809,7 +809,7 @@ _GOLDEN = {
     "validate-broken": (2, "f750fb0aa44651e4"),
     "validate-missing": (2, "895b231ed7381720"),
     "verify-cor-3.4": (0, "57e506fb1605dcf8"),
-    "verify-declared": (2, "8a4f12d01c8fbe5b"),
+    "verify-declared": (2, "65f5339f1acc1dd2"),
     "verify-ex-2.6": (0, "c12c1578c870d8a7"),
     "verify-file-dyn": (0, "12c187f6bfe131a5"),
     "verify-files": (0, "4a3101627e1afb87"),
@@ -817,7 +817,7 @@ _GOLDEN = {
     "verify-lemma-5.4": (0, "074be9bbabe4abe1"),
     "verify-lemma-6.1": (0, "e27070265593ef23"),
     "verify-lemma-7.1": (0, "bd985d9cc15e8f72"),
-    "verify-malformed": (2, "78f21c4cf81f2661"),
+    "verify-malformed": (2, "a9033c6ffc488227"),
     "verify-prop-2.10": (0, "353bf5fab54fb177"),
     "verify-prop-6.2": (0, "919a0278137a058b"),
     "verify-refused-commute": (2, "f3735766db811ed3"),

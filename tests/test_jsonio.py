@@ -81,47 +81,61 @@ def _message(parse, doc):
 
 _BAD_WEIGHT = _message(parse_rational, "x")
 _ROW_MESSAGES = [
-    # each row's first missing field is named, in the order the fields are read
-    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "id")]), "missing 'id' in graph vertex"),
+    # each row's first missing field is named by its path, in schema order
+    (jsonio.graph_from_doc, _graph([_without(_VERTEX, "id")]), "graph.vertices[0].id is missing"),
     (jsonio.graph_from_doc, _graph([_without(_VERTEX, "weight")]),
-     "missing 'weight' in graph vertex"),
+     "graph.vertices[0].weight is missing"),
     (jsonio.graph_from_doc, _graph([_without(_VERTEX, "layer")]),
-     "missing 'layer' in graph vertex"),
+     "graph.vertices[0].layer is missing"),
     (jsonio.graph_from_doc, _graph([_without(_VERTEX, "id", "weight", "layer")]),
-     "missing 'id' in graph vertex"),
+     "graph.vertices[0].id is missing"),
     (jsonio.graph_from_doc, _graph([_without(_VERTEX, "weight", "layer")]),
-     "missing 'weight' in graph vertex"),
-    (jsonio.graph_from_doc, _graph([["v", 0, "1/2"]]), "missing 'id' in graph vertex"),
-    (jsonio.graph_from_doc, _graph(["v"]), "missing 'id' in graph vertex"),
-    (jsonio.graph_from_doc, _graph([None]), "missing 'id' in graph vertex"),
-    # a duplicate id or a bad weight is found before a later missing field
+     "graph.vertices[0].weight is missing"),
+    (jsonio.graph_from_doc, _graph([["v", 0, "1/2"]]),
+     "graph.vertices[0] must be a JSON object (got ['v', 0, '1/2'])"),
+    (jsonio.graph_from_doc, _graph(["v"]), "graph.vertices[0] must be a JSON object (got 'v')"),
+    (jsonio.graph_from_doc, _graph([None]), "graph.vertices[0] must be a JSON object (got None)"),
+    # every row's shape is checked before any content: a later missing field
+    # is found before a duplicate id or a bad weight
     (jsonio.graph_from_doc, _graph([_VERTEX, _without(_VERTEX, "weight")]),
-     "duplicate vertex id (v)"),
-    (jsonio.graph_from_doc, _graph([{"id": "v", "weight": "x"}]), _BAD_WEIGHT),
+     "graph.vertices[1].weight is missing"),
+    (jsonio.graph_from_doc, _graph([{"id": "v", "weight": "x"}]),
+     "graph.vertices[0].layer is missing"),
     (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "tail")]),
-     "missing 'tail' in graph edge"),
+     "graph.edges[0].tail is missing"),
     (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "head")]),
-     "missing 'head' in graph edge"),
+     "graph.edges[0].head is missing"),
     (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "label")]),
-     "missing 'label' in graph edge"),
+     "graph.edges[0].label is missing"),
     (jsonio.graph_from_doc, _graph([_VERTEX], [_without(_EDGE, "head", "label")]),
-     "missing 'head' in graph edge"),
-    (jsonio.graph_from_doc, _graph([_VERTEX], [["v", "w", "a"]]), "missing 'tail' in graph edge"),
-    (jsonio.action_from_doc, _action([_without(_ATOM, "id")]), "missing 'id' in action atom"),
+     "graph.edges[0].head is missing"),
+    (jsonio.graph_from_doc, _graph([_VERTEX], [["v", "w", "a"]]),
+     "graph.edges[0] must be a JSON object (got ['v', 'w', 'a'])"),
+    (jsonio.action_from_doc, _action([_without(_ATOM, "id")]), "action.atoms[0].id is missing"),
     (jsonio.action_from_doc, _action([_without(_ATOM, "weight")]),
-     "missing 'weight' in action atom"),
-    (jsonio.action_from_doc, _action([["0", "1/2"]]), "missing 'id' in action atom"),
+     "action.atoms[0].weight is missing"),
+    (jsonio.action_from_doc, _action([["0", "1/2"]]),
+     "action.atoms[0] must be a JSON object (got ['0', '1/2'])"),
     (jsonio.action_from_doc, _action([_ATOM, _without(_ATOM, "weight")]),
-     "duplicate atom id (0)"),
-    (jsonio.action_from_doc, _action([_ATOM], [{}]), "missing 'perm' in action generator"),
+     "action.atoms[1].weight is missing"),
+    (jsonio.action_from_doc, _action([_ATOM], [{}]), "action.generators[0].perm is missing"),
     (jsonio.action_from_doc, _action([_ATOM], [[{"0": "0"}]]),
-     "missing 'perm' in action generator"),
+     "action.generators[0] must be a JSON object (got [{'0': '0'}])"),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(_ROW_MESSAGES)))
 def test_each_missing_row_field_keeps_its_message(case):
     parse, doc, message = _ROW_MESSAGES[case]
+    assert _message(parse, doc) == message
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (jsonio.graph_from_doc, _graph([_VERTEX, dict(_VERTEX, layer=1)]), "duplicate vertex id (v)"),
+    (jsonio.graph_from_doc, _graph([dict(_VERTEX, weight="x")]), _BAD_WEIGHT),
+    (jsonio.action_from_doc, _action([_ATOM, _ATOM]), "duplicate atom id (0)"),
+])
+def test_content_is_refused_once_the_shape_fits(parse, doc, message):
     assert _message(parse, doc) == message
 
 
