@@ -9,11 +9,10 @@ periodic subsets of Z^d.  All arithmetic is exact rational.
 __version__ = "0.1.0"
 
 from .commutativity import CommutativityVerdict, is_commutative
-from .density import (PeriodicSet, ShiftSystem, banach_density,
-                      correspondence_system, iterate_sumset, normalize,
-                      periodic_sumset, verify_correspondence,
-                      verify_density_plunnecke, verify_density_summands,
-                      window_scan)
+from .density import (PeriodicSet, banach_density, correspondence_system,
+                      iterate_sumset, normalize, periodic_sumset,
+                      verify_correspondence, verify_density_plunnecke,
+                      verify_density_summands, window_scan)
 from .dynamics import (FinAbGroup, FiniteAction, GroupSet, c, c_delta,
                        heavy_subset, iterate, move_set, orbit_graph,
                        product_action, product_set,
@@ -35,7 +34,7 @@ from .reports import VerificationReport
 __all__ = [
     "CommutativityVerdict", "CutsetReport", "FinAbGroup", "FiniteAction",
     "GroupSet", "HypothesisError", "InputError", "LayeredMeasureGraph",
-    "MagnificationResult", "PeriodicSet", "ShiftSystem", "VerificationReport",
+    "MagnificationResult", "PeriodicSet", "VerificationReport",
     "banach_density", "c", "c_delta", "channel",
     "correspondence_system", "cut_weight", "cutset_push", "dual", "flow",
     "format_rational", "heavy_subset", "image", "induced_subgraph",

@@ -7,10 +7,11 @@ that uses it.
 
 Exit codes: 0 = everything holds / everything valid, 1 = some check came back
 false (the counterexample is in the report), 2 = input error (malformed
-document, unknown file, an option or bundle order past its bound, or a check
-refused because its hypothesis fails), 3 = internal error (any other
-exception: a bug in the package).  An exit 2, a command line argparse
-rejects included, or an exit 3 writes one JSON line to stderr.
+document, unknown or unwritable file, an option, bundle order or graph
+height past its bound, or a check refused because its hypothesis fails),
+3 = internal error (any other exception: a bug in the package).  An exit 2,
+a command line argparse rejects included, or an exit 3 writes one JSON line
+to stderr.
 
 Reports are canonical JSON (sorted keys, fixed layout); timing is off by
 default so repeated runs with the same seed are byte-identical.
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from . import __version__, generators, jsonio
 from .commutativity import is_commutative
-from .density import (PeriodicSet, banach_density, contains, periodic_sumset,
+from .density import (banach_density, contains, periodic_sumset,
                       verify_correspondence, verify_density_plunnecke,
                       verify_density_summands, window_scan)
 from .dynamics import (MAX_GROUP_ORDER, FinAbGroup, GroupSet, orbit_graph,
@@ -46,13 +47,9 @@ from .graphcore import dual, flow, require_valid, validate
 from .magnification import (cut_weight, cutset_push, magnification_bruteforce,
                             magnification_mincut, min_weight_cutset,
                             verify_bottom_layer_minimal, verify_graph_plunnecke)
+from .jsonio import MAX_ORDER
 from .rational import format_rational, parse_rational
 from .reports import CSV_COLUMNS, VerificationReport, csv_row
-
-# The largest order j or k a bundle may ask for.  Iterated sumsets and the
-# k-th powers of the comparands grow with the order; generated bundles use
-# k <= 3.
-MAX_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +157,26 @@ def run_check_bundle(theorem: str, doc: dict, with_timing: bool = False) -> dict
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while writing ``path`` as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     text = jsonio.dumps_canonical(doc)
     if out_path:
-        Path(out_path).write_text(text)
+        with _writing(out_path):
+            Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as handle:
+    with _writing(path), open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
@@ -388,8 +395,7 @@ def _cmd_density(args) -> int:
 def _cmd_correspond(args) -> int:
     path, = args.files
     B = jsonio.periodic_from_doc(_load_json(path))
-    A0 = (jsonio.periodic_from_doc(_load_json(args.A0))
-          if args.A0 else PeriodicSet.finite(1, [(0,)]))
+    A0 = jsonio.periodic_from_doc(_load_json(args.A0)) if args.A0 else None
     report = verify_correspondence(B, A0, instance=Path(path).stem)
     _emit({"command": "correspond", "results": [report.to_doc()]}, args.out)
     return 0 if report.holds else 1
@@ -415,27 +421,29 @@ def _cmd_generate(args) -> int:
              if getattr(args, flag) is not None}
     out_dir = Path(args.dir)
     made_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
-    # A draw can be refused (MAX_ORBIT_EDGES depends on the drawn sizes), so
-    # each document is written under a hidden name and renamed only after
-    # the last draw: a refused run leaves no file or directory it created.
+    # A draw can be refused (MAX_ORBIT_EDGES depends on the drawn sizes), and
+    # a write can fail, so each document is written under a hidden name and
+    # renamed only after the last draw: a refused run leaves no file or
+    # directory it created.
     paths = [out_dir / f"{args.kind}_{args.seed:04d}_{i:04d}.json"
              for i in range(args.count)]
     staged = []
-    try:
-        for path in paths:
-            staged.append(path.with_name(f".{path.name}.tmp"))
-            staged[-1].write_text(jsonio.dumps_canonical(to_doc(make(rng, **sizes))))
-    except BaseException:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
-        for d in made_dirs:  # deepest first
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-    for tmp, path in zip(staged, paths):
-        tmp.replace(path)
+    with _writing(out_dir):
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for path in paths:
+                staged.append(path.with_name(f".{path.name}.tmp"))
+                staged[-1].write_text(jsonio.dumps_canonical(to_doc(make(rng, **sizes))))
+        except BaseException:
+            for tmp in staged:
+                tmp.unlink(missing_ok=True)
+            for d in made_dirs:  # deepest first
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+            raise
+        for tmp, path in zip(staged, paths):
+            tmp.replace(path)
     _emit({"command": "generate", "kind": args.kind, "seed": args.seed,
            "files": [str(path) for path in paths]}, args.out)
     return 0

@@ -6,9 +6,9 @@ every period-aligned cube holds exactly the same count, so all cube averages
 squeeze to that value.  Finite point sets appear as a density-0 stand-in used
 by the trivial branches of the inequalities.
 
-The one-dimensional correspondence system realizes a periodic set as the
-finite orbit of its indicator word under the coordinate shift, with the
-uniform measure and the clopen cylinder of words that start with 1.
+The correspondence system realizes a periodic set B of any dimension as the
+translation action of its minimal period box Z/p_1 x ... x Z/p_d on itself,
+with the uniform measure and the clopen set of B's residues.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ scan is refused as an input error before the oracle is called.
 """
 
 MAX_SUMSET_PAIRS = 10 ** 7
-"""Most residue pairs one sumset (or one projection mod p) may add up; the
-period box bounds them only by its square, so more are refused up front."""
+"""Most residue pairs one sumset (or one projection into a period box, per
+axis) may add up; the period box bounds them only by its square, so more are
+refused up front."""
 
 
 @dataclass(frozen=True)
@@ -152,11 +153,11 @@ def check_pairs(count: int, what: str = "residue sum") -> None:
 
 
 def _sum_mod(xs, ys, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """{x + y mod box : x in xs, y in ys}, coordinatewise."""
+    """{x + y mod box : x in xs, y in ys}, built one axis column at a time."""
     check_pairs(len(xs) * len(ys))
-    return frozenset(
-        tuple((a + b) % m for a, b, m in zip(x, y, box)) for x in xs for y in ys
-    )
+    axes = [[(a + b) % m for a in xa for b in ya]
+            for xa, ya, m in zip(zip(*xs), zip(*ys), box)]
+    return frozenset(zip(*axes))
 
 
 def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
@@ -294,65 +295,43 @@ def verify_density_summands(A_list: list[PeriodicSet], B: PeriodicSet,
     )
 
 
-@dataclass(frozen=True)
-class ShiftSystem:
-    """Finite orbit of a periodic 0/1 word under the coordinate shift.
+def _project(A0: PeriodicSet, box: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Image of ``A0`` in Z/box_1 x ... x Z/box_d.
 
-    ``word`` is one minimal period of the indicator; point t stands for the
-    word shifted by t, each carrying measure 1/period.  ``clopen`` collects
-    the points whose coordinate at the origin is 1.
+    A periodic ``A0`` is invariant under its period q_i on axis i, so its
+    image mod box_i is invariant under gcd(q_i, box_i) (Bezout): the image
+    is A0's residues plus every multiple of those gcds.
     """
-
-    period: int
-    word: tuple[int, ...]
-    clopen: frozenset[int]
-
-    def measure(self, points) -> Fraction:
-        pts = frozenset(int(t) % self.period for t in points)
-        return Fraction(len(pts), self.period)
-
-    def shift(self, t: int) -> int:
-        return (t + 1) % self.period
-
-    def translate(self, shifts, points) -> frozenset[int]:
-        return frozenset(
-            (s + t) % self.period for s in shifts for t in points
-        )
+    if A0.is_finite:
+        return _sum_mod(A0.residues, [(0,) * A0.dim], box)
+    steps = [range(0, m, gcd(q, m)) for q, m in zip(A0.period, box)]
+    return _sum_mod(A0.residues, list(itertools.product(*steps)), box)
 
 
-def _project_mod(A: PeriodicSet, p: int) -> frozenset[int]:
-    """Image of a one-dimensional set in Z/p."""
-    if A.is_finite:
-        return frozenset(pt[0] % p for pt in A.residues)
-    q = A.period[0]
-    g = gcd(q, p)
-    check_pairs(len(A.residues) * (p // g))
-    return frozenset((r[0] + g * m) % p for r in A.residues for m in range(p // g))
+def _correspondence_facts(B: PeriodicSet, A0: PeriodicSet | None
+                          ) -> tuple[PeriodicSet, dict, dict]:
+    """B in normalized form, the five measures and the three bridge verdicts.
 
-
-def _build_shift_system(B: PeriodicSet) -> ShiftSystem:
-    if B.dim != 1:
-        raise InputError("shift systems are one-dimensional")
+    The system is the translation action on B's period box with the uniform
+    measure, and B~ is the clopen set of B's residues, so A0.B~ is the sum of
+    A0's image with those residues and every measure is a count over the box.
+    A0 defaults to the origin of B's dimension.
+    """
+    if A0 is None:
+        A0 = PeriodicSet.finite(B.dim, [(0,) * B.dim])
+    if A0.dim != B.dim:
+        raise InputError(f"dimension mismatch ({A0.dim} vs {B.dim})")
     if B.is_finite:
         raise InputError("B must be periodic, not a finite point set")
     if not B.residues:
         raise InputError("B must be nonempty")
-    B = normalize(B)
-    p = B.period[0]
-    word = tuple(1 if (i,) in B.residues else 0 for i in range(p))
-    return ShiftSystem(p, word, frozenset(i for i in range(p) if word[i]))
-
-
-def _correspondence_facts(B: PeriodicSet,
-                          A0: PeriodicSet) -> tuple[ShiftSystem, dict, dict]:
-    if A0.dim != 1:
-        raise InputError("translate sets for the correspondence are one-dimensional")
-    system = _build_shift_system(B)
-    translated = system.translate(_project_mod(A0, system.period), system.clopen)
+    base = normalize(B)
+    cells = prod(base.period)
+    translated = _sum_mod(_project(A0, base.period), base.residues, base.period)
     measures = {
-        "mu_clopen": system.measure(system.clopen),
+        "mu_clopen": Fraction(len(base.residues), cells),
         "d_base": banach_density(B),
-        "mu_translated": system.measure(translated),
+        "mu_translated": Fraction(len(translated), cells),
         "d_sum": banach_density(periodic_sumset(A0, B)),
         "d_translates": banach_density(A0),
     }
@@ -361,32 +340,34 @@ def _correspondence_facts(B: PeriodicSet,
         "sum_equality": measures["mu_translated"] == measures["d_sum"],
         "translate_bound": measures["mu_translated"] >= measures["d_translates"],
     }
-    return system, measures, bridges
+    return base, measures, bridges
 
 
-def correspondence_system(B: PeriodicSet, A0: PeriodicSet | None = None) -> ShiftSystem:
-    """Build the orbit system of B and assert its exact density bridges.
+def correspondence_system(B: PeriodicSet, A0: PeriodicSet | None = None):
+    """B's orbit system as (translation action, clopen atom ids), bridges asserted.
 
-    The clopen set's measure equals the density of B; for a supplied finite
-    or periodic A0, the measure of A0 applied to the clopen set equals the
-    density of A0 + B and dominates the density of A0.
+    The action is Z/p_1 x ... x Z/p_d translating itself, p being B's minimal
+    period, and the clopen set holds B's residues.  Its measure equals the
+    density of B; the measure of A0 applied to it equals the density of
+    A0 + B and dominates the density of A0.  A0 defaults to the origin.
     """
-    if A0 is None:
-        A0 = PeriodicSet.finite(1, [(0,)])
-    system, _measures, bridges = _correspondence_facts(B, A0)
+    from .dynamics import FinAbGroup, translation_action, vec_id
+
+    base, _measures, bridges = _correspondence_facts(B, A0)
     if not bridges["base_equality"]:
         raise RuntimeError("clopen measure does not match the base density")
     if not bridges["sum_equality"]:
         raise RuntimeError("translated clopen measure does not match the sumset density")
     if not bridges["translate_bound"]:
         raise RuntimeError("translated clopen measure fell below the translate density")
-    return system
+    act = translation_action(FinAbGroup(base.period))
+    return act, frozenset(map(vec_id, base.residues))
 
 
-def verify_correspondence(B: PeriodicSet, A0: PeriodicSet,
+def verify_correspondence(B: PeriodicSet, A0: PeriodicSet | None = None,
                           instance: str = "periodic") -> VerificationReport:
-    """Report form of the three correspondence assertions."""
-    _system, measures, bridges = _correspondence_facts(B, A0)
+    """Report form of the three correspondence assertions; A0 defaults to the origin."""
+    _base, measures, bridges = _correspondence_facts(B, A0)
     return VerificationReport(
         instance=instance,
         theorem="lemma-7.1",
@@ -396,15 +377,3 @@ def verify_correspondence(B: PeriodicSet, A0: PeriodicSet,
         witness=[],
         details={**{key: format_rational(m) for key, m in measures.items()}, **bridges},
     )
-
-
-def shift_system_action(system: ShiftSystem):
-    """The system as a cyclic translation action plus its clopen atom set.
-
-    Returns (action, clopen_atoms) with atom ids matching the translation
-    action of Z/period, for cross-checks against the dynamical ratios.
-    """
-    from .dynamics import FinAbGroup, translation_action
-
-    act = translation_action(FinAbGroup((system.period,)))
-    return act, frozenset(str(t) for t in sorted(system.clopen))

@@ -25,6 +25,13 @@ from .graphcore import LayeredMeasureGraph
 from .rational import format_rational, parse_rational
 
 
+# The largest order j or k a bundle may ask for, and the largest height a
+# graph document may declare: iterated sumsets, the k-th powers of the
+# comparands and a graph's iterated images all grow with it.  Generated
+# bundles use k <= 3.
+MAX_ORDER = 64
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -199,6 +206,9 @@ def graph_to_doc(g: LayeredMeasureGraph) -> dict:
 def graph_from_doc(doc: dict, *, checked: bool = False) -> LayeredMeasureGraph:
     if not checked:
         check(doc, GRAPH, "graph")
+    if doc["height"] > MAX_ORDER:
+        raise InputError(f"graph.height must be at most MAX_ORDER ({MAX_ORDER}) "
+                         f"(got {doc['height']})")
     atoms, layer = {}, {}
     for row in doc["vertices"]:
         vid = row["id"]

@@ -367,6 +367,70 @@ class TestMalformedBundlesExitTwo:
         assert main(["verify", "thm-4.2", str(path)]) == 0
 
 
+    @pytest.mark.parametrize("check_id", ["thm-3.5", "cor-3.4"])
+    def test_graph_height_past_the_bound_is_refused_at_once(self, tmp_path, capsys,
+                                                             check_id):
+        bundle = cli.CHECKS[check_id][1](random.Random(3), check_id)
+        bundle["graph"]["height"] = 10 ** 9
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(bundle))
+        start = time.perf_counter()
+        assert main(["verify", check_id, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"graph.height must be at most MAX_ORDER ({MAX_ORDER}) "
+                                f"(got {10 ** 9})", "kind": "input"}
+
+    @pytest.mark.parametrize("argv", [["magnify", "--j", "2"], ["cutset", "--C", "1"],
+                                      ["commute"], ["validate"]])
+    def test_graph_file_past_the_height_bound_exits_two(self, tmp_path, capsys, o1, argv):
+        doc = jsonio.graph_to_doc(o1)
+        doc["height"] = 10 ** 9
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main([*argv, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "graph.height" in json.loads(capsys.readouterr().err)["error"]
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written is an input error (exit 2), not a bug."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "blocker"
+        path.write_text("a regular file\n")
+        return path
+
+    def _refused(self, capsys, path):
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input"
+        assert err["error"].startswith(f"cannot write {path}: ")
+
+    def test_out_under_a_regular_file_exits_two(self, capsys, blocker):
+        out = blocker / "r.json"
+        assert main(["verify", "thm-3.5", "--count", "1", "--out", str(out)]) == 2
+        self._refused(capsys, out)
+
+    def test_csv_under_a_regular_file_exits_two(self, tmp_path, capsys, blocker):
+        csv_path = blocker / "r.csv"
+        assert main(["verify", "thm-1.3", "--count", "2", "--out", str(tmp_path / "r.json"),
+                     "--csv", str(csv_path)]) == 2
+        self._refused(capsys, csv_path)
+
+    # the last one creates "new", then fails on a name past the length limit
+    @pytest.mark.parametrize("parts", [("blocker",), ("blocker", "new", "dir"),
+                                       ("new", "x" * 300)])
+    def test_unwritable_generate_dir_exits_two_and_leaves_nothing(self, tmp_path, capsys,
+                                                                   blocker, parts):
+        out_dir = tmp_path.joinpath(*parts)
+        assert main(["generate", "periodic", "--count", "3", "--dir", str(out_dir)]) == 2
+        self._refused(capsys, out_dir)
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "a regular file\n"
+
+
 class TestDeterminism:
     def test_verify_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -615,6 +679,46 @@ class TestCorrespondCommand:
         row = _stdout_doc(capsys)["results"][0]
         assert row["holds"] is True
         assert row["lhs"] == "1/2"
+
+    def test_two_dimensional_set_defaults_to_its_origin(self, tmp_path, capsys):
+        b = tmp_path / "b2.json"
+        b.write_text(json.dumps({"dim": 2, "period": [2, 3], "residues": [[0, 0], [1, 2]]}))
+        assert main(["correspond", str(b)]) == 0
+        row = _stdout_doc(capsys)["results"][0]
+        assert row["holds"] is True
+        assert row["lhs"] == row["rhs"] == "1/3"
+
+    def test_translates_of_another_dimension_exit_two(self, tmp_path, capsys):
+        b = tmp_path / "b2.json"
+        b.write_text(json.dumps({"dim": 2, "period": [2, 3], "residues": [[0, 0]]}))
+        a0 = tmp_path / "a0.json"
+        a0.write_text(json.dumps({"dim": 1, "finite": [[0], [1]]}))
+        assert main(["correspond", str(b), "--A0", str(a0)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "dimension mismatch (1 vs 2)", "kind": "input"}
+
+
+class TestTwoDimensionalCorrespondenceBundles:
+    def _bundle(self, tmp_path, a0):
+        b = generators.random_periodic_set(random.Random(11), dim=2, allow_empty=False)
+        path = tmp_path / "lemma-2d.json"
+        path.write_text(json.dumps({"instance": "lemma-2d", "theorem": "lemma-7.1",
+                                    "B": jsonio.periodic_to_doc(b), "A0": a0}))
+        return str(path)
+
+    def test_two_dimensional_bundle_holds(self, tmp_path, capsys):
+        a0 = {"dim": 2, "period": [3, 2], "residues": [[0, 1], [2, 0]]}
+        assert main(["verify", "lemma-7.1", self._bundle(tmp_path, a0)]) == 0
+        doc = _stdout_doc(capsys)
+        assert doc["holds"] is True
+        assert all(doc["results"][0]["details"][key] is True
+                   for key in ("base_equality", "sum_equality", "translate_bound"))
+
+    def test_one_dimensional_translates_exit_two(self, tmp_path, capsys):
+        a0 = {"dim": 1, "finite": [[0]]}
+        assert main(["verify", "lemma-7.1", self._bundle(tmp_path, a0)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "dimension mismatch (1 vs 2)", "kind": "input"}
 
 
 def test_every_check_accepts_its_bundles_from_files(tmp_path):

@@ -11,11 +11,11 @@ from plunnecke_lab import (GroupSet, HypothesisError, InputError, PeriodicSet,
                            iterate_sumset, move_set, normalize, periodic_sumset,
                            verify_correspondence, verify_density_plunnecke,
                            verify_density_summands, window_scan)
-from plunnecke_lab.density import (MAX_PERIOD_BOX, MAX_SCAN_CALLS, contains,
-                                   shift_system_action)
-from plunnecke_lab.dynamics import measure
+from plunnecke_lab.density import MAX_PERIOD_BOX, MAX_SCAN_CALLS, contains
+from plunnecke_lab.dynamics import measure, validate_action
 from plunnecke_lab.generators import (random_periodic_or_finite,
                                       random_periodic_set)
+from plunnecke_lab.rational import format_rational
 
 seeds = st.integers(0, 10 ** 9)
 
@@ -222,14 +222,14 @@ class TestBudgets:
         finite3 = PeriodicSet.finite(1, [(0,), (1,), (2,)])
         assert periodic_sumset(finite2, finite3).residues == {(0,), (1,), (2,), (5,), (6,), (7,)}
         assert periodic_sumset(finite2, b) == normalize(per((12,), (0,), (1,), (2,), (5,), (6,), (7,)))
-        assert density._project_mod(per((2,), (0,)), 6) == {0, 2, 4}
+        assert density._project(per((2,), (0,)), (6,)) == {(0,), (2,), (4,)}
         bigger = PeriodicSet.finite(1, [(0,), (1,), (2,), (3,)])
         for x, y in ((a, per((12,), (0,), (1,), (2,), (3,))), (finite2, bigger),
                      (bigger, b)):
             with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
                 periodic_sumset(x, y)
         with pytest.raises(InputError, match="MAX_SUMSET_PAIRS"):
-            density._project_mod(per((2,), (0,)), 14)
+            density._project(per((2,), (0,)), (14,))
 
     @pytest.mark.parametrize("side, radius, dim", [
         (1, MAX_SCAN_CALLS // 2, 1), (10, 1000, 2), (1, 1, 10 ** 9)])
@@ -372,11 +372,28 @@ class TestDensitySummands:
         assert verify_density_summands(A_list, b).holds
 
 
+def image_in_box(A: PeriodicSet, box: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """A mod box, read off one lcm box of A's period and box: a test oracle
+    for density._project."""
+    if A.is_finite:
+        return {tuple(x % m for x, m in zip(pt, box)) for pt in A.residues}
+    span = [lcm(q, m) for q, m in zip(A.period, box)]
+    return {tuple(x % m for x, m in zip(pt, box))
+            for pt in itertools.product(*map(range, span)) if contains(A, pt)}
+
+
+def atom_ids(A: PeriodicSet, box: tuple[int, ...]) -> set[str]:
+    """Ids of the cells of ``box`` that lie in A."""
+    return {",".join(map(str, pt))
+            for pt in itertools.product(*map(range, box)) if contains(A, pt)}
+
+
 class TestCorrespondence:
     def test_two_z_system(self):
-        system = correspondence_system(two_z)
-        assert system.period == 2
-        assert system.measure(system.clopen) == Fraction(1, 2)
+        act, clopen = correspondence_system(two_z)
+        assert act.group.moduli == (2,)
+        assert clopen == {"0"}
+        assert measure(act, clopen) == Fraction(1, 2)
 
     def test_pinned_mod_four(self):
         b = per((4,), (0,), (1,))
@@ -385,21 +402,52 @@ class TestCorrespondence:
         assert report.holds
         assert report.lhs == report.rhs == Fraction(3, 4)
 
+    def test_pinned_checkerboard_in_two_dimensions(self):
+        b = per((2, 2), (0, 0), (1, 1))
+        act, clopen = correspondence_system(b)
+        assert act.group.moduli == (2, 2)
+        assert clopen == {"0,0", "1,1"}
+        a0 = PeriodicSet.finite(2, [(0, 0), (1, 0)])
+        report = verify_correspondence(b, a0)
+        assert report.holds
+        assert report.lhs == report.rhs == 1
+        assert report.details["mu_clopen"] == "1/2"
+
     def test_full_line_is_a_single_point(self):
-        system = correspondence_system(z_line)
-        assert system.period == 1
-        assert system.measure(system.clopen) == 1
+        act, clopen = correspondence_system(z_line)
+        assert act.group.moduli == (1,)
+        assert measure(act, clopen) == 1
+
+    def test_default_translate_is_the_origin_of_b(self):
+        for b in (two_z, per((3, 2), (0, 1), (2, 0))):
+            origin = PeriodicSet.finite(b.dim, [(0,) * b.dim])
+            assert correspondence_system(b) == correspondence_system(b, origin)
+            assert verify_correspondence(b) == verify_correspondence(b, origin)
 
     def test_rejects_empty_and_finite_bases(self):
         with pytest.raises(InputError):
             correspondence_system(per((3,)))
         with pytest.raises(InputError):
             correspondence_system(zero_pt)
+        with pytest.raises(InputError, match="nonempty"):
+            correspondence_system(per((3, 2)))
+        with pytest.raises(InputError, match="finite point set"):
+            correspondence_system(PeriodicSet.finite(2, [(0, 0)]))
+
+    def test_rejects_a_dimension_mismatch(self):
+        b2 = per((2, 2), (0, 0))
+        with pytest.raises(InputError, match=r"dimension mismatch \(1 vs 2\)"):
+            verify_correspondence(b2, zero_pt)
+        with pytest.raises(InputError, match=r"dimension mismatch \(2 vs 1\)"):
+            correspondence_system(two_z, PeriodicSet.finite(2, [(0, 0)]))
 
     def test_shift_is_measure_preserving_bijection(self):
-        system = correspondence_system(per((6,), (0,), (1,), (3,)))
-        images = {system.shift(t) for t in range(system.period)}
-        assert images == set(range(system.period))
+        for b in (per((6,), (0,), (1,), (3,)), per((3, 4), (0, 1), (2, 3))):
+            act, _clopen = correspondence_system(b)
+            assert validate_action(act) == []
+            for perm in act.generator_perms:
+                assert set(perm.values()) == set(act.atoms)
+                assert all(act.atoms[perm[x]] == act.atoms[x] for x in act.atoms)
 
     def test_a_failed_bridge_raises_and_reports_false(self, monkeypatch):
         true_density = density.banach_density
@@ -417,25 +465,37 @@ class TestCorrespondence:
     @given(seeds)
     def test_all_three_bridges_hold_on_random_instances(self, seed):
         rng = random.Random(seed)
-        b = random_periodic_set(rng, dim=1, allow_empty=False)
-        a0 = random_periodic_or_finite(rng, dim=1)
+        dim = rng.randint(1, 2)
+        b = random_periodic_set(rng, dim=dim, allow_empty=False)
+        a0 = random_periodic_or_finite(rng, dim=dim)
         report = verify_correspondence(b, a0)
         assert report.holds
         assert report.details["base_equality"]
         assert report.details["sum_equality"]
         assert report.details["translate_bound"]
 
-    @given(seeds)
-    @settings(max_examples=25)
-    def test_agrees_with_dynamical_ratio_quantities(self, seed):
-        # the orbit system of a periodic word is the finite translation action
-        rng = random.Random(seed)
-        b = random_periodic_set(rng, dim=1, allow_empty=False)
-        system = correspondence_system(b)
-        act, clopen = shift_system_action(system)
-        p = system.period
-        translates = sorted({rng.randrange(p) for _ in range(rng.randint(1, 3))})
-        A = GroupSet.of(act.group, [(t,) for t in translates])
-        moved = move_set(act, A, clopen)
-        shifted = periodic_sumset(PeriodicSet.finite(1, [(t,) for t in translates]), b)
-        assert measure(act, moved) == banach_density(shifted)
+    def test_agrees_with_dynamical_ratio_quantities(self):
+        # The system is the translation action of B's period box: the
+        # measures of B~ and of A0.B~, formed with move_set on that action,
+        # equal the counts verify_correspondence reports, in 1-D and 2-D.
+        rng = random.Random(7107)
+        for draw in range(400):
+            dim = 1 + draw % 2
+            b = random_periodic_set(rng, dim=dim, allow_empty=False)
+            a0 = random_periodic_or_finite(rng, dim=dim)
+            act, clopen = correspondence_system(b, a0)
+            box = act.group.moduli
+            assert box == normalize(b).period
+            assert clopen == atom_ids(b, box)
+            moved = move_set(act, GroupSet.of(act.group, image_in_box(a0, box)), clopen)
+            details = verify_correspondence(b, a0).details
+            assert details["mu_clopen"] == format_rational(measure(act, clopen))
+            assert details["mu_translated"] == format_rational(measure(act, moved))
+
+    def test_projection_matches_the_lcm_box_oracle(self):
+        rng = random.Random(7108)
+        for draw in range(200):
+            dim = 1 + draw % 2
+            a0 = random_periodic_or_finite(rng, dim=dim)
+            box = random_periodic_set(rng, dim=dim).period
+            assert density._project(a0, box) == image_in_box(a0, box)

@@ -129,6 +129,16 @@ def test_graph_files_with_non_string_ids_exit_two(tmp_path, capsys, doc, message
     assert code == 2 and err == [json.dumps({"error": message, "kind": "input"})]
 
 
+def test_graph_height_is_bounded_when_read():
+    assert cli.MAX_ORDER is jsonio.MAX_ORDER
+    doc = _graph_doc()
+    doc["height"] = jsonio.MAX_ORDER
+    assert jsonio.graph_from_doc(doc).height == jsonio.MAX_ORDER
+    doc["height"] = jsonio.MAX_ORDER + 1
+    with pytest.raises(InputError, match=r"^graph\.height must be at most MAX_ORDER"):
+        jsonio.graph_from_doc(doc)
+
+
 def test_an_edge_label_that_is_not_a_string_exits_two(tmp_path, capsys):
     doc = _graph_doc()
     doc["edges"][0]["label"] = ["x"]
