@@ -62,11 +62,8 @@ class PeriodicSet:
         if not period or any(p < 1 for p in period):
             raise InputError(f"period must be positive (got {period})")
         check_period_box(period)
-        reduced = frozenset(
-            tuple(x % p for x, p in zip(_point(r, len(period)), period))
-            for r in residues
-        )
-        return cls(len(period), period, reduced)
+        points = [_point(r, len(period)) for r in residues]
+        return cls(len(period), period, _reduce(points, period))
 
     @classmethod
     def finite(cls, dim, points) -> "PeriodicSet":
@@ -114,28 +111,59 @@ def contains(A: PeriodicSet, point) -> bool:
     return tuple(x % p for x, p in zip(point, A.period)) in A.residues
 
 
+def _reduce(points, box) -> frozenset[tuple[int, ...]]:
+    """{x mod box : x in points}, reduced one axis column at a time."""
+    columns = [[x % m for x in column] for column, m in zip(zip(*points), box)]
+    return frozenset(zip(*columns))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing ``n``, by trial division."""
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _invariant(residues, axis: int, step: int, p: int) -> bool:
+    """Whether shifting every residue by ``step`` along ``axis`` (mod p) keeps
+    it in ``residues``; the shift is a bijection, so it then fixes the set."""
+    return all(r[:axis] + ((r[axis] + step) % p,) + r[axis + 1:] in residues
+               for r in residues)
+
+
 def normalize(A: PeriodicSet) -> PeriodicSet:
-    """Canonical minimal-period form; density is unchanged."""
+    """Canonical minimal-period form; density is unchanged.
+
+    The shifts along axis i that fix the residues form a subgroup of Z/p_i,
+    so the minimal period q_i divides p_i and the invariant periods are its
+    multiples.  Starting from p_i, q is divided by each prime r of p_i for
+    as long as the shift by s = q/r still fixes the residues, which ends at
+    q_i.  A shift by s moves each residue along an orbit of p_i/s of them,
+    so it is tried only when p_i/s divides their count.
+    """
     if A.is_finite:
         return A
     if not A.residues:
         return PeriodicSet(A.dim, (1,) * A.dim, frozenset())
+    count = len(A.residues)
     new_period = []
-    for i in range(A.dim):
-        p = A.period[i]
-        for q in range(1, p + 1):
-            if p % q:
-                continue
-            shifted = frozenset(
-                r[:i] + ((r[i] + q) % p,) + r[i + 1:] for r in A.residues
-            )
-            if shifted == A.residues:
-                new_period.append(q)
-                break
-    reduced = frozenset(
-        tuple(x % q for x, q in zip(r, new_period)) for r in A.residues
-    )
-    return PeriodicSet(A.dim, tuple(new_period), reduced)
+    for i, p in enumerate(A.period):
+        q = p
+        for r in _prime_factors(p):
+            while (q % r == 0 and count % (p // (q // r)) == 0
+                   and _invariant(A.residues, i, q // r, p)):
+                q //= r
+        new_period.append(q)
+    if new_period == list(A.period):
+        return A
+    return PeriodicSet(A.dim, tuple(new_period), _reduce(A.residues, new_period))
 
 
 def banach_density(A: PeriodicSet) -> Fraction:
@@ -183,9 +211,8 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
         summed = _sum_mod(A.residues, B.residues, A.period)
         return normalize(PeriodicSet(A.dim, A.period, summed))
     box = tuple(gcd(p, q) for p, q in zip(A.period, B.period))
-    ra = frozenset(tuple(x % m for x, m in zip(r, box)) for r in A.residues)
-    rb = frozenset(tuple(x % m for x, m in zip(r, box)) for r in B.residues)
-    return normalize(PeriodicSet(A.dim, box, _sum_mod(ra, rb, box)))
+    summed = _sum_mod(_reduce(A.residues, box), _reduce(B.residues, box), box)
+    return normalize(PeriodicSet(A.dim, box, summed))
 
 
 def iterate_sumset(A: PeriodicSet, k: int) -> PeriodicSet:

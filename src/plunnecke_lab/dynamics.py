@@ -27,8 +27,8 @@ from .density import check_pairs
 from .errors import InputError
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .magnification import MagnificationResult
-from .maxflow import min_ratio_bruteforce, min_ratio_mincut
-from .rational import exact_weights, format_rational
+from .maxflow import exact_sum, min_ratio_bruteforce, min_ratio_mincut, to_integers
+from .rational import exact_weights, format_rational, parse_rational
 from .reports import VerificationReport
 
 SpaceSet = frozenset[str]
@@ -203,7 +203,7 @@ def validate_action(act: FiniteAction) -> list[str]:
     pairs = [w.as_integer_ratio() for w in weights.values()]
     for v in sorted(v for v, (num, _den) in zip(weights, pairs) if num <= 0):
         found.append(f"nonpositive weight at ({v})")
-    ints, scale = maxflow.to_integers(pairs)
+    ints, scale = to_integers(pairs)
     total = sum(ints)
     if total != scale:
         found.append(f"weights must sum to 1 (got {format_rational(Fraction(total, scale))})")
@@ -259,7 +259,7 @@ def move_set(act: FiniteAction, A: GroupSet, S: Iterable[str]) -> SpaceSet:
 
 
 def measure(act: FiniteAction, S: Iterable[str]) -> Fraction:
-    return sum((act.atoms[x] for x in S), Fraction(0))
+    return exact_sum(map(act.atoms.__getitem__, S))
 
 
 def check_action_size(size: int, what: str) -> None:
@@ -297,11 +297,17 @@ def product_action(first: FiniteAction, second: FiniteAction) -> FiniteAction:
     """
     check_action_size(len(first.atoms) * len(second.atoms), "product action")
     group = FinAbGroup(first.group.moduli + second.group.moduli)
-    atoms = {
-        f"{x}|{y}": wx * wy
-        for x, wx in first.atoms.items()
-        for y, wy in second.atoms.items()
-    }
+    # one product per distinct pair of factor weights, shared by its atoms
+    column: dict[Fraction, int] = {}
+    kinds = [column.setdefault(wy, len(column)) for wy in second.atoms.values()]
+    rows: dict[Fraction, list[Fraction]] = {}
+    atoms = {}
+    for x, wx in first.atoms.items():
+        row = rows.get(wx)
+        if row is None:
+            row = rows[wx] = [wx * wy for wy in column]
+        for y, k in zip(second.atoms, kinds):
+            atoms[f"{x}|{y}"] = row[k]
     perms = []
     for perm in first.generator_perms:
         perms.append({f"{x}|{y}": f"{perm[x]}|{y}" for x in first.atoms for y in second.atoms})
@@ -411,7 +417,7 @@ def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction
     Brute force over subsets (knapsack-flavoured constraint), so a B of more
     than maxflow.BRUTE_FORCE_LIMIT atoms is refused before any image is formed.
     """
-    delta = Fraction(delta)
+    delta = parse_rational(delta)
     if not 0 < delta <= 1:
         raise InputError(f"delta must lie in (0, 1] (got {delta})")
     require_valid_action(act)
@@ -506,7 +512,7 @@ def heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
 def _grow_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
                        j: int, k: int) -> tuple[SpaceSet, bool]:
     """``heavy_subset``'s subset, and whether it meets the growth bound."""
-    delta = Fraction(delta)
+    delta = parse_rational(delta)
     if not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1) (got {delta})")
     if not 0 < j <= k:
@@ -536,7 +542,7 @@ def verify_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
                         ) -> VerificationReport:
     """Heavy-ratio bound c_delta(A^k, B)^j <= (1-delta)^-k * (mu(A^j.B)/mu(B))^k,
     re-verified together with both properties of the constructed heavy subset."""
-    delta = Fraction(delta)
+    delta = parse_rational(delta)
     B = _check_atoms(act, B)
     chosen, bound_ok = _grow_heavy_subset(act, A, B, delta, j, k)
     heavy_ok = measure(act, chosen) >= delta * measure(act, B)

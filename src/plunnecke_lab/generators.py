@@ -85,17 +85,19 @@ def random_cyclic_action(rng: random.Random, modulus: int,
     divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
     lengths = [rng.choice(divisors) for _ in range(rng.randint(1, max_cycles))]
     perm: dict[str, str] = {}
-    raw: dict[str, Fraction] = {}
+    cycles = []
     idx = 0
     for length in lengths:
         cycle = [f"x{idx + i}" for i in range(length)]
         idx += length
-        w = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        cycles.append((cycle, Fraction(rng.randint(1, 4), rng.randint(1, 4))))
         for i, atom in enumerate(cycle):
-            raw[atom] = w
             perm[atom] = cycle[(i + 1) % length]
-    total = sum(raw.values(), Fraction(0))
-    atoms = {atom: w / total for atom, w in raw.items()}
+    # one division per cycle; every atom of a cycle shares its weight
+    total = sum(w * len(cycle) for cycle, w in cycles)
+    atoms = {}
+    for cycle, w in cycles:
+        atoms.update(dict.fromkeys(cycle, w / total))
     return FiniteAction(group, atoms, (perm,))
 
 

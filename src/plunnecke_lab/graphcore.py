@@ -20,6 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError
+from .maxflow import exact_sum
 from .rational import exact_weights
 
 Edge = tuple[str, str, str]  # (tail, head, label)
@@ -79,7 +80,7 @@ class LayeredMeasureGraph:
         return cls(atoms, layer, height, frozenset(labels), edge_set)
 
     def weight(self, vertices: Iterable[str]) -> Fraction:
-        return sum((self.atoms[v] for v in vertices), Fraction(0))
+        return exact_sum(map(self.atoms.__getitem__, vertices))
 
     def total_weight(self) -> Fraction:
         return self.weight(self.atoms)
@@ -277,7 +278,7 @@ def flow(g: LayeredMeasureGraph) -> Fraction:
     """
     if g.height != 1:
         raise InputError(f"flow needs a 1-layered graph (height {g.height})")
-    return sum((g.atoms[t] for t, _, _ in g.edges), Fraction(0))
+    return exact_sum(g.atoms[t] for t, _, _ in g.edges)
 
 
 def truncate(g: LayeredMeasureGraph, k: int) -> LayeredMeasureGraph:

@@ -24,7 +24,7 @@ from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closur
                         iterated_image, require_valid)
 from .maxflow import (FlowNetwork, lex_min_greedy, min_ratio_bruteforce, min_ratio_mincut,
                       pinned_queries, to_integers)
-from .rational import format_rational
+from .rational import format_rational, parse_rational
 from .reports import VerificationReport
 
 
@@ -70,10 +70,30 @@ def _require_commutative(g: LayeredMeasureGraph) -> None:
 
 
 def _rate(C) -> Fraction:
-    C = Fraction(C)
+    """``C`` as a positive rational (``rational.parse_rational``)."""
+    C = parse_rational(C)
     if C <= 0:
         raise InputError("C must be positive")
     return C
+
+
+def _discounted(g: LayeredMeasureGraph, vertices, C: Fraction) -> tuple[list[int], int]:
+    """``to_integers`` of C**-layer(v) * weight(v) over ``vertices``, in order.
+
+    For C = p/q and weight(v) = num/den the term is q**l * num / (p**l * den);
+    both powers are formed once per layer.
+    """
+    p, q = C.numerator, C.denominator
+    powers: dict[int, tuple[int, int]] = {}
+    pairs = []
+    for v in vertices:
+        l = g.layer[v]
+        scaled = powers.get(l)
+        if scaled is None:
+            scaled = powers[l] = (q ** l, p ** l)
+        w = g.atoms[v]
+        pairs.append((scaled[0] * w.numerator, scaled[1] * w.denominator))
+    return to_integers(pairs)
 
 
 def magnification_bruteforce(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
@@ -103,8 +123,8 @@ def mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:
 def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:
     """Layer-discounted weight: sum over v in S of C**-layer(v) * weight(v)."""
     C = _rate(C)
-    S = _check_vertices(g, S)
-    return sum((C ** (-g.layer[v]) * g.atoms[v] for v in S), Fraction(0))
+    ints, scale = _discounted(g, _check_vertices(g, S), C)
+    return Fraction(sum(ints), scale)
 
 
 def is_cutset(g: LayeredMeasureGraph, S: Iterable[str]) -> bool:
@@ -127,10 +147,7 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     require_valid(g)
     ids = sorted(g.atoms)
     index = {v: i for i, v in enumerate(ids)}
-    # C**-l * w(v) is q**l * num / (p**l * den) for C = p/q and w(v) = num/den
-    p, q = C.numerator, C.denominator
-    wci, scale = to_integers([(q ** g.layer[v] * g.atoms[v].numerator,
-                               p ** g.layer[v] * g.atoms[v].denominator) for v in ids])
+    wci, scale = _discounted(g, ids, C)
     inf = 1 + sum(wci)
     net = FlowNetwork(2 + 2 * len(ids), [
         *((2 + 2 * i, 3 + 2 * i, w) for i, w in enumerate(wci)),
@@ -160,7 +177,7 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
 
 def push_penalty(label_count: int, C, eps) -> Fraction:
     """Slack added by one push of a cutset that was within eps of optimal."""
-    C, eps = Fraction(C), Fraction(eps)
+    C, eps = parse_rational(C), parse_rational(eps)
     return eps + 4 * label_count ** 2 * C * eps + 4 * label_count ** 2 * eps
 
 

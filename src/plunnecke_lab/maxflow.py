@@ -2,10 +2,11 @@
 
 Capacities are arbitrary-precision integers (rational inputs get scaled by a
 common denominator), so min-cut values and every ratio computed here are
-exact; ``to_integers`` is the one place denominators are cleared.  The ratio
-solvers minimize  weight(N(S)) / weight(S)  for one measure ``weight`` over
-nonempty subsets S of a source set, where N(S) is the union of per-source
-neighbor sets; ties are broken toward the lexicographically smallest witness.
+exact; ``to_integers`` is the one place denominators are cleared, and
+``exact_sum`` adds the package's weights through it.  The ratio solvers
+minimize  weight(N(S)) / weight(S)  for one measure ``weight`` over nonempty
+subsets S of a source set, where N(S) is the union of per-source neighbor
+sets; ties are broken toward the lexicographically smallest witness.
 Both refuse a source weight <= 0 and a neighbor weight < 0.
 
 ``min_ratio_mincut`` runs Dinkelbach's rounds on one network.  The rounds
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from .errors import InputError
-from .rational import exact_weight
+from .rational import exact_weight, parse_rational
 
 BRUTE_FORCE_LIMIT = 20  # the most sources min_ratio_bruteforce enumerates
 
@@ -183,6 +185,21 @@ def to_integers(pairs) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in pairs], scale
 
 
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The sum of ints and Fractions as one Fraction.
+
+    Numerators are added per denominator, the few per-denominator sums are
+    brought over their common denominator by ``to_integers``, and only the
+    total becomes a Fraction; the empty sum is 0.
+    """
+    by_den: dict[int, int] = {}
+    for w in values:
+        den = w.denominator
+        by_den[den] = by_den.get(den, 0) + w.numerator
+    ints, scale = to_integers([(num, den) for den, num in by_den.items()])
+    return Fraction(sum(ints), scale)
+
+
 def _integerize(sources, neighbors, weight):
     """Scaled source weights, sorted targets' weights, and source -> target indices.
 
@@ -210,8 +227,9 @@ def min_ratio_bruteforce(sources, neighbors, weight,
     """Enumerate every nonempty subset of ``sources`` exactly.
 
     Refuses more than BRUTE_FORCE_LIMIT sources and a ``min_share`` outside
-    [0, 1].  Only subsets weighing at least ``min_share`` times the whole
-    source set compete, so the whole set always does.  Subsets are
+    [0, 1] or refused by ``rational.parse_rational`` (a float, a bool, a
+    decimal string).  Only subsets weighing at least ``min_share`` times the
+    whole source set compete, so the whole set always does.  Subsets are
     walked depth-first, each right after its prefix, so in lexicographic
     order of their sorted indices, and the first one to beat every earlier
     one strictly is the lex-min minimizer.  Images and weights, on scaled
@@ -223,7 +241,7 @@ def min_ratio_bruteforce(sources, neighbors, weight,
         raise InputError("empty source set")
     if n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute force limited to {BRUTE_FORCE_LIMIT} sources (got {n})")
-    min_share = Fraction(min_share)
+    min_share = parse_rational(min_share)
     if not 0 <= min_share <= 1:
         raise InputError(f"min_share must lie in [0, 1] (got {min_share})")
     sw, dw, nbr = _integerize(sources, neighbors, weight)

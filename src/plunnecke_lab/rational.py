@@ -81,14 +81,18 @@ def exact_weight(key, w) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Canonical ``p/q`` form; the denominator is always written (``3 -> "3/1"``).
+    """Canonical ``p/q`` form of an int or a Fraction; the denominator is
+    always written (``3 -> "3/1"``).
 
-    A value with more digits than Python converts between int and str raises
-    InputError.
+    Any other type, floats and bools included, raises InputError, as does a
+    value with more digits than Python converts between int and str.
     """
-    frac = Fraction(value)
+    if type(value) is not Fraction and (isinstance(value, bool)
+                                        or not isinstance(value, (int, Fraction))):
+        raise InputError(f"cannot write {value!r} as a rational; "
+                         f"expected an int or a Fraction")
     try:
-        return f"{frac.numerator}/{frac.denominator}"
+        return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
         raise InputError(f"rational past the {sys.get_int_max_str_digits()}-digit "
                          f"limit cannot be written") from exc

@@ -101,6 +101,72 @@ def test_block_count_matches_the_matching_oracle():
     assert dual_failures >= 50
 
 
+# -- the verdict-only pass against the full pass ------------------------------
+# The package decides the verdict from edge counts and builds the witness
+# injections only when they are read; this is the pass it replaced, which
+# built every injection while it decided.
+
+
+def full_pass(edges):
+    """(holds, failing edge, witnesses) with every injection built on the way."""
+    edges = sorted(edges)
+    out_edges, parallel, tail_of = {}, {}, {}
+    for e in edges:
+        out_edges.setdefault(e[0], []).append(e)
+        parallel.setdefault(e[:2], []).append(e)
+        tail_of[e[1], e[2]] = e[0]
+    witnesses = {}
+    for x, y, a in edges:
+        used, pairs = {}, []
+        for e in out_edges.get(y, ()):
+            w = tail_of.get((e[1], a))
+            block = parallel.get((x, w), ())
+            k = used.get(w, 0)
+            if k == len(block):
+                return False, (x, y, a), None
+            used[w] = k + 1
+            pairs.append((e, block[k]))
+        witnesses[(x, y, a)] = tuple(pairs)
+    return True, None, witnesses
+
+
+def test_verdict_only_pass_matches_the_full_pass():
+    rng = random.Random(2026)
+    graphs = _differential_battery()
+    for _ in range(150):
+        graphs.append(random_orbit_graph(rng, max_n=12, max_a=4, max_h=4))
+        graphs.append(random_layered_graph(rng, max_layer0=8, max_width=6, max_height=4))
+    held = 0
+    for g in graphs:
+        verdict = is_commutative(g)
+        holds, failing, witnesses = full_pass(g.edges)
+        assert (verdict.holds, verdict.failing_edge) == (holds, failing)
+        if holds:
+            held += 1
+            assert list(verdict.matching_witnesses.items()) == list(witnesses.items())
+        else:
+            assert verdict.matching_witnesses is None
+    assert 100 < held < len(graphs) - 100
+
+
+def test_witnesses_are_built_once_and_only_when_read(monkeypatch, o1_full):
+    built = []
+    real = commutativity._witness_injections
+
+    def counting(edges):
+        built.append(1)
+        return real(edges)
+
+    monkeypatch.setattr(commutativity, "_witness_injections", counting)
+    verdict = is_commutative(o1_full)
+    assert verdict.holds and not built
+    edge = min(o1_full.edges)
+    assert verdict.matching_witnesses[edge] == full_pass(o1_full.edges)[2][edge]
+    assert len(verdict.matching_witnesses) == len(o1_full.edges)
+    assert check_witnesses(o1_full, verdict)
+    assert len(built) == 1
+
+
 def test_chain_counterexample_fails_with_documented_edge(chain_counterexample):
     verdict = is_commutative(chain_counterexample)
     assert not verdict.holds

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,7 @@ from plunnecke_lab import (GroupSet, HypothesisError, InputError, PeriodicSet,
                            verify_correspondence, verify_density_plunnecke,
                            verify_density_summands, window_scan)
 from plunnecke_lab.density import MAX_PERIOD_BOX, MAX_SCAN_CALLS, contains
-from plunnecke_lab.dynamics import measure, validate_action
+from plunnecke_lab.dynamics import FinAbGroup, measure, translation_action, validate_action
 from plunnecke_lab.generators import (random_periodic_or_finite,
                                       random_periodic_set)
 from plunnecke_lab.rational import format_rational
@@ -50,6 +50,69 @@ class TestNormalize:
     def test_density_is_invariant(self, seed):
         a = random_periodic_set(random.Random(seed))
         assert banach_density(normalize(a)) == banach_density(a)
+
+
+def normalize_by_divisor_scan(A):
+    """Oracle: each axis's minimal period as the first divisor q of p whose
+    shift fixes the residues, one shifted set per divisor tried."""
+    if A.is_finite:
+        return A
+    if not A.residues:
+        return PeriodicSet(A.dim, (1,) * A.dim, frozenset())
+    new_period = []
+    for i, p in enumerate(A.period):
+        for q in range(1, p + 1):
+            if p % q == 0 and A.residues == frozenset(
+                    r[:i] + ((r[i] + q) % p,) + r[i + 1:] for r in A.residues):
+                new_period.append(q)
+                break
+    reduced = frozenset(tuple(x % q for x, q in zip(r, new_period)) for r in A.residues)
+    return PeriodicSet(A.dim, tuple(new_period), reduced)
+
+
+def _draw_periodic(rng, dim, cap):
+    """A set whose minimal period is often a proper divisor of its period:
+    residues drawn in a small box, then lifted to a multiple of it."""
+    base = tuple(rng.randint(1, cap) for _ in range(dim))
+    cells = list(itertools.product(*map(range, base)))
+    drawn = rng.sample(cells, rng.randint(0, len(cells)))
+    if rng.random() < 0.3:
+        return PeriodicSet.periodic(base, drawn)
+    times = tuple(rng.randint(1, cap) for _ in range(dim))
+    period = tuple(b * t for b, t in zip(base, times))
+    lifted = [tuple(x + k * b for x, k, b in zip(r, ks, base))
+              for r in drawn for ks in itertools.product(*map(range, times))]
+    return PeriodicSet.periodic(period, lifted)
+
+
+class TestNormalizeOracle:
+    @pytest.mark.parametrize("dim, cap", [(1, 36), (2, 6), (3, 3)])
+    def test_prime_descent_matches_the_divisor_scan(self, dim, cap):
+        rng = random.Random(f"normalize-{dim}")
+        reduced = 0
+        for _ in range(300):
+            A = _draw_periodic(rng, dim, cap)
+            got = normalize(A)
+            assert got == normalize_by_divisor_scan(A), A
+            reduced += got.period != A.period
+        assert reduced >= 100
+
+    def test_pinned_periods(self):
+        assert normalize(per((12,), (1,), (5,), (9,))) == per((4,), (1,))
+        assert normalize(per((30,), *[(x,) for x in range(0, 30, 5)])) == per((5,), (0,))
+        assert normalize(per((8, 9), *[(x, y) for x in (1, 5) for y in (0, 3, 6)])) \
+            == per((4, 3), (1, 0))
+        assert normalize(per((7,), (0,), (3,))).period == (7,)
+
+    def test_periodic_reduces_like_one_point_at_a_time(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            dim = rng.randint(1, 3)
+            period = tuple(rng.randint(1, 9) for _ in range(dim))
+            points = [tuple(rng.randint(-40, 40) for _ in range(dim))
+                      for _ in range(rng.randint(0, 12))]
+            expected = {tuple(x % p for x, p in zip(pt, period)) for pt in points}
+            assert PeriodicSet.periodic(period, points).residues == expected
 
 
 class TestSumsets:
@@ -491,6 +554,24 @@ class TestCorrespondence:
             details = verify_correspondence(b, a0).details
             assert details["mu_clopen"] == format_rational(measure(act, clopen))
             assert details["mu_translated"] == format_rational(measure(act, moved))
+
+    @pytest.mark.parametrize("dim, cap", [(1, 24), (2, 6)])
+    def test_gcd_box_density_matches_move_set_on_the_lcm_box(self, dim, cap):
+        # A second route to the densities of thm-1.3 and thm-1.4: lift A and
+        # B to the translation action of their lcm box and measure A.B there.
+        rng = random.Random(f"lcm-box-move-{dim}")
+        drawn = 0
+        while drawn < 150:
+            A = _draw_set(rng, tuple(rng.randint(1, cap) for _ in range(dim)))
+            B = _draw_set(rng, tuple(rng.randint(1, cap) for _ in range(dim)))
+            box = tuple(lcm(p, q) for p, q in zip(A.period, B.period))
+            if prod(box) > 144:
+                continue
+            drawn += 1
+            act = translation_action(FinAbGroup(box))
+            moved = move_set(act, GroupSet.of(act.group, image_in_box(A, box)),
+                             atom_ids(B, box))
+            assert measure(act, moved) == banach_density(periodic_sumset(A, B)), (A, B)
 
     def test_projection_matches_the_lcm_box_oracle(self):
         rng = random.Random(7108)
