@@ -47,35 +47,75 @@ class PeriodicSet:
     """{x in Z^d : x mod period in residues}, or (period None) a finite set.
 
     For the finite variant ``residues`` holds the points themselves; such
-    sets carry Banach density zero.
+    sets carry Banach density zero.  The constructor refuses, with
+    InputError, a ``dim`` that is not a positive int, a period that is not a
+    tuple of ``dim`` positive ints or whose box passes MAX_PERIOD_BOX, and
+    a residue that is not a tuple of ``dim`` ints, or not reduced into the
+    period box.  ``periodic`` and ``finite`` check and reduce their inputs
+    themselves; they and the package's own sums and normal forms build
+    unchecked (``_unchecked``).
     """
 
     dim: int
     period: tuple[int, ...] | None
     residues: frozenset[tuple[int, ...]]
 
+    def __post_init__(self):
+        dim, period = self.dim, self.period
+        _check_dim(dim)
+        if period is not None:
+            if type(period) is not tuple or len(period) != dim:
+                raise InputError(f"period must be a tuple of length {dim} (got {period!r})")
+            _check_period(period)
+        if not isinstance(self.residues, (set, frozenset)):
+            raise InputError(f"residues must be a set (got {self.residues!r})")
+        object.__setattr__(self, "residues", frozenset(self.residues))
+        for r in self.residues:
+            if type(r) is not tuple:
+                raise InputError(f"residue {r!r} must be a tuple")
+            _point(r, dim)
+            if period is not None and any(not 0 <= x < p for x, p in zip(r, period)):
+                raise InputError(f"residue {r} is not reduced mod {period}")
+
+    @classmethod
+    def _unchecked(cls, dim: int, period, residues: frozenset) -> "PeriodicSet":
+        """A PeriodicSet of fields already checked and reduced, built as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "residues", residues)
+        return self
+
     @classmethod
     def periodic(cls, period, residues) -> "PeriodicSet":
         period = tuple(period)
-        if any(type(p) is not int for p in period):
-            raise InputError(f"period entries must be integers (got {period})")
-        if not period or any(p < 1 for p in period):
-            raise InputError(f"period must be positive (got {period})")
-        check_period_box(period)
+        _check_period(period)
         points = [_point(r, len(period)) for r in residues]
-        return cls(len(period), period, _reduce(points, period))
+        return cls._unchecked(len(period), period, _reduce(points, period))
 
     @classmethod
     def finite(cls, dim, points) -> "PeriodicSet":
-        if type(dim) is not int:
-            raise InputError(f"dimension must be an integer (got {dim!r})")
-        if dim < 1:
-            raise InputError(f"dimension must be positive (got {dim})")
-        return cls(dim, None, frozenset(_point(p, dim) for p in points))
+        _check_dim(dim)
+        return cls._unchecked(dim, None, frozenset(_point(p, dim) for p in points))
 
     @property
     def is_finite(self) -> bool:
         return self.period is None
+
+
+def _check_dim(dim) -> None:
+    if type(dim) is not int:
+        raise InputError(f"dimension must be an integer (got {dim!r})")
+    if dim < 1:
+        raise InputError(f"dimension must be positive (got {dim})")
+
+
+def _check_period(period: tuple) -> None:
+    if any(type(p) is not int for p in period):
+        raise InputError(f"period entries must be integers (got {period})")
+    if not period or any(p < 1 for p in period):
+        raise InputError(f"period must be positive (got {period})")
+    check_period_box(period)
 
 
 def check_period_box(period) -> None:
@@ -151,7 +191,7 @@ def normalize(A: PeriodicSet) -> PeriodicSet:
     if A.is_finite:
         return A
     if not A.residues:
-        return PeriodicSet(A.dim, (1,) * A.dim, frozenset())
+        return PeriodicSet._unchecked(A.dim, (1,) * A.dim, frozenset())
     count = len(A.residues)
     new_period = []
     for i, p in enumerate(A.period):
@@ -163,7 +203,7 @@ def normalize(A: PeriodicSet) -> PeriodicSet:
         new_period.append(q)
     if new_period == list(A.period):
         return A
-    return PeriodicSet(A.dim, tuple(new_period), _reduce(A.residues, new_period))
+    return PeriodicSet._unchecked(A.dim, tuple(new_period), _reduce(A.residues, new_period))
 
 
 def banach_density(A: PeriodicSet) -> Fraction:
@@ -201,18 +241,16 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
         raise InputError(f"dimension mismatch ({A.dim} vs {B.dim})")
     if A.is_finite and B.is_finite:
         check_pairs(len(A.residues) * len(B.residues))
-        return PeriodicSet.finite(
-            A.dim,
-            (tuple(a + b for a, b in zip(x, y)) for x in A.residues for y in B.residues),
-        )
+        return PeriodicSet._unchecked(A.dim, None, frozenset(
+            tuple(a + b for a, b in zip(x, y)) for x in A.residues for y in B.residues))
     if A.is_finite:
         A, B = B, A
     if B.is_finite:
         summed = _sum_mod(A.residues, B.residues, A.period)
-        return normalize(PeriodicSet(A.dim, A.period, summed))
+        return normalize(PeriodicSet._unchecked(A.dim, A.period, summed))
     box = tuple(gcd(p, q) for p, q in zip(A.period, B.period))
     summed = _sum_mod(_reduce(A.residues, box), _reduce(B.residues, box), box)
-    return normalize(PeriodicSet(A.dim, box, summed))
+    return normalize(PeriodicSet._unchecked(A.dim, box, summed))
 
 
 def iterate_sumset(A: PeriodicSet, k: int) -> PeriodicSet:

@@ -27,8 +27,8 @@ from .density import check_pairs
 from .errors import InputError
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .magnification import MagnificationResult
-from .maxflow import exact_sum, min_ratio_bruteforce, min_ratio_mincut, to_integers
-from .rational import exact_weights, format_rational, parse_rational
+from .maxflow import min_ratio_bruteforce, min_ratio_mincut
+from .rational import exact_sum, exact_weights, format_rational, parse_rational, to_integers
 from .reports import VerificationReport
 
 SpaceSet = frozenset[str]
@@ -83,14 +83,39 @@ class FinAbGroup:
 
 @dataclass(frozen=True)
 class GroupSet:
-    """A finite subset of a group, stored as reduced residue vectors."""
+    """A finite subset of a group, stored as reduced residue vectors.
+
+    The constructor refuses, with InputError, a ``group`` that is not a
+    FinAbGroup, ``elements`` that are not a set, and any element that is not
+    a tuple of ints (bools refused) of the group's rank, reduced mod its
+    moduli; ``GroupSet.of`` reduces first.  The package's own sums and
+    products, already reduced, are built unchecked (``_unchecked``).
+    """
 
     group: FinAbGroup
     elements: frozenset[tuple[int, ...]]
 
+    def __post_init__(self):
+        if type(self.group) is not FinAbGroup:
+            raise InputError(f"group must be a FinAbGroup (got {self.group!r})")
+        if not isinstance(self.elements, (set, frozenset)):
+            raise InputError(f"elements must be a set (got {self.elements!r})")
+        object.__setattr__(self, "elements", frozenset(self.elements))
+        for e in self.elements:
+            if type(e) is not tuple or self.group.reduce(e) != e:
+                raise InputError(f"element {e!r} is not reduced mod {self.group.moduli}")
+
     @classmethod
     def of(cls, group: FinAbGroup, elements) -> "GroupSet":
-        return cls(group, frozenset(group.reduce(e) for e in elements))
+        return cls._unchecked(group, frozenset(group.reduce(e) for e in elements))
+
+    @classmethod
+    def _unchecked(cls, group: FinAbGroup, elements: frozenset) -> "GroupSet":
+        """A GroupSet of elements already reduced, built without the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "elements", elements)
+        return self
 
 
 def product_set(A: GroupSet, B: GroupSet) -> GroupSet:
@@ -102,7 +127,7 @@ def product_set(A: GroupSet, B: GroupSet) -> GroupSet:
         raise InputError("sets live in different groups")
     check_pairs(len(A.elements) * len(B.elements), "translate sumset")
     g = A.group
-    return GroupSet(g, frozenset(g.add(a, b) for a in A.elements for b in B.elements))
+    return GroupSet._unchecked(g, frozenset(g.add(a, b) for a in A.elements for b in B.elements))
 
 
 def iterate(A: GroupSet, k: int) -> GroupSet:
@@ -110,7 +135,7 @@ def iterate(A: GroupSet, k: int) -> GroupSet:
     if k < 0:
         raise InputError(f"iteration count must be nonnegative (got {k})")
     if k == 0:
-        return GroupSet(A.group, frozenset({A.group.identity()}))
+        return GroupSet._unchecked(A.group, frozenset({A.group.identity()}))
     out = A
     for _ in range(k - 1):
         out = product_set(out, A)
@@ -166,8 +191,10 @@ class FiniteAction:
         if len(element) != len(cycles):
             self.group.reduce(element)  # raises: wrong rank
         for table, times in zip(cycles, element):
+            if type(times) is not int:
+                raise InputError(f"element {element} must have integer coordinates")
             cycle, at = table[atom]
-            atom = cycle[(at + int(times)) % len(cycle)]
+            atom = cycle[(at + times) % len(cycle)]
         return atom
 
 
@@ -323,7 +350,7 @@ def pair_group_set(A: GroupSet, B: GroupSet) -> GroupSet:
     """
     check_pairs(len(A.elements) * len(B.elements), "translate product")
     group = FinAbGroup(A.group.moduli + B.group.moduli)
-    return GroupSet(group, frozenset(a + b for a in A.elements for b in B.elements))
+    return GroupSet._unchecked(group, frozenset(a + b for a in A.elements for b in B.elements))
 
 
 def pair_space_set(S: Iterable[str], T: Iterable[str]) -> SpaceSet:

@@ -20,8 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .maxflow import exact_sum
-from .rational import exact_weights
+from .rational import exact_sum, exact_weights
 
 Edge = tuple[str, str, str]  # (tail, head, label)
 VertexSet = frozenset[str]

@@ -22,9 +22,8 @@ from .commutativity import is_commutative
 from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, require_valid)
-from .maxflow import (FlowNetwork, lex_min_greedy, min_ratio_bruteforce, min_ratio_mincut,
-                      pinned_queries, to_integers)
-from .rational import format_rational, parse_rational
+from .maxflow import FlowNetwork, lex_min_walk, min_ratio_bruteforce, min_ratio_mincut
+from .rational import format_rational, parse_rational, to_integers
 from .reports import VerificationReport
 
 
@@ -138,10 +137,12 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
 
     The minimum is one min cut of a split-vertex network: node 0 is the
     source, node 1 the sink, and vertex v becomes a split arc v_in -> v_out
-    of its scaled weight.  The canonical witness is grown greedily with
-    ``pinned_queries`` on the minimum's flow: a barred vertex's split arc is
-    raised to infinity, and a chosen vertex gets infinite force arcs
-    s -> v_in and v_out -> t for as long as it is pinned.
+    of its scaled weight.  The canonical witness is grown by ``lex_min_walk``
+    on the minimum's flow: a query adds infinite force arcs s -> v_in and
+    v_out -> t, and a rejected vertex loses them and has its split arc
+    raised to infinity for good, so every max flow runs on the network of
+    the textbook greedy's query (see ``lex_min_walk``).  ``is_cutset`` runs
+    on the empty set, then once the chosen vertices' weight reaches the minimum.
     """
     C = _rate(C)
     require_valid(g)
@@ -156,22 +157,26 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
         *((0, 2 + 2 * index[v], inf) for v in sorted(g.layer_set(0))),
         *((3 + 2 * index[v], 1, inf) for v in sorted(g.layer_set(g.height)))])
     minimum = net.max_flow(0, 1)
+    weight = 0
 
-    def choose(i: int) -> None:
+    def choose(i: int) -> bool:
         net.add_edge(0, 2 + 2 * i, inf)
         net.add_edge(3 + 2 * i, 1, inf)
+        if net.is_maximum(0, 1):
+            return True
+        net.truncate(len(net.head) - 4)
+        return False
 
-    def bar(i: int) -> tuple[int, int]:
-        old = net.cap[2 * i]  # vertex i's split arc is arc 2*i
-        net.cap[2 * i] = inf
-        return 2 * i, old
+    def bar(i: int) -> None:
+        net.cap[2 * i] = inf  # vertex i's split arc is arc 2*i
 
     def done(chosen) -> bool:
-        return (sum(wci[i] for i in chosen) == minimum
-                and is_cutset(g, [ids[i] for i in chosen]))
+        nonlocal weight
+        if chosen:
+            weight += wci[chosen[-1]]
+        return weight == minimum and is_cutset(g, [ids[i] for i in chosen])
 
-    feasible = pinned_queries(net, choose, bar)
-    cutset = frozenset(ids[i] for i in lex_min_greedy(len(ids), feasible, done))
+    cutset = frozenset(ids[i] for i in lex_min_walk(len(ids), choose, bar, done))
     return CutsetReport(cutset=cutset, weight=Fraction(minimum, scale), C=C, is_minimal=True)
 
 

@@ -1,29 +1,29 @@
 """Integer max-flow and exact minimum-ratio solvers.
 
 Capacities are arbitrary-precision integers (rational inputs get scaled by a
-common denominator), so min-cut values and every ratio computed here are
-exact; ``to_integers`` is the one place denominators are cleared, and
-``exact_sum`` adds the package's weights through it.  The ratio solvers
-minimize  weight(N(S)) / weight(S)  for one measure ``weight`` over nonempty
-subsets S of a source set, where N(S) is the union of per-source neighbor
-sets; ties are broken toward the lexicographically smallest witness.
-Both refuse a source weight <= 0 and a neighbor weight < 0.
+common denominator through ``rational.to_integers``), so min-cut values and
+every ratio computed here are exact.  The ratio solvers minimize
+weight(N(S)) / weight(S)  for one measure ``weight`` over nonempty subsets S
+of a source set, where N(S) is the union of per-source neighbor sets; ties
+are broken toward the lexicographically smallest witness.  Both refuse a
+source weight <= 0 and a neighbor weight < 0.
 
 ``min_ratio_mincut`` runs Dinkelbach's rounds on one network.  The rounds
 are nested, each keeping source arcs only for the last round's source side,
 and each opens with a greedy flow; its docstring says why both leave every
-result unchanged.  The witness queries of ``pinned_queries`` undo a rejected
-query by reversing the one path it pushed, not by copying every capacity.
+result unchanged.  Its witness and the minimum-weight cutset's come from
+``lex_min_walk``, which offers each index once: an accepted index keeps its
+pin, and a rejected one is unpinned, by pushing back the one path its query
+pushed, and then barred for good.  So every query's max-flow runs on the
+network the textbook greedy's query would build, with no list copied.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable
 
 from .errors import InputError
-from .rational import exact_weight, parse_rational
+from .rational import exact_weight, parse_rational, to_integers
 
 BRUTE_FORCE_LIMIT = 20  # the most sources min_ratio_bruteforce enumerates
 
@@ -164,6 +164,19 @@ class FlowNetwork:
                     v = head[path.pop() ^ 1]
                     ptr[v] += 1
 
+    def is_maximum(self, s: int, t: int) -> bool:
+        """Whether the flow ``cap`` holds is a maximum s-t flow, at the cost of
+        one search (``max_flow(s, t, cutoff=1)``).  The path that search
+        pushes, if any, is pushed back, so ``cap`` is left as it was."""
+        if not self.max_flow(s, t, cutoff=1):
+            return True
+        path, push = self.last_push
+        cap = self.cap
+        for a in path:
+            cap[a] += push
+            cap[a ^ 1] -= push
+        return False
+
     def source_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network (the minimal min cut)."""
         adj, head, cap = self.adj, self.head, self.cap
@@ -176,28 +189,6 @@ class FlowNetwork:
                     seen.add(w)
                     stack.append(w)
         return seen
-
-
-def to_integers(pairs) -> tuple[list[int], int]:
-    """Clear the denominators of ``(num, den)`` pairs: ``(ints, scale)`` with
-    ``scale`` the lcm of the dens and ``ints[i] = num_i * scale // den_i``."""
-    scale = lcm(*{den for _num, den in pairs})
-    return [num * (scale // den) for num, den in pairs], scale
-
-
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """The sum of ints and Fractions as one Fraction.
-
-    Numerators are added per denominator, the few per-denominator sums are
-    brought over their common denominator by ``to_integers``, and only the
-    total becomes a Fraction; the empty sum is 0.
-    """
-    by_den: dict[int, int] = {}
-    for w in values:
-        den = w.denominator
-        by_den[den] = by_den.get(den, 0) + w.numerator
-    ints, scale = to_integers([(num, den) for den, num in by_den.items()])
-    return Fraction(sum(ints), scale)
 
 
 def _integerize(sources, neighbors, weight):
@@ -276,69 +267,31 @@ def min_ratio_bruteforce(sources, neighbors, weight,
             return Fraction(best_num, best_den), frozenset(sources[k] for k in best)
 
 
-def lex_min_greedy(n: int, feasible, done) -> list[int]:
+def lex_min_walk(n: int, query, bar, done) -> list[int]:
     """Grow the lexicographically smallest index set in 0..n-1 that ``done`` accepts.
 
-    ``feasible(chosen, barred)`` says whether some optimal set contains every
-    index in ``chosen`` and none in ``barred``.  Each round adds the smallest
-    index whose addition stays feasible and bars the indices it skipped, so
-    each query's ``chosen`` and ``barred`` extend, as lists, those of the
-    last accepted query.
+    Indices are offered once each, in increasing order.  ``query(i)`` says
+    whether some optimal set contains ``i`` and every index chosen so far
+    and avoids every barred one; an accepted ``i`` is chosen and keeps its
+    pin.  A rejected ``i`` lies in no such set, so ``bar(i)`` bars it for
+    the rest of the walk.  So each query sees the chosen and barred sets of
+    the textbook greedy, which tries the indices after the last chosen one
+    in turn with every skipped one barred, with the bars set in the order
+    of that greedy's lists.  ``done(chosen)`` is called on the walk's own
+    list, empty first and then after each acceptance, so a caller can fold
+    in just ``chosen[-1]``.
     """
-    included: list[int] = []
-    excluded: list[int] = []
-    pos = 0
-    while not done(included):
-        for idx in range(pos, n):
-            skipped = list(range(pos, idx))
-            if feasible(included + [idx], excluded + skipped):
-                included.append(idx)
-                excluded += skipped
-                pos = idx + 1
-                break
+    chosen: list[int] = []
+    if done(chosen):
+        return chosen
+    for i in range(n):
+        if not query(i):
+            bar(i)
         else:
-            raise RuntimeError("no feasible extension of the lex-min witness")
-    return included
-
-
-def pinned_queries(net: FlowNetwork, pin_chosen, pin_barred):
-    """``lex_min_greedy``'s feasibility queries on the maximum flow from node 0
-    to node 1 that ``net`` holds.
-
-    ``pin_chosen(i)`` and ``pin_barred(i)`` force index ``i`` in or out,
-    either by raising one arc's capacity, returning ``(arc, old capacity)``,
-    or by adding arcs, returning ``None``.  Pins keep the flow feasible, so a
-    query is feasible exactly when no extra flow exists, which
-    ``max_flow(0, 1, cutoff=1)`` answers with one search.  A query pins only
-    the indices past the last accepted query's, and an accepted query's pins
-    stay.  A rejected query undoes only what it changed: its one augmenting
-    path is pushed back, its raised arcs get their old capacities, and its
-    added arcs are removed.
-    """
-    mark = len(net.head)
-    kept_in = kept_out = 0
-
-    def feasible(chosen, barred) -> bool:
-        nonlocal mark, kept_in, kept_out
-        raised = [pin_chosen(i) for i in chosen[kept_in:]]
-        raised += [pin_barred(i) for i in barred[kept_out:]]
-        if net.max_flow(0, 1, cutoff=1) == 0:
-            mark = len(net.head)
-            kept_in, kept_out = len(chosen), len(barred)
-            return True
-        cap = net.cap
-        path, push = net.last_push
-        for a in path:
-            cap[a] += push
-            cap[a ^ 1] -= push
-        for pin in raised:
-            if pin is not None:
-                arc, old = pin
-                cap[arc] = old
-        net.truncate(mark)
-        return False
-
-    return feasible
+            chosen.append(i)
+            if done(chosen):
+                return chosen
+    raise RuntimeError("no feasible extension of the lex-min witness")
 
 
 def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
@@ -365,10 +318,13 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     - Each round opens with a greedy flow along s -> i -> k -> t, one pass
       over the middle arcs, and a max flow finishes it.
 
-    The witness is the lexicographically smallest minimizing subset,
-    extracted with ``pinned_queries`` on the last round's flow: a forced-in
-    source's source arc is raised to infinity, and a forced-out source gets
-    an infinite arc to the sink for as long as it is pinned.
+    The witness is the lexicographically smallest minimizing subset, grown
+    by ``lex_min_walk`` on the last round's flow: a query raises the
+    source's source arc to infinity, and a rejected source gets its old
+    capacity back and then an infinite arc to the sink for good, so every
+    max flow runs on the network of the textbook greedy's query (see
+    ``lex_min_walk``).  Each acceptance folds the source's weight and new
+    image into integer sums.
     ``witness=False`` skips the extraction and returns ``None`` in the
     witness's place.  A source weight <= 0 or a neighbor weight < 0 is
     refused before any network is built.
@@ -452,18 +408,29 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         raise RuntimeError(f"ratio iteration exceeded its bound of {bound}")
     if not witness:
         return lam, None, tuple(trace)
+    cap, num, den = net.cap, lam.numerator, lam.denominator
+    image: set[int] = set()
+    img_w = set_w = 0
 
-    def force_in(i: int) -> tuple[int, int]:
-        old = net.cap[2 * i]  # source arc i is arc 2*i
-        net.cap[2 * i] = inf
-        return 2 * i, old
+    def force_in(i: int) -> bool:
+        old, cap[2 * i] = cap[2 * i], inf  # source arc i is arc 2*i
+        if net.is_maximum(0, 1):
+            return True
+        cap[2 * i] = old
+        return False
 
     def force_out(i: int) -> None:
         net.add_edge(2 + i, 1, inf)
 
-    def attains_optimum(index_set) -> bool:
-        return bool(index_set) and ratio(index_set) == lam
+    def attains_optimum(chosen) -> bool:
+        nonlocal img_w, set_w
+        if not chosen:
+            return False
+        i = chosen[-1]
+        img_w += sum(dw[k] for k in nbr[i] if k not in image)
+        image.update(nbr[i])
+        set_w += sw[i]
+        return img_w * den == num * set_w
 
-    feasible = pinned_queries(net, force_in, force_out)
-    found = frozenset(sources[i] for i in lex_min_greedy(n, feasible, attains_optimum))
-    return lam, found, tuple(trace)
+    chosen = lex_min_walk(n, force_in, force_out, attains_optimum)
+    return lam, frozenset(sources[i] for i in chosen), tuple(trace)

@@ -1,7 +1,9 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing, formatting and summing.
 
 Every measure, weight, ratio, and density in this package is a
 ``fractions.Fraction``; nothing is ever converted to float.
+``to_integers`` is the one place denominators are cleared, and
+``exact_sum`` adds the package's weights through it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from math import lcm
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -78,6 +81,28 @@ def exact_weight(key, w) -> Fraction:
     if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
         raise InputError(f"weight of ({key}) must be a Fraction or an int (got {w!r})")
     return Fraction(w)
+
+
+def to_integers(pairs) -> tuple[list[int], int]:
+    """Clear the denominators of ``(num, den)`` pairs: ``(ints, scale)`` with
+    ``scale`` the lcm of the dens and ``ints[i] = num_i * scale // den_i``."""
+    scale = lcm(*{den for _num, den in pairs})
+    return [num * (scale // den) for num, den in pairs], scale
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The sum of ints and Fractions as one Fraction.
+
+    Numerators are added per denominator, the few per-denominator sums are
+    brought over their common denominator by ``to_integers``, and only the
+    total becomes a Fraction; the empty sum is 0.
+    """
+    by_den: dict[int, int] = {}
+    for w in values:
+        den = w.denominator
+        by_den[den] = by_den.get(den, 0) + w.numerator
+    ints, scale = to_integers([(num, den) for den, num in by_den.items()])
+    return Fraction(sum(ints), scale)
 
 
 def format_rational(value) -> str:

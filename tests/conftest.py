@@ -13,6 +13,30 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def lex_min_greedy(n, feasible, done):
+    """The reference lex-min greedy: grow the lexicographically smallest index
+    set in 0..n-1 that ``done`` accepts.
+
+    ``feasible(chosen, barred)`` says whether some optimal set contains every
+    index in ``chosen`` and none in ``barred``.  Each round re-offers the
+    indices past the last accepted one, each query listing the last accepted
+    query's sets plus its own index and the indices it skipped.  The cold-start
+    oracles drive it, independently of the package's walk.
+    """
+    included, excluded = [], []
+    pos = 0
+    while not done(included):
+        for idx in range(pos, n):
+            skipped = list(range(pos, idx))
+            if feasible(included + [idx], excluded + skipped):
+                included.append(idx)
+                excluded += skipped
+                pos = idx + 1
+                break
+        else:
+            raise RuntimeError("no feasible extension of the lex-min witness")
+    return included
+
 def build(vertices, edges, height=None, labels=None):
     return LayeredMeasureGraph.build(vertices, edges, height=height, labels=labels)
 

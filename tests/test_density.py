@@ -323,6 +323,50 @@ class TestIntegerInputs:
         assert PeriodicSet.finite(2, [(1, -2)]).residues == {(1, -2)}
 
 
+class TestValidByConstruction:
+    @pytest.mark.parametrize("dim, period, residues, message", [
+        (1, (4,), frozenset({(1,), (5,)}), "not reduced"),
+        (1, (4,), frozenset({(-1,)}), "not reduced"),
+        (1, (0,), frozenset(), "period must be positive"),
+        (2, (4,), frozenset({(1,)}), "tuple of length 2"),
+        (1, [4], frozenset(), "tuple of length 1"),
+        (1, (True,), frozenset(), "must be integers"),
+        (1, (MAX_PERIOD_BOX + 1,), frozenset(), "MAX_PERIOD_BOX"),
+        (0, None, frozenset(), "dimension must be positive"),
+        (True, None, frozenset(), "dimension must be an integer"),
+        (1, (4,), frozenset({(1.0,)}), "must be integers"),
+        (1, (4,), frozenset({(True,)}), "must be integers"),
+        (1, (4,), frozenset({1}), "must be a tuple"),
+        (1, None, frozenset({(1, 2)}), "dimension 1"),
+        (1, (4,), [(1,)], "must be a set"),
+    ])
+    def test_the_constructor_refuses_malformed_fields(self, dim, period, residues, message):
+        with pytest.raises(InputError, match=message):
+            PeriodicSet(dim, period, residues)
+
+    def test_well_formed_fields_are_kept(self):
+        built = PeriodicSet(1, (4,), {(1,)})
+        assert built == PeriodicSet.periodic((4,), [5])
+        assert type(built.residues) is frozenset
+        assert banach_density(built) == Fraction(1, 4)
+        assert PeriodicSet(2, None, frozenset({(1, -2)})) == PeriodicSet.finite(2, [(1, -2)])
+
+    def test_the_package_builds_its_sets_unchecked(self, monkeypatch):
+        def checked(_self):
+            raise AssertionError("a PeriodicSet was checked")
+
+        monkeypatch.setattr(PeriodicSet, "__post_init__", checked)
+        A, B = PeriodicSet.periodic((4,), [0, 1]), PeriodicSet.periodic((6,), [0])
+        F = PeriodicSet.finite(1, [(0,), (3,)])
+        assert periodic_sumset(A, B) == normalize(per((2,), (0,), (1,)))
+        assert periodic_sumset(A, F).residues == {(0,), (1,), (3,)}
+        assert periodic_sumset(F, F).residues == {(0,), (3,), (6,)}
+        assert normalize(PeriodicSet.periodic((4,), [0, 2])).period == (2,)
+        assert normalize(PeriodicSet.periodic((4,), [])).period == (1,)
+        with pytest.raises(AssertionError, match="checked"):
+            PeriodicSet(1, (4,), frozenset())
+
+
 class TestBanachDensity:
     def test_pinned_values(self):
         assert banach_density(two_z) == Fraction(1, 2)

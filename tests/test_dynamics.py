@@ -76,6 +76,51 @@ class TestGroupSets:
         with pytest.raises(InputError, match="integer coordinates"):
             dynamics.GroupSet.of(FinAbGroup((4,)), [(1,), element])
 
+    @pytest.mark.parametrize("group, elements, message", [
+        (FinAbGroup((4,)), frozenset({(1.5,)}), "integer coordinates"),
+        (FinAbGroup((4,)), frozenset({(True,)}), "integer coordinates"),
+        (FinAbGroup((4,)), frozenset({(1,), (5,)}), "not reduced"),
+        (FinAbGroup((4,)), frozenset({(-1,)}), "not reduced"),
+        (FinAbGroup((4,)), frozenset({(1, 0)}), "wrong rank"),
+        (FinAbGroup((4, 2)), frozenset({(1,)}), "wrong rank"),
+        (FinAbGroup((4,)), frozenset({1}), "not reduced"),
+        (FinAbGroup((4,)), [(1,)], "must be a set"),
+        ((4,), frozenset({(1,)}), "FinAbGroup"),
+    ])
+    def test_the_constructor_refuses_what_of_would_not_build(self, group, elements, message):
+        with pytest.raises(InputError, match=message):
+            dynamics.GroupSet(group, elements)
+
+    def test_a_truncated_translate_no_longer_moves_a_set(self):
+        # on Z/4, GroupSet(g, {(1.5,)}) and {(True,)} moved '0' to '1'
+        act = translation(4)
+        for bad in [(1.5,), (True,)]:
+            with pytest.raises(InputError, match="integer coordinates"):
+                move_set(act, dynamics.GroupSet(act.group, frozenset({bad})), ["0"])
+            with pytest.raises(InputError, match="integer coordinates"):
+                act.apply(bad, "0")
+
+    def test_reduced_elements_are_kept(self):
+        g = FinAbGroup((4, 3))
+        built = dynamics.GroupSet(g, {(1, 2), (3, 0)})
+        assert built == dynamics.GroupSet.of(g, [(5, -1), (-1, 3)])
+        assert type(built.elements) is frozenset
+
+    def test_the_package_builds_its_sets_unchecked(self, monkeypatch):
+        A = gset(6, 1, 2)
+
+        def checked(_self):
+            raise AssertionError("a GroupSet was checked")
+
+        monkeypatch.setattr(dynamics.GroupSet, "__post_init__", checked)
+        assert dynamics.GroupSet.of(A.group, [(7,)]).elements == {(1,)}
+        assert product_set(A, A).elements == {(2,), (3,), (4,)}
+        assert iterate(A, 0).elements == {(0,)}
+        assert iterate(A, 3).elements == {(3,), (4,), (5,), (0,)}
+        assert dynamics.pair_group_set(A, A).elements == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        with pytest.raises(AssertionError, match="checked"):
+            dynamics.GroupSet(A.group, A.elements)
+
 
 class TestActions:
     def test_translation_action_shape(self):

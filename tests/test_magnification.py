@@ -17,10 +17,9 @@ from plunnecke_lab.generators import (admissible_cut_rate,
                                       random_layered_graph, random_orbit_graph)
 from plunnecke_lab import generators, magnification, maxflow
 from plunnecke_lab.magnification import _bottom_problem
-from plunnecke_lab.maxflow import (FlowNetwork, _integerize, lex_min_greedy,
-                                   min_ratio_mincut)
+from plunnecke_lab.maxflow import FlowNetwork, _integerize, min_ratio_mincut
 
-from conftest import build
+from conftest import build, lex_min_greedy
 
 small_graphs = st.integers(0, 10 ** 9).map(
     lambda s: random_layered_graph(random.Random(s), max_layer0=6, max_width=5))
@@ -333,13 +332,13 @@ class TestValueOnlyRatios:
         A = GroupSet.of(act.group, [(0,), (1,), (3,)])
         g = orbit_graph(act, A, frozenset(str(x) for x in range(0, 40, 3)), 3)
         extractions = []
-        original = maxflow.lex_min_greedy
+        original = maxflow.lex_min_walk
 
         def counted(*args):
             extractions.append(args[0])
             return original(*args)
 
-        monkeypatch.setattr(maxflow, "lex_min_greedy", counted)
+        monkeypatch.setattr(maxflow, "lex_min_walk", counted)
         report = verify_graph_plunnecke(g)
         assert len(extractions) == 1
         assert report.witness == sorted(magnification_bruteforce(g, 3).witness)
@@ -369,7 +368,7 @@ class TestValueOnlyRatios:
         def no_witness(*_args):
             raise AssertionError("witness extracted")
 
-        monkeypatch.setattr(maxflow, "lex_min_greedy", no_witness)
+        monkeypatch.setattr(maxflow, "lex_min_walk", no_witness)
         with pytest.raises(AssertionError, match="witness extracted"):
             magnification_mincut(graphs[0], graphs[0].height)
         got = rates()
@@ -394,30 +393,53 @@ class TestFlowWork:
 
 
 class TestPinnedQueries:
-    """Witness queries pin only what is new and undo a rejected query whole."""
+    """Witness queries pin only their own index; a rejected query undoes
+    itself whole, and then its index is barred."""
 
-    def test_a_rejected_query_leaves_the_last_accepted_state(self, monkeypatch):
-        original = maxflow.pinned_queries
+    def test_a_rejected_query_leaves_the_last_state_plus_one_bar(self, monkeypatch):
+        last = [None]  # the network of the latest max flow: the solver's own
+        flow = FlowNetwork.max_flow
+
+        def recorded(net, s, t, cutoff=None):
+            last[0] = net
+            return flow(net, s, t, cutoff)
+
+        def state(net):
+            return len(net.head), net.cap[:], [len(arcs) for arcs in net.adj]
+
+        original = maxflow.lex_min_walk
         seen = {"accepted": 0, "rejected": 0}
 
-        def watched(net, pin_chosen, pin_barred):
-            feasible = original(net, pin_chosen, pin_barred)
-            state = [(len(net.head), net.cap[:], [len(arcs) for arcs in net.adj])]
+        def watched(n, query, bar, done):
+            net = last[0]
+            before = [None]
 
-            def checked(chosen, barred):
-                ok = feasible(chosen, barred)
-                now = (len(net.head), net.cap[:], [len(arcs) for arcs in net.adj])
-                if ok:
-                    state[0] = now
-                else:
-                    assert now == state[0]
+            def checked_query(i):
+                before[0] = state(net)
+                ok = query(i)
+                if not ok:
+                    assert state(net) == before[0]
                 seen["accepted" if ok else "rejected"] += 1
                 return ok
 
-            return checked
+            def checked_bar(i):
+                bar(i)
+                arcs, cap, degrees = state(net)
+                old_arcs, old_cap, old_degrees = before[0]
+                if arcs == old_arcs:  # one capacity raised
+                    raised = [a for a in range(arcs) if cap[a] != old_cap[a]]
+                    assert len(raised) == 1 and cap[raised[0]] > old_cap[raised[0]]
+                    assert degrees == old_degrees
+                else:  # one arc to the sink added
+                    assert arcs == old_arcs + 2 and cap[:old_arcs] == old_cap
+                    assert net.head[-2] == 1 and cap[-1] == 0
+                    assert sum(degrees) == sum(old_degrees) + 2
 
-        monkeypatch.setattr(maxflow, "pinned_queries", watched)
-        monkeypatch.setattr(magnification, "pinned_queries", watched)
+            return original(n, checked_query, checked_bar, done)
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", recorded)
+        monkeypatch.setattr(maxflow, "lex_min_walk", watched)
+        monkeypatch.setattr(magnification, "lex_min_walk", watched)
         for seed in range(30):
             g = _seeded_graph(seed)
             for j in range(1, g.height + 1):

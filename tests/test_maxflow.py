@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError
-from plunnecke_lab.dynamics import (FinAbGroup, GroupSet, move_set, pair_group_set,
+from plunnecke_lab.dynamics import (FinAbGroup, GroupSet, move_set, orbit_graph, pair_group_set,
                                     pair_space_set, product_action, translation_action)
-from plunnecke_lab import maxflow
-from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, _integerize, lex_min_greedy,
+from plunnecke_lab import magnification, maxflow
+from plunnecke_lab.maxflow import (BRUTE_FORCE_LIMIT, FlowNetwork, _integerize, lex_min_walk,
                                    min_ratio_bruteforce, min_ratio_mincut)
+
+from conftest import lex_min_greedy
 
 
 def test_textbook_max_flow():
@@ -236,11 +238,11 @@ def test_truncate_leaves_the_network_that_never_had_the_arcs():
         assert net.max_flow(s, t) == 0
 
 
-def _product_relation(seed):
+def _product_relation(seed, size=None):
     """c(A x A2, B x B2)'s ratio problem on a product of two cyclic translation
-    actions, with 11-20 sources."""
+    actions, with ``size`` sources (by default 11-20)."""
     rng = random.Random(f"product:{seed}")
-    size = 11 + seed % 10
+    size = size or 11 + seed % 10
     first = rng.choice([d for d in range(1, size + 1) if size % d == 0])
     sides = []
     for count in (first, size // first):
@@ -274,28 +276,191 @@ def test_cutoff_on_unit_capacities_is_exact():
             assert _build(n, unit).max_flow(s, t, cutoff=cutoff) == min(cutoff, full)
 
 
-def test_lex_min_greedy_queries_only_add_constraints():
+def test_lex_min_walk_queries_only_add_constraints():
     rng = random.Random(1967)
     for _ in range(200):
         n = rng.randint(1, 9)
-        queries = []
-        accepted = [((), ())]
+        queries, chosen, barred = [], [], []
 
-        def feasible(chosen, barred):
-            key = (tuple(chosen), tuple(barred))
-            queries.append(key)
-            last_in, last_out = accepted[-1]
-            assert set(last_in) <= set(chosen) and set(last_out) <= set(barred)
-            assert not set(chosen) & set(barred)
-            ok = rng.random() < 0.5 or chosen[-1] == n - 1
+        def query(i):
+            # the query's chosen set is the last accepted one plus i, its
+            # barred set the last one's, and the two stay disjoint
+            assert i not in chosen and i not in barred
+            queries.append(i)
+            ok = rng.random() < 0.5 or i == n - 1
             if ok:
-                accepted.append(key)
+                chosen.append(i)
             return ok
 
+        def bar(i):
+            assert queries[-1] == i and i not in chosen and i not in barred
+            barred.append(i)
+
+        def done(got):
+            assert got == chosen
+            return bool(got) and (len(got) >= target or got[-1] == n - 1)
+
         target = rng.randint(1, n)
-        witness = lex_min_greedy(n, feasible, lambda chosen: len(chosen) >= target
-                                 or (chosen and chosen[-1] == n - 1))
-        assert queries and witness == list(accepted[-1][0])
+        witness = lex_min_walk(n, query, bar, done)
+        assert queries and witness == chosen
+
+
+def _walk_outcome(walk, n, query, done):
+    try:
+        return walk(n, query, done)
+    except RuntimeError:
+        return "exhausted"
+
+
+def test_lex_min_walk_replays_the_reference_greedy_on_answer_sequences():
+    """Each query's (chosen, barred) lists, in order, equal the reference
+    greedy's, on 200 seeded answer sequences; so do the witness and the
+    end of the walk."""
+    rng = random.Random(2011)
+    exhausted = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        answers = [rng.random() < 0.4 for _ in range(n + 1)]
+        target = rng.randint(0, n)
+
+        def done(chosen):
+            return len(chosen) >= target
+
+        walk_log, chosen, barred = [], [], []
+
+        def query(i):
+            walk_log.append((chosen + [i], barred[:]))
+            ok = answers[len(walk_log) - 1]
+            if ok:
+                chosen.append(i)
+            return ok
+
+        got = _walk_outcome(lambda n, q, d: lex_min_walk(n, q, barred.append, d),
+                            n, query, done)
+        greedy_log = []
+
+        def feasible(chosen, barred):
+            greedy_log.append((chosen, barred))
+            return answers[len(greedy_log) - 1]
+
+        want = _walk_outcome(lex_min_greedy, n, feasible, done)
+        assert (walk_log, got) == (greedy_log, want)
+        exhausted += want == "exhausted"
+    assert 20 <= exhausted <= 180
+
+
+def _recording_walk(runs):
+    """``lex_min_walk`` that logs each query's (chosen, barred, answer) and each
+    ``done`` verdict, and the result, into ``runs``."""
+    original = maxflow.lex_min_walk
+
+    def walk(n, query, bar, done):
+        log, dones, chosen, barred = [], [], [], []
+
+        def logged_query(i):
+            ok = query(i)
+            log.append((chosen + [i], barred[:], ok))
+            if ok:
+                chosen.append(i)
+            return ok
+
+        def logged_bar(i):
+            bar(i)
+            barred.append(i)
+
+        def logged_done(got):
+            dones.append(done(got))
+            return dones[-1]
+
+        result = original(n, logged_query, logged_bar, logged_done)
+        runs.append((n, log, dones, result))
+        return result
+
+    return walk
+
+
+def _solver_runs(monkeypatch, walk):
+    """Seeded ratio and cutset solves past BRUTE_FORCE_LIMIT with ``walk`` in
+    place of ``lex_min_walk``: orbit graphs of Z/n, n in 42..63, with 21 or
+    more base atoms, and products of two cyclic actions with 21-40 sources."""
+    monkeypatch.setattr(maxflow, "lex_min_walk", walk)
+    monkeypatch.setattr(magnification, "lex_min_walk", walk)
+    for seed in range(6):
+        rng = random.Random(f"walk-replay:{seed}")
+        n = rng.randint(42, 63)
+        act = translation_action(FinAbGroup((n,)))
+        A = GroupSet.of(act.group, [(x,) for x in rng.sample(range(n), 3)])
+        Y = frozenset(rng.sample(sorted(act.atoms), rng.randint(BRUTE_FORCE_LIMIT + 1, n // 2)))
+        g = orbit_graph(act, A, Y, rng.choice([2, 3]))
+        for j in range(1, g.height + 1):
+            magnification.magnification_mincut(g, j)
+        magnification.min_weight_cutset(g, 1)
+    for seed in range(6):
+        sources, neighbors, weights = _product_relation(seed, 21 + 4 * seed)
+        assert len(sources) > BRUTE_FORCE_LIMIT
+        min_ratio_mincut(sources, neighbors, weights)
+
+
+def test_lex_min_walk_replays_the_reference_greedy_on_solver_runs(monkeypatch):
+    """The same replay on the solvers' own extractions: fed the walk's
+    answers, the reference greedy asks the same queries in the same order
+    and returns the same witness."""
+    runs = []
+    _solver_runs(monkeypatch, _recording_walk(runs))
+    assert len(runs) >= 20
+    rejected = 0
+    for n, log, dones, result in runs:
+        answers, verdicts = iter(log), iter(dones)
+
+        def feasible(chosen, barred):
+            want_in, want_out, ok = next(answers)
+            assert (chosen, barred) == (want_in, want_out)
+            return ok
+
+        assert lex_min_greedy(n, feasible, lambda _chosen: next(verdicts)) == result
+        assert next(answers, None) is None and next(verdicts, None) is None
+        rejected += sum(not ok for _in, _out, ok in log)
+    assert rejected >= 50
+
+
+def test_each_index_is_pinned_in_and_barred_at_most_once(monkeypatch):
+    """Per extraction, each index is queried (pinned in) at most once and
+    barred at most once, and no arc is added twice."""
+    original = maxflow.lex_min_walk
+    add_edge = FlowNetwork.add_edge
+    added = [None]
+    extractions = 0
+
+    def counted_add_edge(net, u, v, cap):
+        if added[0] is not None:
+            assert (u, v) not in added[0]
+            added[0].add((u, v))
+        return add_edge(net, u, v, cap)
+
+    def walk(n, query, bar, done):
+        nonlocal extractions
+        queried, barred = [], []
+        added[0] = set()
+
+        def counted_query(i):
+            queried.append(i)
+            return query(i)
+
+        def counted_bar(i):
+            barred.append(i)
+            bar(i)
+
+        try:
+            return original(n, counted_query, counted_bar, done)
+        finally:
+            added[0] = None
+            assert len(set(queried)) == len(queried)
+            assert len(set(barred)) == len(barred) and set(barred) <= set(queried)
+            extractions += 1
+
+    monkeypatch.setattr(FlowNetwork, "add_edge", counted_add_edge)
+    _solver_runs(monkeypatch, walk)
+    assert extractions >= 20
 
 
 def _random_relation(rng, max_src=7, max_dst=6):

@@ -68,7 +68,7 @@ def test_one_home_for_the_brute_force_limit():
 
 def test_one_measure_per_ratio_problem_and_one_home_for_scaling():
     """No function takes separate source and target weights, and only
-    maxflow clears denominators, so only maxflow imports ``lcm``."""
+    rational clears denominators, so only rational imports ``lcm``."""
     src = Path(plunnecke_lab.__file__).parent
     importers = []
     for path in sorted(src.glob("*.py")):
@@ -82,5 +82,5 @@ def test_one_measure_per_ratio_problem_and_one_home_for_scaling():
                 importers.append(path.stem)
             elif isinstance(node, ast.Attribute) and node.attr == "lcm":
                 importers.append(path.stem)
-    assert importers == ["maxflow"]
+    assert importers == ["rational"]
     assert not hasattr(plunnecke_lab.maxflow, "common_scale")

@@ -13,7 +13,8 @@ from plunnecke_lab.dynamics import measure
 from plunnecke_lab.generators import (random_action, random_cyclic_action,
                                       random_layered_graph, random_one_layer_graph,
                                       random_orbit_graph, random_space_subset)
-from plunnecke_lab.maxflow import exact_sum, min_ratio_bruteforce
+from plunnecke_lab.maxflow import min_ratio_bruteforce
+from plunnecke_lab.rational import exact_sum
 
 from conftest import gset, translation
 
