@@ -127,7 +127,7 @@ def _run_correspondence(b) -> VerificationReport:
 
 CHECKS = {
     "prop-2.10": (_run_flow_duality, generators.bundle_flow_duality, "graph"),
-    "ex-2.6": (_run_orbit_commutes, generators.bundle_orbit_commutes, "orbit"),
+    "ex-2.6": (_run_orbit_commutes, generators.bundle_graph_plunnecke, "orbit"),
     "thm-3.5": (_run_graph_plunnecke, generators.bundle_graph_plunnecke, "orbit"),
     "cor-3.4": (_run_bottom_layer, generators.bundle_bottom_layer, "orbit"),
     "thm-4.2": (_run_dyn_plunnecke, generators.bundle_dyn_plunnecke, "action"),

@@ -52,8 +52,10 @@ class FinAbGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.moduli or any(type(n) is not int or n < 1 for n in self.moduli):
-            raise InputError(f"moduli must be positive integers (got {self.moduli})")
+        if (type(self.moduli) is not tuple or not self.moduli
+                or any(type(n) is not int or n < 1 for n in self.moduli)):
+            raise InputError(
+                f"moduli must be a nonempty tuple of positive integers (got {self.moduli!r})")
 
     @property
     def rank(self) -> int:
@@ -67,7 +69,10 @@ class FinAbGroup:
         return (0,) * self.rank
 
     def reduce(self, vec) -> tuple[int, ...]:
-        vec = tuple(vec)
+        try:
+            vec = tuple(vec)
+        except TypeError:
+            raise InputError(f"element {vec!r} must be a tuple of integers") from None
         if len(vec) != self.rank:
             raise InputError(f"element {vec} has wrong rank for moduli {self.moduli}")
         if any(type(x) is not int for x in vec):
@@ -79,6 +84,11 @@ class FinAbGroup:
 
     def elements(self):
         return itertools.product(*(range(n) for n in self.moduli))
+
+
+def _require_group(group) -> None:
+    if type(group) is not FinAbGroup:
+        raise InputError(f"group must be a FinAbGroup (got {group!r})")
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,7 @@ class GroupSet:
     elements: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        if type(self.group) is not FinAbGroup:
-            raise InputError(f"group must be a FinAbGroup (got {self.group!r})")
+        _require_group(self.group)
         if not isinstance(self.elements, (set, frozenset)):
             raise InputError(f"elements must be a set (got {self.elements!r})")
         object.__setattr__(self, "elements", frozenset(self.elements))
@@ -107,6 +116,7 @@ class GroupSet:
 
     @classmethod
     def of(cls, group: FinAbGroup, elements) -> "GroupSet":
+        _require_group(group)
         return cls._unchecked(group, frozenset(group.reduce(e) for e in elements))
 
     @classmethod
@@ -149,7 +159,8 @@ class FiniteAction:
     One permutation per coordinate generator; the permutations must commute
     pairwise and have orders dividing their moduli, so they extend to a
     well-defined action of the whole group.  Weights are stored as
-    Fractions: ints are converted, and any other type raises InputError.
+    Fractions: ints are converted, and any other type raises InputError, as
+    does a field of the wrong type; structure is checked on first use.
     """
 
     group: FinAbGroup
@@ -159,9 +170,13 @@ class FiniteAction:
     __hash__ = None
 
     def __post_init__(self):
+        _require_group(self.group)
         object.__setattr__(self, "atoms", MappingProxyType(exact_weights(self.atoms)))
-        object.__setattr__(self, "generator_perms", tuple(
-            MappingProxyType(dict(perm)) for perm in self.generator_perms))
+        try:
+            perms = tuple(MappingProxyType(dict(perm)) for perm in self.generator_perms)
+        except (TypeError, ValueError):
+            raise InputError("generator_perms must be a sequence of mappings") from None
+        object.__setattr__(self, "generator_perms", perms)
 
     def __reduce__(self):
         return (type(self), (self.group, dict(self.atoms),
@@ -183,13 +198,12 @@ class FiniteAction:
     def apply(self, element, atom: str) -> str:
         """``element . atom``; raises InputError on an invalid action.
 
-        Every cycle's length divides its modulus, so ``element`` is used
-        unreduced.
+        Every cycle's length divides its modulus, so a tuple ``element`` is
+        used unreduced; any other sequence is read by ``FinAbGroup.reduce``.
         """
         cycles = self._cycles
-        element = tuple(element)
-        if len(element) != len(cycles):
-            self.group.reduce(element)  # raises: wrong rank
+        if type(element) is not tuple or len(element) != len(cycles):
+            element = self.group.reduce(element)  # raises unless a sequence of that rank
         for table, times in zip(cycles, element):
             if type(times) is not int:
                 raise InputError(f"element {element} must have integer coordinates")

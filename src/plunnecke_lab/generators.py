@@ -207,37 +207,25 @@ def random_periodic_or_finite(rng: random.Random, dim: int = 1) -> PeriodicSet:
 # ---------------------------------------------------------------------------
 
 
-def _dyn_parameters(rng: random.Random, need_heavy: bool = False,
-                    restricted: bool = False):
+def _dyn_parameters(rng: random.Random) -> dict:
     act = random_action(rng)
     A = random_group_subset(rng, act.group, 3)
     max_b = min(6, len(act.atoms))
     B = sorted(random_space_subset(rng, act, max_b))
     j = rng.randint(1, 2)
     k = rng.randint(j + 1, 3)
-    doc = {
+    return {
         "action": jsonio.action_to_doc(act),
         "A": jsonio.group_set_to_doc(A),
         "B": B,
         "j": j,
         "k": k,
     }
-    if need_heavy:
-        doc["delta"] = rng.choice(["1/4", "1/2", "3/4"])
-    if restricted:
-        size = rng.randint(0, min(3, len(act.atoms)))
-        doc["E"] = sorted(rng.sample(sorted(act.atoms), size))
-    return doc
 
 
 def bundle_flow_duality(rng: random.Random, name: str) -> dict:
     return {"instance": name,
             "graph": jsonio.graph_to_doc(random_one_layer_graph(rng))}
-
-
-def bundle_orbit_commutes(rng: random.Random, name: str) -> dict:
-    return {"instance": name,
-            "graph": jsonio.graph_to_doc(random_orbit_graph(rng))}
 
 
 def bundle_graph_plunnecke(rng: random.Random, name: str) -> dict:
@@ -260,11 +248,15 @@ def bundle_dyn_plunnecke(rng: random.Random, name: str) -> dict:
 
 
 def bundle_restricted(rng: random.Random, name: str) -> dict:
-    return {"instance": name, **_dyn_parameters(rng, restricted=True)}
+    doc = _dyn_parameters(rng)
+    ids = [row["id"] for row in doc["action"]["atoms"]]  # sorted
+    E = sorted(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+    return {"instance": name, **doc, "E": E}
 
 
 def bundle_heavy(rng: random.Random, name: str) -> dict:
-    return {"instance": name, **_dyn_parameters(rng, need_heavy=True)}
+    return {"instance": name, **_dyn_parameters(rng),
+            "delta": rng.choice(["1/4", "1/2", "3/4"])}
 
 
 def bundle_multiplicativity(rng: random.Random, name: str) -> dict:

@@ -34,7 +34,8 @@ class LayeredMeasureGraph:
     """Finite atomic measure space with labelled layer-advancing edges.
 
     Weights are stored as Fractions: ints are converted, and any other type
-    raises InputError, as does a height or a layer that is not an int.
+    raises InputError, as do a height or layer that is not an int and a
+    field of the wrong container type; structure is checked on first use.
     Compared by content; not hashable (``hash(g)`` raises ``TypeError``).
     """
 
@@ -49,14 +50,22 @@ class LayeredMeasureGraph:
     def __post_init__(self):
         if type(self.height) is not int:
             raise InputError(f"graph height must be an integer (got {self.height!r})")
-        layer = dict(self.layer)
+        try:
+            layer = dict(self.layer.items())
+        except AttributeError:
+            raise InputError(
+                f"graph layers must be a mapping (got {type(self.layer).__name__})") from None
         if not set(map(type, layer.values())) <= {int}:
             v = next(v for v, l in layer.items() if type(l) is not int)
             raise InputError(f"layer of ({v}) must be an integer (got {layer[v]!r})")
         object.__setattr__(self, "atoms", MappingProxyType(exact_weights(self.atoms)))
         object.__setattr__(self, "layer", MappingProxyType(layer))
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        try:
+            labels, edges = frozenset(self.labels), frozenset(self.edges)
+        except TypeError:
+            raise InputError("graph labels and edges must hold hashable values") from None
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
 
     def __reduce__(self):
         return (type(self), (dict(self.atoms), dict(self.layer), self.height,
@@ -135,8 +144,13 @@ def validate(g: LayeredMeasureGraph) -> list[str]:
     ins: set[tuple[str, str]] = set()
     bad_pairs: set[tuple[str, str]] = set()
     bad_edges = []
+    malformed = []
     for e in g.edges:
-        t, h, a = e
+        try:
+            t, h, a = e
+        except (TypeError, ValueError):
+            malformed.append(repr(e))
+            continue
         if t not in atoms or h not in atoms:
             bad_edges.append((e, 0, f"edge references unknown vertex ({t},{h},{a})"))
             continue
@@ -155,6 +169,7 @@ def validate(g: LayeredMeasureGraph) -> list[str]:
         lt, lh = layer.get(t), layer.get(h)
         if lt is not None and lh is not None and lh != lt + 1:
             bad_edges.append((e, 3, f"edge layer step ({t},{h},{a})"))
+    found += [f"edge {r} is not a (tail, head, label) triple" for r in sorted(malformed)]
     found += [message for _e, _kind, message in sorted(bad_edges)]
     for v, a in sorted(bad_pairs):
         found.append(f"label functionality at ({v},{a})")

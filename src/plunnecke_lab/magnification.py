@@ -139,10 +139,12 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     source, node 1 the sink, and vertex v becomes a split arc v_in -> v_out
     of its scaled weight.  The canonical witness is grown by ``lex_min_walk``
     on the minimum's flow: a query adds infinite force arcs s -> v_in and
-    v_out -> t, and a rejected vertex loses them and has its split arc
-    raised to infinity for good, so every max flow runs on the network of
-    the textbook greedy's query (see ``lex_min_walk``).  ``is_cutset`` runs
-    on the empty set, then once the chosen vertices' weight reaches the minimum.
+    v_out -> t and probes for more flow (``max_flow(0, 1, probe=True)``,
+    which pushes nothing), and a rejected vertex loses them and has its
+    split arc raised to infinity for good, so every probe runs on the
+    network of the textbook greedy's query (see ``lex_min_walk``).
+    ``is_cutset`` runs on the empty set, then once the chosen vertices'
+    weight reaches the minimum.
     """
     C = _rate(C)
     require_valid(g)
@@ -162,7 +164,7 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     def choose(i: int) -> bool:
         net.add_edge(0, 2 + 2 * i, inf)
         net.add_edge(3 + 2 * i, 1, inf)
-        if net.is_maximum(0, 1):
+        if not net.max_flow(0, 1, probe=True):
             return True
         net.truncate(len(net.head) - 4)
         return False

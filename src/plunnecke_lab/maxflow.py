@@ -8,14 +8,11 @@ of a source set, where N(S) is the union of per-source neighbor sets; ties
 are broken toward the lexicographically smallest witness.  Both refuse a
 source weight <= 0 and a neighbor weight < 0.
 
-``min_ratio_mincut`` runs Dinkelbach's rounds on one network.  The rounds
-are nested, each keeping source arcs only for the last round's source side,
-and each opens with a greedy flow; its docstring says why both leave every
+``min_ratio_mincut`` runs Dinkelbach's rounds on one network; its docstring
+says why nesting the rounds and opening each with a greedy flow leave every
 result unchanged.  Its witness and the minimum-weight cutset's come from
-``lex_min_walk``, which offers each index once: an accepted index keeps its
-pin, and a rejected one is unpinned, by pushing back the one path its query
-pushed, and then barred for good.  So every query's max-flow runs on the
-network the textbook greedy's query would build, with no list copied.
+``lex_min_walk``, whose every query pins one index in and probes once
+(``max_flow(s, t, probe=True)``: one search that pushes nothing).
 """
 
 from __future__ import annotations
@@ -35,8 +32,9 @@ class FlowNetwork:
     reverse arc is ``a ^ 1`` and ``adj[v]`` lists the arcs leaving ``v``.
     ``max_flow`` augments the flow ``cap`` already holds and returns the
     flow it adds, so after raising some ``cap[a]``, or adding arcs, it finds
-    just the extra flow they admit.  ``truncate`` removes arcs added after a
-    mark, so a network can carry an arc only while it is needed.
+    just the extra flow they admit; with ``probe=True`` it only says whether
+    any exists.  ``truncate`` removes arcs added after a mark, so a network
+    can carry an arc only while it is needed.
     """
 
     def __init__(self, n: int, arcs=()):
@@ -53,7 +51,6 @@ class FlowNetwork:
         for a, (u, v, _c) in enumerate(arcs):
             adj[u].append(2 * a)
             adj[v].append(2 * a + 1)
-        self.last_push: tuple[list[int], int] | None = None
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add the arc u -> v of capacity ``cap`` and return its index."""
@@ -75,26 +72,22 @@ class FlowNetwork:
             adj[head[a ^ 1]].pop()
         del head[arcs:], self.cap[arcs:]
 
-    def max_flow(self, s: int, t: int, cutoff: int | None = None) -> int:
+    def max_flow(self, s: int, t: int, probe: bool = False) -> int:
         """Augment to a maximum s-t flow and return the flow this call added.
 
-        Each phase labels BFS levels until t is labelled, pushes the s-t path
-        of the BFS tree, then finishes a blocking flow on the level graph.
-        With ``cutoff``, return as soon as the added flow reaches it, leaving
-        ``cap`` holding that partial flow and ``last_push`` holding the arcs
-        and amount of the push that reached it.  ``cutoff=1`` on integer
-        capacities stops after the first tree path, so ``max_flow(s, t,
-        cutoff=1) == 0`` says, at the cost of one search, whether any more
-        flow exists, and when it is 1, ``last_push`` is all the call changed.
+        Each phase labels BFS levels until t is labelled, then finishes a
+        blocking flow on the level graph.  ``probe=True`` stops after the
+        first search and pushes nothing: it returns 1 if that search
+        labelled t, so more flow exists, and 0 if ``cap`` holds a maximum
+        flow already.
         """
         adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
             # BFS levels, stopping once t is labelled: every vertex below
             # t's level is labelled by then, and no shortest path passes
-            # another vertex at t's level.  via[w] is the arc that labelled w.
+            # another vertex at t's level.
             level = [-1] * self.n
-            via = [0] * self.n
             level[s] = 0
             queue = [s]
             enqueue = queue.append
@@ -104,7 +97,6 @@ class FlowNetwork:
                     w = head[a]
                     if level[w] < 0 and cap[a]:
                         level[w] = nxt
-                        via[w] = a
                         if w == t:
                             break
                         enqueue(w)
@@ -112,21 +104,15 @@ class FlowNetwork:
                     break
             else:
                 return total
-            # Blocking flow along level-increasing arcs, walked with an
-            # explicit path (heights come from user input, so no recursion).
-            # The walk starts at t, on the BFS tree's s-t path, so its first
-            # push needs no search.  ptr[v] is v's next untried arc, made
-            # only once a push falls short of the cutoff; a dead end leaves
+            if probe:
+                return 1
+            # Blocking flow along level-increasing arcs, walked from s with
+            # an explicit path (heights come from user input, so no
+            # recursion).  ptr[v] is v's next untried arc; a dead end leaves
             # the level graph.
+            ptr = [0] * self.n
             path: list[int] = []
-            v = t
-            while v != s:
-                a = via[v]
-                path.append(a)
-                v = head[a ^ 1]
-            path.reverse()
-            ptr = None
-            v = t
+            v = s
             while True:
                 if v == t:
                     push = min(map(cap.__getitem__, path))
@@ -134,16 +120,11 @@ class FlowNetwork:
                         cap[a] -= push
                         cap[a ^ 1] += push
                     total += push
-                    if cutoff is not None and total >= cutoff:
-                        self.last_push = (path, push)
-                        return total
                     k = 0
                     while cap[path[k]]:
                         k += 1
                     del path[k:]
                     v = head[path[-1]] if path else s
-                    if ptr is None:
-                        ptr = [0] * self.n
                     continue
                 arcs = adj[v]
                 i, end = ptr[v], len(arcs)
@@ -163,19 +144,6 @@ class FlowNetwork:
                         break
                     v = head[path.pop() ^ 1]
                     ptr[v] += 1
-
-    def is_maximum(self, s: int, t: int) -> bool:
-        """Whether the flow ``cap`` holds is a maximum s-t flow, at the cost of
-        one search (``max_flow(s, t, cutoff=1)``).  The path that search
-        pushes, if any, is pushed back, so ``cap`` is left as it was."""
-        if not self.max_flow(s, t, cutoff=1):
-            return True
-        path, push = self.last_push
-        cap = self.cap
-        for a in path:
-            cap[a] += push
-            cap[a ^ 1] -= push
-        return False
 
     def source_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network (the minimal min cut)."""
@@ -320,11 +288,13 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
 
     The witness is the lexicographically smallest minimizing subset, grown
     by ``lex_min_walk`` on the last round's flow: a query raises the
-    source's source arc to infinity, and a rejected source gets its old
-    capacity back and then an infinite arc to the sink for good, so every
-    max flow runs on the network of the textbook greedy's query (see
-    ``lex_min_walk``).  Each acceptance folds the source's weight and new
-    image into integer sums.
+    source's source arc to infinity and probes for more flow, and a rejected
+    source gets its old capacity back and then an infinite arc to the sink
+    for good, so every probe runs on the network of the textbook greedy's
+    query (see ``lex_min_walk``).  Probes push nothing, so each one asks
+    whether the pinned network's maximum flow exceeds the last round's
+    value, whichever maximum flow the round left.  Each acceptance folds
+    the source's weight and new image into integer sums.
     ``witness=False`` skips the extraction and returns ``None`` in the
     witness's place.  A source weight <= 0 or a neighbor weight < 0 is
     refused before any network is built.
@@ -414,7 +384,7 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
 
     def force_in(i: int) -> bool:
         old, cap[2 * i] = cap[2 * i], inf  # source arc i is arc 2*i
-        if net.is_maximum(0, 1):
+        if not net.max_flow(0, 1, probe=True):
             return True
         cap[2 * i] = old
         return False

@@ -71,8 +71,13 @@ def _parse_text(value) -> Fraction:
 
 
 def exact_weights(weights: Mapping[str, object]) -> dict[str, Fraction]:
-    """A copy of ``weights`` with ints turned into Fractions (``exact_weight``)."""
-    return {key: w if type(w) is Fraction else exact_weight(key, w) for key, w in weights.items()}
+    """A copy of ``weights`` with ints turned into Fractions (``exact_weight``);
+    ``weights`` that are not a mapping raise InputError."""
+    try:
+        items = weights.items()
+    except AttributeError:
+        raise InputError(f"weights must be a mapping (got {type(weights).__name__})") from None
+    return {key: w if type(w) is Fraction else exact_weight(key, w) for key, w in items}
 
 
 def exact_weight(key, w) -> Fraction:

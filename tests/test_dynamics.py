@@ -100,6 +100,20 @@ class TestGroupSets:
             with pytest.raises(InputError, match="integer coordinates"):
                 act.apply(bad, "0")
 
+    @pytest.mark.parametrize("build", [
+        lambda: dynamics.GroupSet.of(FinAbGroup((4,)), [5]),
+        lambda: FinAbGroup((4,)).reduce(5),
+        lambda: translation_action(FinAbGroup((4,))).apply(5, "0"),
+        lambda: dynamics.GroupSet.of("x", [(1,)]),
+        lambda: dynamics.GroupSet.of((4,), []),
+        lambda: FinAbGroup([4]),
+    ], ids=["of-int-element", "reduce-int", "apply-int", "of-str-group", "of-tuple-group",
+            "list-moduli"])
+    def test_malformed_library_inputs_raise_input_error(self, build):
+        # each of these raised a raw TypeError or AttributeError, or was built
+        with pytest.raises(InputError):
+            build()
+
     def test_reduced_elements_are_kept(self):
         g = FinAbGroup((4, 3))
         built = dynamics.GroupSet(g, {(1, 2), (3, 0)})

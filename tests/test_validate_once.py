@@ -1,5 +1,7 @@
-"""Graphs and actions are read-only, and each checks itself once."""
+"""Public values refuse malformed fields; graphs and actions are read-only,
+and each checks itself once."""
 
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ from plunnecke_lab import (InputError, LayeredMeasureGraph, dual, is_commutative
                            iterated_image, verify_bottom_layer_minimal,
                            verify_dyn_plunnecke, verify_graph_plunnecke)
 from plunnecke_lab import dynamics, graphcore
+from plunnecke_lab.density import PeriodicSet
+from plunnecke_lab.dynamics import FinAbGroup, FiniteAction, GroupSet
 from plunnecke_lab.graphcore import require_valid
 
 from conftest import build, gset, translation
@@ -25,6 +29,66 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return seen
+
+
+# A well-formed value of each public dataclass, and malformed values for each
+# of its fields.  VerificationReport checks nothing, by design.
+_WELL_FORMED = {
+    FinAbGroup: {"moduli": (2,)},
+    GroupSet: {"group": FinAbGroup((4,)), "elements": frozenset({(1,)})},
+    PeriodicSet: {"dim": 1, "period": (4,), "residues": frozenset({(1,)})},
+    LayeredMeasureGraph: {"atoms": {"a": Fraction(1), "b": Fraction(1)},
+                          "layer": {"a": 0, "b": 1}, "height": 1,
+                          "labels": frozenset({"x"}), "edges": frozenset({("a", "b", "x")})},
+    FiniteAction: {"group": FinAbGroup((2,)),
+                   "atoms": {"0": Fraction(1, 2), "1": Fraction(1, 2)},
+                   "generator_perms": ({"0": "1", "1": "0"},)},
+}
+_MALFORMED = {
+    FinAbGroup: {"moduli": [[2], (), (0,), (True,), (2.0,), "2", 2, None]},
+    GroupSet: {"group": ["x", (4,), None],
+               "elements": [[(1,)], {(5,)}, {(1.5,)}, {(True,)}, {(1, 0)}, {1}, None]},
+    PeriodicSet: {"dim": ["1", 0, True, 1.0, None],
+                  "period": [[4], (0,), (4, 4), (4.0,), (True,), 4],
+                  "residues": [[(1,)], {(5,)}, {(1.5,)}, {(1, 0)}, {1}, None]},
+    LayeredMeasureGraph: {
+        "atoms": [{"a": 1.5, "b": 1}, {"a": "1", "b": 1}, {"a": True, "b": 1},
+                  {"a": 0, "b": 1}, 5, [("a", 1), ("b", 1)]],
+        "layer": [{"a": "0", "b": 1}, {"a": 0.0, "b": 1}, {"a": 0, "b": 2}, {"a": 0}, 5, None],
+        "height": ["1", 1.0, True, 0, None],
+        "labels": [frozenset(), 5, None, [["x"]]],
+        "edges": [{("a", "c", "x")}, {("b", "a", "x")}, {("a", "b")}, {("a", "b", "x", 1)},
+                  {5}, 5, None, [["a", "b", "x"]]],
+    },
+    FiniteAction: {
+        "group": ["x", (2,), None, FinAbGroup((3,)), FinAbGroup((2, 2))],
+        "atoms": [{"0": 1.5, "1": 1}, {"0": Fraction(1), "1": Fraction(1)},
+                  {"0": Fraction(1, 2)}, 5, None],
+        "generator_perms": [(), ({"0": "0", "1": "0"},), 5, None, (5,), ("01",)],
+    },
+}
+
+
+def _build_and_use(cls, fields):
+    """Build the value; a graph or action then checks its structure, as its
+    first use does."""
+    value = cls(**fields)
+    if cls is LayeredMeasureGraph:
+        require_valid(value)
+    elif cls is FiniteAction:
+        dynamics.require_valid_action(value)
+    return value
+
+
+@pytest.mark.parametrize("cls", list(_MALFORMED), ids=lambda cls: cls.__name__)
+def test_each_malformed_field_raises_input_error(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == list(_MALFORMED[cls])
+    well_formed = _WELL_FORMED[cls]
+    _build_and_use(cls, well_formed)
+    for name, values in _MALFORMED[cls].items():
+        for bad in values:
+            with pytest.raises(InputError):
+                _build_and_use(cls, {**well_formed, name: bad})
 
 
 class TestReadOnly:
