@@ -240,15 +240,11 @@ def _cmd_magnify(args) -> int:
     for path in args.files:
         g = jsonio.graph_from_doc(_load_json(path))
         row = {"file": path, "j": j, "method": method}
-        if method in ("brute", "both"):
-            res = magnification_bruteforce(g, j)
-            row["value_brute"] = format_rational(res.value)
-            row["witness_brute"] = sorted(res.witness)
-        if method in ("mincut", "both"):
-            res = magnification_mincut(g, j)
-            row["value_mincut"] = format_rational(res.value)
-            row["witness_mincut"] = sorted(res.witness)
-        row["value"] = row.get("value_mincut", row.get("value_brute"))
+        for name, solve in (("brute", magnification_bruteforce), ("mincut", magnification_mincut)):
+            if method in (name, "both"):
+                res = solve(g, j)
+                row["value"] = row[f"value_{name}"] = format_rational(res.value)
+                row[f"witness_{name}"] = sorted(res.witness)
         if method == "both":
             row["agree"] = row["value_brute"] == row["value_mincut"]
             agree = agree and row["agree"]

@@ -26,8 +26,7 @@ from .commutativity import is_commutative
 from .density import check_pairs
 from .errors import InputError
 from .graphcore import LayeredMeasureGraph, induced_subgraph
-from .magnification import MagnificationResult
-from .maxflow import min_ratio_bruteforce, min_ratio_mincut
+from .maxflow import MagnificationResult, min_ratio_bruteforce, min_ratio_mincut
 from .rational import exact_sum, exact_weights, format_rational, parse_rational, to_integers
 from .reports import VerificationReport
 
@@ -117,6 +116,8 @@ class GroupSet:
     @classmethod
     def of(cls, group: FinAbGroup, elements) -> "GroupSet":
         _require_group(group)
+        if not isinstance(elements, Iterable):
+            raise InputError(f"elements must be an iterable (got {elements!r})")
         return cls._unchecked(group, frozenset(group.reduce(e) for e in elements))
 
     @classmethod
@@ -427,9 +428,8 @@ def restricted_orbit_subgraph(act: FiniteAction, A: GroupSet, B: Iterable[str],
 
 
 def _ratio(act: FiniteAction, A: GroupSet, B: Iterable[str],
-           drop: Iterable[str] = frozenset(), witness: bool = True):
-    """(value, witness) of c(A, B) minus ``drop``; with ``witness=False`` the
-    min-cut route skips the witness and returns None in its place."""
+           drop: Iterable[str] = frozenset(), witness: bool = True) -> MagnificationResult:
+    """c(A, B) minus ``drop``; ``witness=False`` skips a min-cut witness (None)."""
     require_valid_action(act)
     B = _check_atoms(act, B)
     drop = _check_atoms(act, drop)
@@ -438,7 +438,7 @@ def _ratio(act: FiniteAction, A: GroupSet, B: Iterable[str],
     neighbors = {b: move_set(act, A, frozenset([b])) - drop for b in B}
     if len(B) <= _ENUMERATE_MAX:
         return min_ratio_bruteforce(sorted(B), neighbors, act.atoms)
-    return min_ratio_mincut(sorted(B), neighbors, act.atoms, witness=witness)[:2]
+    return min_ratio_mincut(sorted(B), neighbors, act.atoms, witness=witness)
 
 
 def c(act: FiniteAction, A: GroupSet, B: Iterable[str],
@@ -449,7 +449,7 @@ def c(act: FiniteAction, A: GroupSet, B: Iterable[str],
     gives the restricted ratio of thm-4.3.  The witness is the lex-min B'
     whichever solver ran: subsets for |B| <= 10, iterated min-cuts above.
     """
-    return MagnificationResult(*_ratio(act, A, B, drop))
+    return _ratio(act, A, B, drop)
 
 
 def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction:
@@ -468,8 +468,7 @@ def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction
     if len(B) > maxflow.BRUTE_FORCE_LIMIT:
         raise InputError(f"heavy ratio is brute force only; |B| <= {maxflow.BRUTE_FORCE_LIMIT}")
     neighbors = {b: move_set(act, A, frozenset([b])) for b in B}
-    value, _ = min_ratio_bruteforce(sorted(B), neighbors, act.atoms, min_share=delta)
-    return value
+    return min_ratio_bruteforce(sorted(B), neighbors, act.atoms, min_share=delta).value
 
 
 def verify_dyn_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str],
@@ -505,8 +504,8 @@ def verify_restricted_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str]
     if not 0 < j <= k:
         raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
     E = _check_atoms(act, E)
-    low = _ratio(act, iterate(A, j), B, move_set(act, iterate(A, j - 1), E), witness=False)[0]
-    high = _ratio(act, iterate(A, k), B, move_set(act, iterate(A, k - 1), E), witness=False)[0]
+    low = _ratio(act, iterate(A, j), B, move_set(act, iterate(A, j - 1), E), witness=False).value
+    high = _ratio(act, iterate(A, k), B, move_set(act, iterate(A, k - 1), E), witness=False).value
     lhs, rhs = low ** k, high ** j
     sub = restricted_orbit_subgraph(act, A, B, E, k)
     sub_ok = True if not sub.atoms else is_commutative(sub).holds
@@ -617,9 +616,9 @@ def verify_multiplicativity(act: FiniteAction, act2: FiniteAction,
         raise InputError(
             f"product base set has {len(B) * len(B2)} atoms, over "
             f"MAX_PRODUCT_BASE = {MAX_PRODUCT_BASE}")
-    left = _ratio(act, A, B, witness=False)[0] * _ratio(act2, A2, B2, witness=False)[0]
+    left = _ratio(act, A, B, witness=False).value * _ratio(act2, A2, B2, witness=False).value
     pact = product_action(act, act2)
-    right = _ratio(pact, pair_group_set(A, A2), pair_space_set(B, B2), witness=False)[0]
+    right = _ratio(pact, pair_group_set(A, A2), pair_space_set(B, B2), witness=False).value
     return VerificationReport(
         instance=instance,
         theorem="lemma-6.1",

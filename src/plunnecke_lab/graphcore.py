@@ -60,6 +60,8 @@ class LayeredMeasureGraph:
             raise InputError(f"layer of ({v}) must be an integer (got {layer[v]!r})")
         object.__setattr__(self, "atoms", MappingProxyType(exact_weights(self.atoms)))
         object.__setattr__(self, "layer", MappingProxyType(layer))
+        if isinstance(self.labels, str) or isinstance(self.edges, str):
+            raise InputError("graph labels and edges must be collections, not strings")
         try:
             labels, edges = frozenset(self.labels), frozenset(self.edges)
         except TypeError:
@@ -85,7 +87,7 @@ class LayeredMeasureGraph:
             height = max(max(layer.values(), default=1), 1)
         if labels is None:
             labels = frozenset(a for _, _, a in edge_set)
-        return cls(atoms, layer, height, frozenset(labels), edge_set)
+        return cls(atoms, layer, height, labels, edge_set)
 
     def weight(self, vertices: Iterable[str]) -> Fraction:
         return exact_sum(map(self.atoms.__getitem__, vertices))
@@ -146,11 +148,10 @@ def validate(g: LayeredMeasureGraph) -> list[str]:
     bad_edges = []
     malformed = []
     for e in g.edges:
-        try:
-            t, h, a = e
-        except (TypeError, ValueError):
+        if type(e) is not tuple or len(e) != 3:
             malformed.append(repr(e))
             continue
+        t, h, a = e
         if t not in atoms or h not in atoms:
             bad_edges.append((e, 0, f"edge references unknown vertex ({t},{h},{a})"))
             continue

@@ -22,15 +22,10 @@ from .commutativity import is_commutative
 from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, require_valid)
-from .maxflow import FlowNetwork, lex_min_walk, min_ratio_bruteforce, min_ratio_mincut
+from .maxflow import (FlowNetwork, MagnificationResult, lex_min_walk, min_ratio_bruteforce,
+                      min_ratio_mincut)
 from .rational import format_rational, parse_rational, to_integers
 from .reports import VerificationReport
-
-
-@dataclass(frozen=True)
-class MagnificationResult:
-    value: Fraction
-    witness: VertexSet  # nonempty minimizing bottom-layer subset
 
 
 @dataclass(frozen=True)
@@ -103,20 +98,19 @@ def magnification_bruteforce(g: LayeredMeasureGraph, j: int) -> MagnificationRes
     for those.
     """
     bottom, relation = _bottom_problem(g, j, brute=True)
-    return MagnificationResult(*min_ratio_bruteforce(bottom, relation, g.atoms))
+    return min_ratio_bruteforce(bottom, relation, g.atoms)
 
 
 def magnification_mincut(g: LayeredMeasureGraph, j: int) -> MagnificationResult:
     """Same value and witness as the brute-force method, via iterated min-cuts."""
     bottom, relation = _bottom_problem(g, j)
-    value, witness, _trace = min_ratio_mincut(bottom, relation, g.atoms)
-    return MagnificationResult(value, witness)
+    return min_ratio_mincut(bottom, relation, g.atoms)
 
 
 def mincut_value(g: LayeredMeasureGraph, j: int) -> Fraction:
     """The order-j magnification ratio alone: no witness is extracted."""
     bottom, relation = _bottom_problem(g, j)
-    return min_ratio_mincut(bottom, relation, g.atoms, witness=False)[0]
+    return min_ratio_mincut(bottom, relation, g.atoms, witness=False).value
 
 
 def cut_weight(g: LayeredMeasureGraph, S: Iterable[str], C) -> Fraction:

@@ -6,7 +6,8 @@ every ratio computed here are exact.  The ratio solvers minimize
 weight(N(S)) / weight(S)  for one measure ``weight`` over nonempty subsets S
 of a source set, where N(S) is the union of per-source neighbor sets; ties
 are broken toward the lexicographically smallest witness.  Both refuse a
-source weight <= 0 and a neighbor weight < 0.
+source weight <= 0 and a neighbor weight < 0, and return one
+``MagnificationResult``.
 
 ``min_ratio_mincut`` runs Dinkelbach's rounds on one network; its docstring
 says why nesting the rounds and opening each with a greedy flow leave every
@@ -17,12 +18,23 @@ result unchanged.  Its witness and the minimum-weight cutset's come from
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
 from .rational import exact_weight, parse_rational, to_integers
 
 BRUTE_FORCE_LIMIT = 20  # the most sources min_ratio_bruteforce enumerates
+
+
+@dataclass(frozen=True)
+class MagnificationResult:
+    """A ratio solve: the minimum, its lex-min witness (None if not extracted)
+    and the Dinkelbach trace (() for brute force; equality ignores it)."""
+
+    value: Fraction
+    witness: frozenset | None
+    trace: tuple[Fraction, ...] = field(compare=False)
 
 
 class FlowNetwork:
@@ -162,9 +174,12 @@ class FlowNetwork:
 def _integerize(sources, neighbors, weight):
     """Scaled source weights, sorted targets' weights, and source -> target indices.
 
-    A weight that is not a Fraction or an int (``rational.exact_weight``), a
-    source weight <= 0 and a target weight < 0 are refused first.
+    An empty source set, a weight that is not a Fraction or an int
+    (``rational.exact_weight``), a source weight <= 0 and a target weight < 0
+    are refused first.
     """
+    if not sources:
+        raise InputError("empty source set")
     targets = sorted({u for s in sources for u in neighbors[s]})
     weight = {v: w if type(w := weight[v]) is Fraction else exact_weight(v, w)
               for v in (*sources, *targets)}
@@ -182,7 +197,7 @@ def _integerize(sources, neighbors, weight):
 
 
 def min_ratio_bruteforce(sources, neighbors, weight,
-                         min_share=0) -> tuple[Fraction, frozenset]:
+                         min_share=0) -> MagnificationResult:
     """Enumerate every nonempty subset of ``sources`` exactly.
 
     Refuses more than BRUTE_FORCE_LIMIT sources and a ``min_share`` outside
@@ -196,8 +211,6 @@ def min_ratio_bruteforce(sources, neighbors, weight,
     """
     sources = sorted(sources)
     n = len(sources)
-    if n == 0:
-        raise InputError("empty source set")
     if n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute force limited to {BRUTE_FORCE_LIMIT} sources (got {n})")
     min_share = parse_rational(min_share)
@@ -232,7 +245,8 @@ def min_ratio_bruteforce(sources, neighbors, weight,
             d -= 1
             i = pick[d] + 1
         else:
-            return Fraction(best_num, best_den), frozenset(sources[k] for k in best)
+            return MagnificationResult(Fraction(best_num, best_den),
+                                       frozenset(sources[k] for k in best), ())
 
 
 def lex_min_walk(n: int, query, bar, done) -> list[int]:
@@ -263,13 +277,13 @@ def lex_min_walk(n: int, query, bar, done) -> list[int]:
 
 
 def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
-                     ) -> tuple[Fraction, frozenset | None, tuple[Fraction, ...]]:
+                     ) -> MagnificationResult:
     """Iterative ratio minimization over min-cuts (Dinkelbach's method).
 
     Starting from the full-set ratio, each round finds a nonempty minimizer
     of f(S) = weight(N(S)) - lam * weight(S) as the source side of a min cut
     and re-normalizes lam; it stops when that minimum hits zero.  The
-    returned trace holds the strictly decreasing lam sequence, one maximum
+    result's trace holds the strictly decreasing lam sequence, one maximum
     flow per entry.  One network serves every round, and a round only
     re-weighs its arcs:
 
@@ -286,31 +300,33 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     - Each round opens with a greedy flow along s -> i -> k -> t, one pass
       over the middle arcs, and a max flow finishes it.
 
-    The witness is the lexicographically smallest minimizing subset, grown
-    by ``lex_min_walk`` on the last round's flow: a query raises the
-    source's source arc to infinity and probes for more flow, and a rejected
-    source gets its old capacity back and then an infinite arc to the sink
-    for good, so every probe runs on the network of the textbook greedy's
-    query (see ``lex_min_walk``).  Probes push nothing, so each one asks
-    whether the pinned network's maximum flow exceeds the last round's
-    value, whichever maximum flow the round left.  Each acceptance folds
-    the source's weight and new image into integer sums.
-    ``witness=False`` skips the extraction and returns ``None`` in the
-    witness's place.  A source weight <= 0 or a neighbor weight < 0 is
-    refused before any network is built.
+    The last round's live set S_{R-1} (every source if the first round is
+    optimal) is the largest optimal set: its ratio is the final lam*; an
+    optimal set minimizes f at lam*, so by nesting it lies inside S_{R-1};
+    and optimal sets are closed under union, since f_lam*(S | S') +
+    f_lam*(S & S') <= 0 with both terms >= 0.  A source without neighbors
+    needs no path of its own: no middle arc drains its source arc, so the
+    rounds run down to lam = 0 (the first lam, with no targets at all),
+    whose optimal sets are the sources whose neighbors all weigh 0.
+
+    The witness, the lexicographically smallest optimal set, is grown by
+    ``lex_min_walk`` on the last round's flow.  A query raises the source's
+    source arc to infinity and probes, and a rejected source gets its old
+    capacity back and then an infinite arc to the sink for good, so every
+    probe runs on the network of the textbook greedy's query (see
+    ``lex_min_walk``).  A probe pushes nothing, so it asks whether the
+    pinned network's maximum flow exceeds the last round's value, whichever
+    maximum flow the round left.  S_{R-1} holds every source chosen so far
+    and none barred, so the walk accepts exactly its sources, and the
+    witness is the shortest prefix of sorted S_{R-1} whose ratio, folded
+    into integer sums at each acceptance, is lam*.  ``witness=False`` skips
+    the extraction; the witness is then None.  A source weight <= 0 or a
+    neighbor weight < 0 is refused before any network is built.
     """
     sources = sorted(sources)
-    if not sources:
-        raise InputError("empty source set")
     sw, dw, nbr = _integerize(sources, neighbors, weight)
-    if not all(nbr):
-        # a source without neighbors gives 0; the lex-min set of ratio 0 is
-        # the first source whose neighbors all weigh 0
-        first = next(i for i, ks in enumerate(nbr) if not any(dw[k] for k in ks))
-        return Fraction(0), frozenset({sources[first]}) if witness else None, (Fraction(0),)
     n, m = len(sources), len(dw)
-    total_src = sum(sw)
-    total_dst = sum(dw)
+    total_src, total_dst = sum(sw), sum(dw)
     # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets; arcs:
     # the n source arcs, then the middle arcs source by source, then the m
     # target arcs; first_mid[i] is source i's first middle arc
@@ -351,11 +367,6 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         net.cap = cap
         return inf, sum(cap[1:2 * n:2])
 
-    def ratio(index_set) -> Fraction:
-        # scaled weight of the image of a nonempty index set over its own
-        img = set().union(*(nbr[i] for i in index_set))
-        return Fraction(sum(dw[k] for k in img), sum(sw[i] for i in index_set))
-
     lam = Fraction(total_dst, total_src)
     trace = [lam]
     live, live_weight = range(n), total_src
@@ -369,7 +380,8 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         if not live:
             raise RuntimeError("improving cut came back empty")
         live_weight = sum(sw[i] for i in live)
-        new_lam = ratio(live)
+        img = set().union(*(nbr[i] for i in live))
+        new_lam = Fraction(sum(dw[k] for k in img), live_weight)
         if not new_lam < lam:
             raise RuntimeError("ratio iteration failed to decrease")
         lam = new_lam
@@ -377,7 +389,7 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     else:
         raise RuntimeError(f"ratio iteration exceeded its bound of {bound}")
     if not witness:
-        return lam, None, tuple(trace)
+        return MagnificationResult(lam, None, tuple(trace))
     cap, num, den = net.cap, lam.numerator, lam.denominator
     image: set[int] = set()
     img_w = set_w = 0
@@ -389,9 +401,6 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         cap[2 * i] = old
         return False
 
-    def force_out(i: int) -> None:
-        net.add_edge(2 + i, 1, inf)
-
     def attains_optimum(chosen) -> bool:
         nonlocal img_w, set_w
         if not chosen:
@@ -402,5 +411,5 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         set_w += sw[i]
         return img_w * den == num * set_w
 
-    chosen = lex_min_walk(n, force_in, force_out, attains_optimum)
-    return lam, frozenset(sources[i] for i in chosen), tuple(trace)
+    chosen = lex_min_walk(n, force_in, lambda i: net.add_edge(2 + i, 1, inf), attains_optimum)
+    return MagnificationResult(lam, frozenset(sources[i] for i in chosen), tuple(trace))

@@ -79,7 +79,7 @@ class TestMagnification:
         j = data.draw(st.integers(1, g.height))
         bottom = sorted(g.layer_set(0))
         neighbors = {v: iterated_image(g, frozenset([v]), j) for v in bottom}
-        _value, _witness, trace = min_ratio_mincut(bottom, neighbors, g.atoms)
+        trace = min_ratio_mincut(bottom, neighbors, g.atoms).trace
         assert all(trace[i + 1] < trace[i] for i in range(len(trace) - 1))
         layer_j = {u for vs in neighbors.values() for u in vs}
         assert len(trace) <= max(1, len(bottom) * max(1, len(layer_j))) + 2
@@ -301,10 +301,11 @@ class TestValueOnlyRatios:
         g = _seeded_graph(seed)
         for j in range(1, g.height + 1):
             bottom, relation = _bottom_problem(g, j)
-            value, witness, trace = min_ratio_mincut(bottom, relation, g.atoms)
-            assert min_ratio_mincut(bottom, relation, g.atoms,
-                                    witness=False) == (value, None, trace)
-            assert value == magnification_bruteforce(g, j).value
+            result = min_ratio_mincut(bottom, relation, g.atoms)
+            value_only = min_ratio_mincut(bottom, relation, g.atoms, witness=False)
+            assert (value_only.value, value_only.witness) == (result.value, None)
+            assert value_only.trace == result.trace
+            assert result.value == magnification_bruteforce(g, j).value
 
     def test_value_only_solve_makes_one_max_flow_per_round(self, monkeypatch):
         calls = _count_max_flows(monkeypatch)
@@ -314,10 +315,8 @@ class TestValueOnlyRatios:
             for j in range(1, g.height + 1):
                 bottom, relation = _bottom_problem(g, j)
                 calls.clear()
-                trace = min_ratio_mincut(bottom, relation, g.atoms,
-                                         witness=False)[2]
-                # a source without neighbours gives 0 with no flow at all
-                rounds = 0 if trace == (0,) else len(trace)
+                rounds = len(min_ratio_mincut(bottom, relation, g.atoms,
+                                              witness=False).trace)
                 assert calls == [False] * rounds
                 multi_round += rounds > 1
                 calls.clear()
@@ -465,11 +464,40 @@ class TestPinnedQueries:
                 for witness in (True, False):
                     built.clear()
                     trace = min_ratio_mincut(bottom, relation, g.atoms,
-                                             witness=witness)[2]
-                    # a source without neighbours gives 0 with no network at all
-                    assert len(built) == (0 if trace == (0,) else 1)
+                                             witness=witness).trace
+                    assert len(built) == 1
                     multi_round += len(trace) > 1
         assert multi_round >= 6
+
+    def test_extraction_leaves_the_maximum_flow_on_every_original_arc(self, monkeypatch):
+        """Probes push nothing, and a pin or bar only raises a forward
+        residual or adds an arc, so after extraction every arc that the last
+        full max-flow saw still holds that flow as its reverse residual."""
+        runs = []
+        original = FlowNetwork.max_flow
+
+        def recorded(net, s, t, probe=False):
+            got = original(net, s, t, probe=probe)
+            if not probe:
+                arcs = len(net.head)
+                runs.append((net, arcs, net.cap[:arcs]))
+            return got
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", recorded)
+        solves = raised = added = 0
+        for seed in range(30):
+            g = _seeded_graph(seed)
+            for solve in [lambda: min_weight_cutset(g, 1),
+                          *(lambda j=j: magnification_mincut(g, j)
+                            for j in range(1, g.height + 1))]:
+                runs.clear()
+                solve()
+                net, arcs, cap = runs[-1]
+                assert net.cap[1:arcs:2] == cap[1::2]
+                solves += 1
+                raised += net.cap[:arcs:2] != cap[::2]
+                added += len(net.head) > arcs
+        assert solves >= 80 and raised >= 30 and added >= 30
 
 
 class TestCutsetPush:

@@ -232,8 +232,8 @@ def _product_relation(seed, size=None):
 def test_mincut_agrees_with_bruteforce_on_product_actions(seed):
     sources, neighbors, weights = _product_relation(seed)
     assert 11 <= len(sources) <= 20
-    value, witness, _trace = min_ratio_mincut(sources, neighbors, weights)
-    assert (value, witness) == min_ratio_bruteforce(sources, neighbors, weights)
+    assert min_ratio_mincut(sources, neighbors, weights) == min_ratio_bruteforce(
+        sources, neighbors, weights)
 
 
 def test_lex_min_walk_queries_only_add_constraints():
@@ -445,17 +445,19 @@ relations = st.integers(0, 10 ** 9).map(
 @given(relations)
 def test_mincut_agrees_with_bruteforce(rel):
     sources, neighbors, weights = rel
-    v1, w1 = min_ratio_bruteforce(sources, neighbors, weights)
-    v2, w2, trace = min_ratio_mincut(sources, neighbors, weights)
-    assert v1 == v2
-    assert w1 == w2
+    brute = min_ratio_bruteforce(sources, neighbors, weights)
+    mincut = min_ratio_mincut(sources, neighbors, weights)
+    assert brute.value == mincut.value
+    assert brute.witness == mincut.witness
+    trace = mincut.trace
     assert all(trace[i + 1] < trace[i] for i in range(len(trace) - 1))
 
 
 @given(relations)
 def test_witness_reproduces_value(rel):
     sources, neighbors, weights = rel
-    value, witness, _ = min_ratio_mincut(sources, neighbors, weights)
+    result = min_ratio_mincut(sources, neighbors, weights)
+    value, witness = result.value, result.witness
     image = frozenset(u for s in witness for u in neighbors[s])
     mu_img = sum((weights[u] for u in image), Fraction(0))
     mu_set = sum((weights[s] for s in witness), Fraction(0))
@@ -464,24 +466,27 @@ def test_witness_reproduces_value(rel):
 
 
 def test_zero_when_some_source_has_no_neighbors():
+    # "b" has no neighbor, so the rounds run from the full-set ratio 1/2
+    # down to 0
     neighbors = {"a": frozenset({"t"}), "b": frozenset()}
     weights = {"a": Fraction(1), "b": Fraction(1), "t": Fraction(1)}
-    value, witness, _ = min_ratio_mincut(["a", "b"], neighbors, weights)
-    assert value == 0
-    assert witness == {"b"}
-    assert min_ratio_mincut(["a", "b"], neighbors, weights,
-                            witness=False) == (0, None, (0,))
-    value, witness = min_ratio_bruteforce(["a", "b"], neighbors, weights)
-    assert value == 0
-    assert witness == {"b"}
+    result = min_ratio_mincut(["a", "b"], neighbors, weights)
+    assert result.value == 0
+    assert result.witness == {"b"}
+    value_only = min_ratio_mincut(["a", "b"], neighbors, weights, witness=False)
+    assert (value_only.value, value_only.witness) == (0, None)
+    assert value_only.trace == (Fraction(1, 2), 0)
+    result = min_ratio_bruteforce(["a", "b"], neighbors, weights)
+    assert result.value == 0
+    assert result.witness == {"b"}
 
 
 def test_iteration_bound_is_enforced():
     neighbors = {"a": frozenset({"t"})}
     weights = {"a": Fraction(1), "t": Fraction(2)}
-    value, witness, trace = min_ratio_mincut(["a"], neighbors, weights)
-    assert value == 2 and witness == {"a"}
-    assert len(trace) <= 1 * 1 + 2
+    result = min_ratio_mincut(["a"], neighbors, weights)
+    assert result.value == 2 and result.witness == {"a"}
+    assert len(result.trace) <= 1 * 1 + 2
 
 
 def test_empty_sources_rejected():
@@ -516,7 +521,7 @@ def _ratio_oracle(sources, neighbors, weights, min_share=0):
             key = (sum((weights[u] for u in image), Fraction(0)) / mass, subset)
             if best is None or key < best:
                 best = key
-    return best[0], frozenset(best[1])
+    return maxflow.MagnificationResult(best[0], frozenset(best[1]), ())
 
 
 def test_bruteforce_matches_the_definition():
@@ -575,8 +580,7 @@ def test_arc_list_network_matches_add_edge_calls():
 def _cold_min_ratio(sources, neighbors, weight):
     """The ratio solver before its rounds were nested: every round re-weighs
     the full source set from zero flow, and a rejected witness query is
-    undone by restoring a copy of every capacity.  Sources without
-    neighbors are left to the shortcut both solvers share."""
+    undone by restoring a copy of every capacity."""
     sources = sorted(sources)
     sw, dw, nbr = _integerize(sources, neighbors, weight)
     n, m = len(sw), len(dw)
@@ -668,20 +672,22 @@ def test_nested_rounds_match_the_cold_start_solver(monkeypatch):
         got = min_ratio_mincut(*rel)
         solved = calls[:]
         calls.clear()
-        assert got == _cold_min_ratio(*rel), trial
+        assert (got.value, got.witness, got.trace) == _cold_min_ratio(*rel), trial
         assert solved == calls, trial
-        rounds += len(got[2]) > 2
-        zero_optimum += got[0] == 0
+        rounds += len(got.trace) > 2
+        zero_optimum += got.value == 0
     assert rounds >= 300 and zero_optimum >= 100
 
 
 def test_a_source_whose_neighbors_all_weigh_zero_comes_first():
     # "a" reaches only a target of weight 0, so {"a"} ties with {"b"} at 0
-    # and precedes it
+    # and precedes it; the full-set ratio is 0 already, so one round runs
     neighbors = {"a": frozenset({"t"}), "b": frozenset()}
     weights = {"a": Fraction(1), "b": Fraction(1), "t": Fraction(0)}
-    assert min_ratio_bruteforce(["a", "b"], neighbors, weights) == (0, {"a"})
-    assert min_ratio_mincut(["a", "b"], neighbors, weights) == (0, {"a"}, (0,))
+    brute = min_ratio_bruteforce(["a", "b"], neighbors, weights)
+    assert (brute.value, brute.witness) == (0, {"a"})
+    mincut = min_ratio_mincut(["a", "b"], neighbors, weights)
+    assert (mincut.value, mincut.witness, mincut.trace) == (0, {"a"}, (0,))
 
 
 _REFUSED = [
@@ -716,5 +722,119 @@ def test_ratio_solvers_refuse_what_they_cannot_answer(case, monkeypatch):
 def test_zero_weight_neighbors_stay_allowed():
     neighbors = {"a": frozenset({"t", "u"}), "b": frozenset({"u"})}
     weights = {"a": Fraction(1), "b": Fraction(2), "t": Fraction(0), "u": Fraction(3)}
-    assert min_ratio_bruteforce(["a", "b"], neighbors, weights) == (1, {"a", "b"})
-    assert min_ratio_mincut(["a", "b"], neighbors, weights)[:2] == (1, {"a", "b"})
+    brute = min_ratio_bruteforce(["a", "b"], neighbors, weights)
+    assert (brute.value, brute.witness) == (1, {"a", "b"})
+    assert min_ratio_mincut(["a", "b"], neighbors, weights) == brute
+
+
+def _zero_ratio_relation(rng, trial):
+    """Sources some of which have no neighbor, targets some of which weigh 0,
+    or no targets at all, in turn; up to BRUTE_FORCE_LIMIT sources."""
+    kind = trial % 3
+    n = BRUTE_FORCE_LIMIT if trial < 3 else rng.randint(1, 8)
+    m = 0 if kind == 2 else rng.randint(1, 8)
+    targets = [f"t{k}" for k in range(m)]
+    density = rng.uniform(0.1, 0.7)
+    neighbors = {f"s{i:02d}": frozenset(t for t in targets if rng.random() < density)
+                 for i in range(n)}
+    if kind == 0:
+        neighbors[rng.choice(sorted(neighbors))] = frozenset()
+    weight = {s: Fraction(rng.randint(1, 3), rng.choice([1, 2])) for s in neighbors}
+    weight.update({t: Fraction(0) if kind == 1 and rng.random() < 0.5
+                   else Fraction(rng.randint(1, 3)) for t in targets})
+    return sorted(neighbors), neighbors, weight
+
+
+def test_zero_ratio_problems_take_the_general_rounds():
+    """Neighbourless sources, zero-weight neighbours and no targets at all:
+    the min-cut rounds give the enumerator's value and witness, a value-only
+    solve the same value, and a strictly decreasing trace."""
+    rng = random.Random(1967)
+    zero = multi_round = at_limit = 0
+    for trial in range(450):
+        rel = _zero_ratio_relation(rng, trial)
+        brute = min_ratio_bruteforce(*rel)
+        mincut = min_ratio_mincut(*rel)
+        assert (mincut.value, mincut.witness) == (brute.value, brute.witness), trial
+        value_only = min_ratio_mincut(*rel, witness=False)
+        assert (value_only.value, value_only.witness) == (brute.value, None), trial
+        trace = mincut.trace
+        assert value_only.trace == trace
+        assert trace[-1] == mincut.value
+        assert all(later < earlier for earlier, later in zip(trace, trace[1:])), trial
+        zero += mincut.value == 0
+        multi_round += len(trace) > 1
+        at_limit += len(rel[0]) == BRUTE_FORCE_LIMIT
+    assert zero >= 250 and multi_round >= 100 and at_limit >= 3
+
+
+def _largest_optimal_set_runs(monkeypatch):
+    """Per min-cut solve past BRUTE_FORCE_LIMIT, on orbit graphs and product
+    actions: the problem, the result, the last source_side call's source
+    indices (None if no round cut) and the walk's (index, answer) queries."""
+    sides, queries = [], []
+    source_side, walk = FlowNetwork.source_side, maxflow.lex_min_walk
+
+    def recorded_side(net, s):
+        sides.append(source_side(net, s))
+        return sides[-1]
+
+    def recorded_walk(n, query, bar, done):
+        def logged(i):
+            queries.append((i, query(i)))
+            return queries[-1][1]
+        return walk(n, logged, bar, done)
+
+    monkeypatch.setattr(FlowNetwork, "source_side", recorded_side)
+    monkeypatch.setattr(maxflow, "lex_min_walk", recorded_walk)
+    problems = []
+    for seed in range(8):
+        rng = random.Random(f"largest-set:{seed}")
+        n = rng.randint(42, 63)
+        act = translation_action(FinAbGroup((n,)))
+        if seed % 2:
+            A = GroupSet.of(act.group, [(x,) for x in rng.sample(range(n), 3)])
+            Y = rng.sample(range(n), rng.randint(BRUTE_FORCE_LIMIT + 1, n // 2))
+        else:
+            # six translates of one cluster, so that an optimal set often
+            # has optimal translates and the witness is a proper prefix
+            A = GroupSet.of(act.group, [(x,) for x in rng.sample(range(3), 2)])
+            cluster = rng.sample(range(5), 4)
+            Y = [x + k * (n // 6) for k in range(6) for x in cluster]
+        g = orbit_graph(act, A, frozenset(map(str, Y)), 2 + seed // 2 % 2)
+        for j in range(1, g.height + 1):
+            problems.append((*magnification._bottom_problem(g, j), g.atoms))
+    problems += [_product_relation(seed, 21 + 4 * seed) for seed in range(6)]
+    for sources, neighbors, weights in problems:
+        sides.clear()
+        queries.clear()
+        result = min_ratio_mincut(sources, neighbors, weights)
+        last = [i for i in range(len(sources)) if 2 + i in sides[-1]] if sides else None
+        yield sources, neighbors, weights, result, last, queries[:]
+
+
+def test_witness_is_the_shortest_optimal_prefix_of_the_last_live_set(monkeypatch):
+    """The last round's live set S is the largest optimal set: the walk
+    accepts exactly its sources, and the witness is the shortest prefix of
+    sorted S whose ratio is the optimum."""
+    cut = uncut = proper = rejected = 0
+    for sources, neighbors, weights, result, last, queries in \
+            _largest_optimal_set_runs(monkeypatch):
+        assert len(sources) > BRUTE_FORCE_LIMIT
+        live = range(len(sources)) if last is None else last
+        assert all(ok == (i in live) for i, ok in queries)
+
+        def ratio(subset):
+            image = set().union(*(neighbors[s] for s in subset))
+            return (sum((weights[u] for u in image), Fraction(0))
+                    / sum(weights[s] for s in subset))
+
+        prefix = next(k for k in range(1, len(live) + 1)
+                      if ratio([sources[i] for i in live[:k]]) == result.value)
+        assert result.witness == {sources[i] for i in live[:prefix]}
+        assert ratio(sorted(sources[i] for i in live)) == result.value
+        cut += last is not None
+        uncut += last is None
+        proper += prefix < len(live)
+        rejected += sum(not ok for _i, ok in queries)
+    assert cut >= 10 and uncut >= 1 and proper >= 5 and rejected >= 50

@@ -63,7 +63,7 @@ def test_one_home_for_the_brute_force_limit():
         "plunnecke_lab.maxflow"]
     assert "method" not in inspect.signature(plunnecke_lab.c).parameters
     assert [f.name for f in dataclasses.fields(plunnecke_lab.MagnificationResult)] == [
-        "value", "witness"]
+        "value", "witness", "trace"]
 
 
 def test_one_measure_per_ratio_problem_and_one_home_for_scaling():
@@ -84,3 +84,46 @@ def test_one_measure_per_ratio_problem_and_one_home_for_scaling():
                 importers.append(path.stem)
     assert importers == ["rational"]
     assert not hasattr(plunnecke_lab.maxflow, "common_scale")
+
+
+_RATIO_SOLVERS = {"min_ratio_bruteforce", "min_ratio_mincut", "_ratio"}
+
+
+def _solver_result_splits(source: str) -> list[int]:
+    """Lines where a ratio solver's result is subscripted, tuple-unpacked
+    or star-unpacked, rather than read by attribute."""
+
+    def solve(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        return name in _RATIO_SOLVERS
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Subscript, ast.Starred)) and solve(node.value):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Assign) and solve(node.value)
+              and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_each_way_of_splitting_a_solver_result():
+    snippet = "\n".join([
+        "value = min_ratio_mincut(s, n, w)[0]",
+        "value, witness = maxflow.min_ratio_bruteforce(s, n, w)",
+        "[value, witness, trace] = min_ratio_mincut(s, n, w)",
+        "pair = _ratio(act, A, B)[:2]",
+        "result = Result(*min_ratio_bruteforce(s, n, w))",
+        "value = min_ratio_mincut(s, n, w).value",
+        "result = _ratio(act, A, B)",
+    ])
+    assert _solver_result_splits(snippet) == [1, 2, 3, 4, 5]
+
+
+def test_no_module_splits_a_ratio_solver_result():
+    """Every solve returns one MagnificationResult, read by attribute."""
+    src = Path(plunnecke_lab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert _solver_result_splits(path.read_text()) == [], path.name

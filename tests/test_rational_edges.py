@@ -150,8 +150,8 @@ class TestRefusedRationals:
         weights = {"a": Fraction(1), "b": Fraction(1), "t": Fraction(1)}
         with pytest.raises(InputError):
             min_ratio_bruteforce(["a", "b"], neighbors, weights, share)
-        assert min_ratio_bruteforce(["a", "b"], neighbors, weights, "1/2") == (
-            0, frozenset({"b"}))
+        result = min_ratio_bruteforce(["a", "b"], neighbors, weights, "1/2")
+        assert (result.value, result.witness) == (0, frozenset({"b"}))
 
     @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/2", None])
     def test_format_rational(self, value):

@@ -203,4 +203,4 @@ def test_contains_takes_ints_tuples_and_lists():
 def test_ratio_solvers_refuse_weights_that_are_not_exact(solver, weight):
     with pytest.raises(InputError, match=r"weight of \(a\) must be a Fraction or an int"):
         solver(["a"], {"a": {"t"}}, {"a": weight, "t": 1})
-    assert solver(["a"], {"a": {"t"}}, {"a": 2, "t": 1})[0] == Fraction(1, 2)
+    assert solver(["a"], {"a": {"t"}}, {"a": 2, "t": 1}).value == Fraction(1, 2)

@@ -13,7 +13,7 @@ from plunnecke_lab import (InputError, LayeredMeasureGraph, dual, is_commutative
 from plunnecke_lab import dynamics, graphcore
 from plunnecke_lab.density import PeriodicSet
 from plunnecke_lab.dynamics import FinAbGroup, FiniteAction, GroupSet
-from plunnecke_lab.graphcore import require_valid
+from plunnecke_lab.graphcore import require_valid, validate
 
 from conftest import build, gset, translation
 
@@ -56,9 +56,9 @@ _MALFORMED = {
                   {"a": 0, "b": 1}, 5, [("a", 1), ("b", 1)]],
         "layer": [{"a": "0", "b": 1}, {"a": 0.0, "b": 1}, {"a": 0, "b": 2}, {"a": 0}, 5, None],
         "height": ["1", 1.0, True, 0, None],
-        "labels": [frozenset(), 5, None, [["x"]]],
+        "labels": [frozenset(), 5, None, [["x"]], "x", "xy"],
         "edges": [{("a", "c", "x")}, {("b", "a", "x")}, {("a", "b")}, {("a", "b", "x", 1)},
-                  {5}, 5, None, [["a", "b", "x"]]],
+                  {5}, 5, None, [["a", "b", "x"]], "abx", {"abx"}, {frozenset("abx")}],
     },
     FiniteAction: {
         "group": ["x", (2,), None, FinAbGroup((3,)), FinAbGroup((2, 2))],
@@ -89,6 +89,23 @@ def test_each_malformed_field_raises_input_error(cls):
         for bad in values:
             with pytest.raises(InputError):
                 _build_and_use(cls, {**well_formed, name: bad})
+
+
+def test_group_set_of_refuses_a_non_iterable():
+    with pytest.raises(InputError, match="elements must be an iterable"):
+        GroupSet.of(FinAbGroup((4,)), 5)
+
+
+def test_build_refuses_string_labels():
+    with pytest.raises(InputError, match="not strings"):
+        LayeredMeasureGraph.build([("a", 0, 1), ("b", 1, 1)], [("a", "b", "x")], labels="x")
+
+
+def test_a_graph_reports_each_edge_that_is_not_a_tuple():
+    g = LayeredMeasureGraph({"a": 1, "b": 1}, {"a": 0, "b": 1}, 1, {"x"},
+                            {("a", "b", "x"), "abx", ("a", "b")})
+    assert validate(g) == ["edge 'abx' is not a (tail, head, label) triple",
+                           "edge ('a', 'b') is not a (tail, head, label) triple"]
 
 
 class TestReadOnly:
