@@ -17,8 +17,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import mod, truth
 
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, require_iterable
 from .rational import format_rational
 from .reports import VerificationReport
 
@@ -88,15 +89,16 @@ class PeriodicSet:
 
     @classmethod
     def periodic(cls, period, residues) -> "PeriodicSet":
-        period = tuple(period)
+        period = tuple(require_iterable(period, "period"))
         _check_period(period)
-        points = [_point(r, len(period)) for r in residues]
+        points = [_point(r, len(period)) for r in require_iterable(residues, "residues")]
         return cls._unchecked(len(period), period, _reduce(points, period))
 
     @classmethod
     def finite(cls, dim, points) -> "PeriodicSet":
         _check_dim(dim)
-        return cls._unchecked(dim, None, frozenset(_point(p, dim) for p in points))
+        return cls._unchecked(dim, None, frozenset(
+            _point(p, dim) for p in require_iterable(points, "points")))
 
     @property
     def is_finite(self) -> bool:
@@ -146,9 +148,9 @@ def _point(value, dim: int) -> tuple[int, ...]:
 
 def contains(A: PeriodicSet, point) -> bool:
     point = _point(point, A.dim)
-    if A.is_finite:
+    if A.period is None:
         return point in A.residues
-    return tuple(x % p for x, p in zip(point, A.period)) in A.residues
+    return tuple(map(mod, point, A.period)) in A.residues
 
 
 def _reduce(points, box) -> frozenset[tuple[int, ...]]:
@@ -267,9 +269,20 @@ def window_scan(oracle, side: int, radius: int, dim: int = 1
     """Max and min of |A ∩ cube| / side**dim over all side-cubes within radius.
 
     A reporting estimate for arbitrary membership oracles, not a certified
-    density.  Scans that would call the oracle more than MAX_SCAN_CALLS times
-    are refused.
+    density.  The cubes' origins run over ``[-radius, radius - side + 1]^dim``
+    in ``itertools.product`` order, and the oracle is called once for each
+    cell of each cube, in ``itertools.product`` order within the cube:
+    ``(2 * radius - side + 2) ** dim * side ** dim`` calls, each counted
+    once if its value is truthy, with the cells streamed through ``map`` and
+    counted by ``sum`` in C.  ``side``, ``radius`` and ``dim`` must be ints
+    with ``1 <= side <= radius`` and ``dim >= 1``; anything else, and a scan
+    that would call the oracle more than MAX_SCAN_CALLS times, is refused
+    with InputError before the oracle is called.
     """
+    for name, value in (("window side", side), ("search radius", radius)):
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer (got {value!r})")
+    _check_dim(dim)
     if side < 1:
         raise InputError(f"window side must be at least 1 (got {side})")
     if radius < side:
@@ -280,19 +293,15 @@ def window_scan(oracle, side: int, radius: int, dim: int = 1
         if calls > MAX_SCAN_CALLS:
             raise InputError(f"window scan needs more than {MAX_SCAN_CALLS} "
                              f"oracle calls (MAX_SCAN_CALLS)")
-    origins = range(-radius, radius - side + 2)
-    offsets = list(itertools.product(range(side), repeat=dim))
-    best = worst = None
-    for origin in itertools.product(origins, repeat=dim):
-        count = sum(
-            1 for off in offsets
-            if oracle(tuple(o + d for o, d in zip(origin, off)))
-        )
-        if best is None or count > best:
-            best = count
-        if worst is None or count < worst:
-            worst = count
+    spans = [range(o, o + side) for o in range(-radius, radius - side + 2)]
     volume = side ** dim
+    best, worst = 0, volume
+    for cube in itertools.product(spans, repeat=dim):
+        count = sum(map(truth, map(oracle, itertools.product(*cube))))
+        if count > best:
+            best = count
+        if count < worst:
+            worst = count
     return Fraction(best, volume), Fraction(worst, volume)
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from . import maxflow
 from .commutativity import is_commutative
 from .density import check_pairs
-from .errors import InputError
+from .errors import InputError, require_iterable
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .maxflow import MagnificationResult, min_ratio_bruteforce, min_ratio_mincut
 from .rational import exact_sum, exact_weights, format_rational, parse_rational, to_integers
@@ -116,9 +116,8 @@ class GroupSet:
     @classmethod
     def of(cls, group: FinAbGroup, elements) -> "GroupSet":
         _require_group(group)
-        if not isinstance(elements, Iterable):
-            raise InputError(f"elements must be an iterable (got {elements!r})")
-        return cls._unchecked(group, frozenset(group.reduce(e) for e in elements))
+        return cls._unchecked(group, frozenset(
+            group.reduce(e) for e in require_iterable(elements, "elements")))
 
     @classmethod
     def _unchecked(cls, group: FinAbGroup, elements: frozenset) -> "GroupSet":

@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+from collections.abc import Iterable
+
 
 class InputError(ValueError):
     """Malformed or out-of-contract input (CLI exit code 2)."""
@@ -15,3 +17,10 @@ class HypothesisError(InputError):
     def __init__(self, message, payload=None):
         super().__init__(message)
         self.payload = payload
+
+
+def require_iterable(value, what: str):
+    """``value`` itself if it is iterable; anything else raises InputError."""
+    if not isinstance(value, Iterable):
+        raise InputError(f"{what} must be an iterable (got {value!r})")
+    return value

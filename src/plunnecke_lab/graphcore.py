@@ -78,15 +78,19 @@ class LayeredMeasureGraph:
         """Convenience constructor.
 
         ``vertices``: iterable of ``(id, layer, weight)``;
-        ``edges``: iterable of ``(tail, head, label)``.
+        ``edges``: iterable of ``(tail, head, label)``.  An edge that is
+        neither a tuple nor a string, such as a JSON list, becomes a tuple;
+        a string or any other malformed edge is kept as it is, and ``labels``
+        (by default the labels of the 3-tuple edges) leaves it to
+        ``validate`` to report.
         """
         atoms = {v: w for v, _, w in vertices}
         layer = {v: l for v, l, _ in vertices}
-        edge_set = frozenset(tuple(e) for e in edges)
+        edge_set = frozenset(e if type(e) is tuple else _as_edge(e) for e in edges)
         if height is None:
             height = max(max(layer.values(), default=1), 1)
         if labels is None:
-            labels = frozenset(a for _, _, a in edge_set)
+            labels = frozenset(e[2] for e in edge_set if type(e) is tuple and len(e) == 3)
         return cls(atoms, layer, height, labels, edge_set)
 
     def weight(self, vertices: Iterable[str]) -> Fraction:
@@ -116,6 +120,11 @@ class LayeredMeasureGraph:
         for v, l in self.layer.items():
             out.setdefault(l, set()).add(v)
         return {l: frozenset(vs) for l, vs in out.items()}
+
+
+def _as_edge(e):
+    """A non-tuple edge as a tuple, unless it is a string or not iterable."""
+    return e if isinstance(e, str) or not isinstance(e, Iterable) else tuple(e)
 
 
 def validate(g: LayeredMeasureGraph) -> list[str]:

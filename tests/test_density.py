@@ -412,6 +412,120 @@ class TestWindowScan:
         assert upper == lower == banach_density(a)
 
 
+def _scan_per_window(oracle, side, radius, dim=1):
+    """The scan as it was written before cells were streamed through ``map``:
+    one offset list, and one generator-built point per oracle call."""
+    origins = range(-radius, radius - side + 2)
+    offsets = list(itertools.product(range(side), repeat=dim))
+    best = worst = None
+    for origin in itertools.product(origins, repeat=dim):
+        count = sum(
+            1 for off in offsets
+            if oracle(tuple(o + d for o, d in zip(origin, off)))
+        )
+        if best is None or count > best:
+            best = count
+        if worst is None or count < worst:
+            worst = count
+    volume = side ** dim
+    return Fraction(best, volume), Fraction(worst, volume)
+
+
+def _recording(A, calls):
+    """``contains(A, .)``, appending each point it is asked about to ``calls``."""
+    def oracle(pt):
+        calls.append(pt)
+        return contains(A, pt)
+    return oracle
+
+
+_SCAN_RADIUS_CAP = {1: 12, 2: 8, 3: 4}
+
+
+class TestScanCallContract:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_values_and_oracle_calls_as_the_per_window_scan(self, dim, seed):
+        rng = random.Random(f"scan-contract:{dim}:{seed}")
+        radius = rng.randint(2, _SCAN_RADIUS_CAP[dim])
+        if seed % 2:
+            span = range(-radius - 1, radius + 2)
+            cells = list(itertools.product(span, repeat=dim))
+            A = PeriodicSet.finite(dim, rng.sample(cells, rng.randint(1, len(cells) // 2)))
+        else:
+            A = random_periodic_set(rng, dim=dim, max_period=6)
+        for side in sorted({1, 2, radius}):
+            new_calls, old_calls = [], []
+            got = window_scan(_recording(A, new_calls), side, radius, dim=dim)
+            assert got == _scan_per_window(_recording(A, old_calls), side, radius, dim)
+            assert new_calls == old_calls
+            assert len(new_calls) == (2 * radius - side + 2) ** dim * side ** dim
+
+    @pytest.mark.parametrize("hit, miss, expected", [
+        (True, False, (Fraction(2, 3), Fraction(1, 3))),
+        (2, 0, (Fraction(2, 3), Fraction(1, 3))),
+        ("x", None, (Fraction(2, 3), Fraction(1, 3))),
+        (2, 2, (1, 1)),
+        ("x", "x", (1, 1)),
+        (0, 0, (0, 0)),
+        (None, None, (0, 0)),
+    ])
+    def test_each_truthy_value_counts_once(self, hit, miss, expected):
+        def oracle(pt):
+            return hit if contains(two_z, pt) else miss
+
+        assert window_scan(oracle, 3, 10) == expected
+        assert _scan_per_window(oracle, 3, 10) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 20, 48])
+    def test_an_oracle_that_raises_stops_both_scans_at_that_call(self, k):
+        # side 2, radius 3, dim 2: 6 ** 2 cubes of 4 cells, 144 calls in all
+        for scan in (window_scan, _scan_per_window):
+            calls = []
+
+            def oracle(pt):
+                calls.append(pt)
+                if len(calls) == k:
+                    raise LookupError("the k-th call")
+                return True
+
+            with pytest.raises(LookupError, match="k-th"):
+                scan(oracle, 2, 3, 2)
+            assert len(calls) == k
+
+    @pytest.mark.parametrize("point", [1.0, (1.0,), True, (True,), (0, 1.5), [2.0]])
+    def test_contains_refuses_float_and_bool_coordinates(self, point):
+        for A in (two_z, zero_pt):
+            with pytest.raises(InputError, match="must be integers"):
+                contains(A, point)
+
+
+class TestScanArguments:
+    @pytest.mark.parametrize("side, radius, dim, message", [
+        (2.5, 3, 1, "window side must be an integer"),
+        (2, 3.0, 1, "search radius must be an integer"),
+        (2, 3, 1.5, "dimension must be an integer"),
+        (2, 3, -1, "dimension must be positive"),
+        (2, 3, 0, "dimension must be positive"),
+        (True, 3, 1, "window side must be an integer"),
+        (2, True, 1, "search radius must be an integer"),
+        (2, 3, True, "dimension must be an integer"),
+        ("2", 3, 1, "window side must be an integer"),
+        (None, 3, 1, "window side must be an integer"),
+        # refused as malformed before the budget would refuse them
+        (True, MAX_SCAN_CALLS, 1, "window side must be an integer"),
+        (1, MAX_SCAN_CALLS, 0, "dimension must be positive"),
+        (1, 2, 10.0 ** 9, "dimension must be an integer"),
+    ])
+    def test_malformed_arguments_are_refused_before_any_oracle_call(
+            self, side, radius, dim, message):
+        def never(pt):
+            raise AssertionError("the oracle was called")
+
+        with pytest.raises(InputError, match=message):
+            window_scan(never, side, radius, dim=dim)
+
+
 class TestDensityPlunnecke:
     def test_pinned_two_three(self):
         report = verify_density_plunnecke(two_z, three_z, 1, 2, "p1")

@@ -96,6 +96,37 @@ def test_group_set_of_refuses_a_non_iterable():
         GroupSet.of(FinAbGroup((4,)), 5)
 
 
+@pytest.mark.parametrize("factory, message", [
+    (lambda: PeriodicSet.periodic((4,), 5), "residues must be an iterable"),
+    (lambda: PeriodicSet.periodic(5, [(1,)]), "period must be an iterable"),
+    (lambda: PeriodicSet.finite(1, 5), "points must be an iterable"),
+])
+def test_periodic_set_factories_refuse_a_non_iterable(factory, message):
+    with pytest.raises(InputError, match=message):
+        factory()
+
+
+@pytest.mark.parametrize("edges, labels, reported", [
+    (["abx"], {"x"}, "'abx'"),
+    (["abx"], None, "'abx'"),
+    (["ab"], None, "'ab'"),
+    ([("a", "b")], None, "('a', 'b')"),
+    ([("a", "b", "x"), ("a", "b")], None, "('a', 'b')"),
+    ([5], None, "5"),
+])
+def test_build_leaves_malformed_edges_for_validate(edges, labels, reported):
+    g = LayeredMeasureGraph.build([("a", 0, 1), ("b", 1, 1)], edges, labels=labels)
+    assert f"edge {reported} is not a (tail, head, label) triple" in validate(g)
+    with pytest.raises(InputError, match="not a"):
+        require_valid(g)
+
+
+def test_build_turns_list_edges_into_tuples():
+    g = LayeredMeasureGraph.build([("a", 0, 1), ("b", 1, 1)], [["a", "b", "x"]])
+    assert g.edges == {("a", "b", "x")} and g.labels == {"x"}
+    assert validate(g) == []
+
+
 def test_build_refuses_string_labels():
     with pytest.raises(InputError, match="not strings"):
         LayeredMeasureGraph.build([("a", 0, 1), ("b", 1, 1)], [("a", "b", "x")], labels="x")
