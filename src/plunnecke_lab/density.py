@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import mod, truth
 
-from .errors import HypothesisError, InputError, require_iterable
+from .errors import HypothesisError, InputError, require_iterable, require_order
 from .rational import format_rational
 from .reports import VerificationReport
 
@@ -256,8 +256,7 @@ def periodic_sumset(A: PeriodicSet, B: PeriodicSet) -> PeriodicSet:
 
 
 def iterate_sumset(A: PeriodicSet, k: int) -> PeriodicSet:
-    if k < 1:
-        raise InputError(f"iteration count must be positive (got {k})")
+    require_order(k, 1, None, "iteration count")
     out = normalize(A)
     for _ in range(k - 1):
         out = periodic_sumset(out, A)
@@ -312,8 +311,8 @@ def verify_density_plunnecke(A: PeriodicSet, B: PeriodicSet, j: int, k: int,
     For fully periodic sets the upper and lower densities coincide, so one
     exact comparison settles both variants.
     """
-    if not 0 < j < k:
-        raise InputError(f"need 0 < j < k (got j={j}, k={k})")
+    require_order(k, 2, None, "order k")
+    require_order(j, 1, k - 1, "order j")
     if A.dim != B.dim:
         raise InputError(f"dimension mismatch ({A.dim} vs {B.dim})")
     d_mixed = banach_density(periodic_sumset(iterate_sumset(A, j), B))

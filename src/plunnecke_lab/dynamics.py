@@ -300,6 +300,12 @@ def move_set(act: FiniteAction, A: GroupSet, S: Iterable[str]) -> SpaceSet:
 
 
 def measure(act: FiniteAction, S: Iterable[str]) -> Fraction:
+    """mu(S), each atom counted once; an unknown atom raises InputError."""
+    return _measure(act, _check_atoms(act, S))
+
+
+def _measure(act: FiniteAction, S: SpaceSet) -> Fraction:
+    """mu(S) of a checked set, such as a ``move_set`` result."""
     return exact_sum(map(act.atoms.__getitem__, S))
 
 
@@ -527,10 +533,10 @@ def verify_restricted_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str]
 def _heavy_hypothesis(act: FiniteAction, A: GroupSet, B: SpaceSet, Bp: SpaceSet,
                       delta: Fraction, j: int, k: int) -> bool:
     """mu(A^k.B')^j * mu(B)^k <= (1-delta)^-k * mu(A^j.B)^k * mu(B')^j, exactly."""
-    mu_k = measure(act, move_set(act, iterate(A, k), Bp))
-    mu_j = measure(act, move_set(act, iterate(A, j), B))
-    lhs = mu_k ** j * measure(act, B) ** k
-    rhs = (1 - delta) ** (-k) * mu_j ** k * measure(act, Bp) ** j
+    mu_k = _measure(act, move_set(act, iterate(A, k), Bp))
+    mu_j = _measure(act, move_set(act, iterate(A, j), B))
+    lhs = mu_k ** j * _measure(act, B) ** k
+    rhs = (1 - delta) ** (-k) * mu_j ** k * _measure(act, Bp) ** j
     return lhs <= rhs
 
 
@@ -562,9 +568,9 @@ def _grow_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
         raise InputError("B must be nonempty")
     a_k = iterate(A, k)
     chosen = frozenset(c(act, a_k, B).witness)
-    threshold = delta * measure(act, B)
+    threshold = delta * _measure(act, B)
     for _ in range(len(B) + 1):
-        if measure(act, chosen) >= threshold:
+        if _measure(act, chosen) >= threshold:
             break
         rest = B - chosen
         extra = c(act, a_k, rest).witness
@@ -584,9 +590,9 @@ def verify_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
     delta = parse_rational(delta)
     B = _check_atoms(act, B)
     chosen, bound_ok = _grow_heavy_subset(act, A, B, delta, j, k)
-    heavy_ok = measure(act, chosen) >= delta * measure(act, B)
+    heavy_ok = _measure(act, chosen) >= delta * _measure(act, B)
     cd = c_delta(act, iterate(A, k), B, delta)
-    ratio = measure(act, move_set(act, iterate(A, j), B)) / measure(act, B)
+    ratio = _measure(act, move_set(act, iterate(A, j), B)) / _measure(act, B)
     lhs, rhs = cd ** j, (1 - delta) ** (-k) * ratio ** k
     return VerificationReport(
         instance=instance,
@@ -641,10 +647,10 @@ def verify_different_summands(act: FiniteAction, A_list: list[GroupSet],
     for A in A_list[1:]:
         total = product_set(total, A)
     result = c(act, total, B)
-    mu_b = measure(act, B)
+    mu_b = _measure(act, B)
     rhs = Fraction(1)
     for A in A_list:
-        rhs *= measure(act, move_set(act, A, B)) / mu_b
+        rhs *= _measure(act, move_set(act, A, B)) / mu_b
     return VerificationReport(
         instance=instance,
         theorem="prop-6.2",

@@ -24,3 +24,16 @@ def require_iterable(value, what: str):
     if not isinstance(value, Iterable):
         raise InputError(f"{what} must be an iterable (got {value!r})")
     return value
+
+
+def require_order(value, lo: int, hi: int | None, what: str) -> int:
+    """``value`` itself if it is an int, not a bool, in ``lo..hi`` (no upper
+    bound for ``hi=None``); anything else raises InputError."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer (got {value!r})")
+    if hi is None:
+        if value < lo:
+            raise InputError(f"{what} must be at least {lo} (got {value})")
+    elif not lo <= value <= hi:
+        raise InputError(f"{what} {value} not in {lo}..{hi}")
+    return value

@@ -19,7 +19,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, require_iterable
 from .rational import exact_sum, exact_weights
 
 Edge = tuple[str, str, str]  # (tail, head, label)
@@ -77,15 +77,23 @@ class LayeredMeasureGraph:
     def build(cls, vertices, edges, height=None, labels=None) -> "LayeredMeasureGraph":
         """Convenience constructor.
 
-        ``vertices``: iterable of ``(id, layer, weight)``;
+        ``vertices``: iterable of ``(id, layer, weight)``, read once; a row
+        that is not such a triple with a hashable id raises InputError
+        naming it.
         ``edges``: iterable of ``(tail, head, label)``.  An edge that is
         neither a tuple nor a string, such as a JSON list, becomes a tuple;
         a string or any other malformed edge is kept as it is, and ``labels``
         (by default the labels of the 3-tuple edges) leaves it to
         ``validate`` to report.
         """
-        atoms = {v: w for v, _, w in vertices}
-        layer = {v: l for v, l, _ in vertices}
+        atoms, layer = {}, {}
+        for row in require_iterable(vertices, "vertices"):
+            try:
+                v, l, w = row
+                atoms[v], layer[v] = w, l
+            except (TypeError, ValueError):
+                raise InputError(f"vertex row {row!r} is not an (id, layer, weight) "
+                                 f"triple with a hashable id") from None
         edge_set = frozenset(e if type(e) is tuple else _as_edge(e) for e in edges)
         if height is None:
             height = max(max(layer.values(), default=1), 1)

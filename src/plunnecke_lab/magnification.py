@@ -19,7 +19,7 @@ from typing import Iterable
 
 from . import maxflow
 from .commutativity import is_commutative
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, require_order
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, require_valid)
 from .maxflow import (FlowNetwork, MagnificationResult, lex_min_walk, min_ratio_bruteforce,
@@ -43,8 +43,7 @@ def _bottom_problem(g: LayeredMeasureGraph, j: int, brute: bool = False):
     any image is computed.
     """
     require_valid(g)
-    if not 1 <= j <= g.height:
-        raise InputError(f"order {j} not in 1..{g.height}")
+    require_order(j, 1, g.height, "order")
     bottom = sorted(g.layer_set(0))
     if not bottom:
         raise InputError("layer 0 is empty")

@@ -13,7 +13,8 @@ source weight <= 0 and a neighbor weight < 0, and return one
 says why nesting the rounds and opening each with a greedy flow leave every
 result unchanged.  Its witness and the minimum-weight cutset's come from
 ``lex_min_walk``, whose every query pins one index in and probes once
-(``max_flow(s, t, probe=True)``: one search that pushes nothing).
+(``max_flow(s, t, probe=True)``: one depth-first residual search, apart
+from Dinic's phases, that stops at the sink and pushes nothing).
 """
 
 from __future__ import annotations
@@ -88,12 +89,32 @@ class FlowNetwork:
         """Augment to a maximum s-t flow and return the flow this call added.
 
         Each phase labels BFS levels until t is labelled, then finishes a
-        blocking flow on the level graph.  ``probe=True`` stops after the
-        first search and pushes nothing: it returns 1 if that search
-        labelled t, so more flow exists, and 0 if ``cap`` holds a maximum
-        flow already.
+        blocking flow on the level graph.  ``probe=True`` runs no phase and
+        pushes nothing: one depth-first search of the residual network,
+        which stops at the first residual arc into t, returns 1 if it finds
+        one, so more flow exists, and 0 if ``cap`` holds a maximum flow
+        already.  ``s == t`` is refused in both modes.
         """
+        if s == t:
+            raise ValueError(f"source and sink are the same node ({s})")
         adj, head, cap = self.adj, self.head, self.cap
+        if probe:
+            # any residual s-t path will do; the stack takes the heads of
+            # the newest arcs, last in their lists, first
+            seen = [False] * self.n
+            seen[s] = True
+            stack = [s]
+            push, pop = stack.append, stack.pop
+            while stack:
+                for a in adj[pop()]:
+                    if cap[a]:
+                        w = head[a]
+                        if not seen[w]:
+                            if w == t:
+                                return 1
+                            seen[w] = True
+                            push(w)
+            return 0
         total = 0
         while True:
             # BFS levels, stopping once t is labelled: every vertex below
@@ -116,8 +137,6 @@ class FlowNetwork:
                     break
             else:
                 return total
-            if probe:
-                return 1
             # Blocking flow along level-increasing arcs, walked from s with
             # an explicit path (heights come from user input, so no
             # recursion).  ptr[v] is v's next untried arc; a dead end leaves

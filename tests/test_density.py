@@ -119,6 +119,16 @@ class TestSumsets:
     def test_coprime_progressions_cover_everything(self):
         assert periodic_sumset(two_z, three_z) == z_line
 
+    @pytest.mark.parametrize("k, message", [
+        (True, "must be an integer"),  # was read as k = 1
+        (2.0, "must be an integer"),  # was a raw TypeError
+        ("2", "must be an integer"),
+        (0, "must be at least 1"),
+    ])
+    def test_iteration_count_must_be_a_positive_int(self, k, message):
+        with pytest.raises(InputError, match=f"iteration count {message}"):
+            iterate_sumset(two_z, k)
+
     def test_same_progression(self):
         assert periodic_sumset(two_z, two_z) == two_z
 
@@ -552,6 +562,20 @@ class TestDensityPlunnecke:
     def test_requires_strict_orders(self):
         with pytest.raises(InputError):
             verify_density_plunnecke(two_z, three_z, 2, 2)
+
+    @pytest.mark.parametrize("j, k, message", [
+        (1.0, 2.0, "order k must be an integer"),  # was a raw TypeError
+        (1, 2.0, "order k must be an integer"),
+        (1.0, 2, "order j must be an integer"),
+        (True, 2, "order j must be an integer"),
+        (1, True, "order k must be an integer"),
+        (0, 2, "order j 0 not in 1..1"),
+        (3, 2, "order j 3 not in 1..1"),
+        (1, 1, "order k must be at least 2"),
+    ])
+    def test_orders_must_be_ints_with_j_below_k(self, j, k, message):
+        with pytest.raises(InputError, match=message):
+            verify_density_plunnecke(two_z, three_z, j, k)
 
     @given(seeds)
     def test_holds_on_random_instances(self, seed):

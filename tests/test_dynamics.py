@@ -519,6 +519,17 @@ def _both_solvers(act, A, B, drop=frozenset()):
     return brute, mincut
 
 
+class TestMeasure:
+    def test_each_atom_counts_once(self):
+        act = translation(4)
+        # ['0', '0'] summed the atom twice, to 1/2
+        assert measure(act, ["0", "0"]) == measure(act, {"0"}) == Fraction(1, 4)
+
+    def test_an_unknown_atom_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"unknown atom \(nope\)"):
+            measure(translation(4), {"nope"})
+
+
 class TestMagnificationRatio:
     def test_pinned_z6_values(self):
         act = translation(6)

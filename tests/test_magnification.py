@@ -58,6 +58,14 @@ class TestMagnification:
             with pytest.raises(InputError):
                 magnification_bruteforce(o1, j)
 
+    @pytest.mark.parametrize("solve", [magnification_bruteforce, magnification_mincut,
+                                       magnification.mincut_value])
+    @pytest.mark.parametrize("j", [True, 1.0, "1", None])
+    def test_order_must_be_an_int(self, o1, solve, j):
+        # True was read as order 1
+        with pytest.raises(InputError, match="order must be an integer"):
+            solve(o1, j)
+
     @given(small_graphs, st.data())
     def test_oracle_agreement(self, g, data):
         j = data.draw(st.integers(1, g.height))

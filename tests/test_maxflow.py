@@ -149,6 +149,89 @@ def test_probe_answers_whether_more_flow_exists():
     assert feasible >= 50 and infeasible >= 50 and stopped >= 15
 
 
+def _bfs_reaches(net, s, t):
+    """1 if t can be reached from s in the residual network, else 0, by a
+    breadth-first search that stops once t is labelled (the probe's earlier
+    search, kept as an independent oracle)."""
+    adj, head, cap = net.adj, net.head, net.cap
+    labelled = [False] * net.n
+    labelled[s] = True
+    queue = [s]
+    for v in queue:
+        for a in adj[v]:
+            w = head[a]
+            if not labelled[w] and cap[a]:
+                if w == t:
+                    return 1
+                labelled[w] = True
+                queue.append(w)
+    return 0
+
+
+def _checked_probe(net, s, t, max_flow=FlowNetwork.max_flow):
+    """The probe's answer, checked against the oracle; the probe must leave
+    ``head``, ``cap`` and ``adj`` as they were.  ``max_flow`` defaults to the
+    method as defined, so a test that wraps the method can call this."""
+    state = (net.head[:], net.cap[:], [out[:] for out in net.adj])
+    got = max_flow(net, s, t, probe=True)
+    assert got == _bfs_reaches(net, s, t)
+    assert (net.head, net.cap, net.adj) == state
+    return got
+
+
+def test_probe_matches_a_breadth_first_search_in_walk_states():
+    """Random networks in the states a witness walk leaves: at a maximum
+    flow, with pins raised, with bars added, and after truncating them."""
+    rng = random.Random(2026)
+    answers = []
+    for _ in range(400):
+        n, arcs, s, t = _random_network(rng)
+        net = _build(n, arcs)
+        net.max_flow(s, t)
+        answers.append(_checked_probe(net, s, t))
+        mark = len(net.head)
+        for arc in rng.sample(range(0, mark, 2), min(mark // 2, rng.randint(1, 3))):
+            net.cap[arc] += rng.choice([1, 4, 10 ** 15])  # a pin
+            answers.append(_checked_probe(net, s, t))
+        for _bar in range(rng.randint(1, 3)):
+            net.add_edge(rng.randrange(n), rng.choice([t, rng.randrange(n)]),
+                         rng.choice([0, 1, 10 ** 15]))
+            answers.append(_checked_probe(net, s, t))
+        net.truncate(mark)
+        answers.append(_checked_probe(net, s, t))
+    assert answers.count(0) >= 300 and answers.count(1) >= 300
+
+
+@pytest.mark.parametrize("n", [8, 11, 16])
+def test_probe_matches_a_breadth_first_search_on_orbit_graphs(n, monkeypatch):
+    """Every probe of the ratio and cutset walks on Z/n orbit graphs, h = 3."""
+    act = translation_action(FinAbGroup((n,)))
+    g = orbit_graph(act, GroupSet.of(act.group, [(0,), (1,), (3,)]),
+                    {str(y) for y in range(0, n, 3)}, 3)
+    answers = []
+    original = FlowNetwork.max_flow
+
+    def checked(net, s, t, probe=False):
+        if probe:
+            answers.append(_checked_probe(net, s, t))
+        return original(net, s, t, probe)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", checked)
+    for j in (1, 2, 3):
+        magnification.magnification_mincut(g, j)
+    for C in (1, 2):
+        magnification.min_weight_cutset(g, C)
+    assert answers.count(0) >= 20 and answers.count(1) >= 30
+
+
+@pytest.mark.parametrize("probe", [False, True])
+def test_a_flow_from_a_node_to_itself_is_refused(probe):
+    # a probe answered 1 here, and a full max flow failed inside min()
+    net = _build(3, [(0, 1, 2), (1, 0, 2), (1, 2, 1)])
+    with pytest.raises(ValueError, match="same node"):
+        net.max_flow(1, 1, probe=probe)
+
+
 def _pinned_warm_start(rng):
     """A random network at its maximum flow, with 0-3 arcs then raised as
     pins are: returns the network, s, t and each arc's capacity."""

@@ -13,6 +13,7 @@ from plunnecke_lab import (InputError, LayeredMeasureGraph, dual, is_commutative
 from plunnecke_lab import dynamics, graphcore
 from plunnecke_lab.density import PeriodicSet
 from plunnecke_lab.dynamics import FinAbGroup, FiniteAction, GroupSet
+from plunnecke_lab.errors import require_order
 from plunnecke_lab.graphcore import require_valid, validate
 
 from conftest import build, gset, translation
@@ -119,6 +120,38 @@ def test_build_leaves_malformed_edges_for_validate(edges, labels, reported):
     assert f"edge {reported} is not a (tail, head, label) triple" in validate(g)
     with pytest.raises(InputError, match="not a"):
         require_valid(g)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([("a", 0)], r"vertex row \('a', 0\) is not an \(id, layer, weight\) triple"),
+    ([("a", 0, 1), ("b", 1, 1, 0)], r"vertex row \('b', 1, 1, 0\) is not"),
+    ([("a", 0, 1), 5], "vertex row 5 is not"),
+    (5, "vertices must be an iterable"),
+    ([(["a"], 0, 1)], "with a hashable id"),
+])
+def test_build_refuses_malformed_vertex_rows(vertices, message):
+    # ('a', 0) raised a raw ValueError from unpacking
+    with pytest.raises(InputError, match=message):
+        LayeredMeasureGraph.build(vertices, [])
+
+
+def test_build_reads_its_vertices_once():
+    # a one-shot iterator gave every vertex a weight and no layer
+    vertices, edges = [("a", 0, 1), ("b", 1, 1)], [("a", "b", "x")]
+    from_iterator = LayeredMeasureGraph.build(iter(vertices), iter(edges))
+    assert from_iterator == LayeredMeasureGraph.build(vertices, edges)
+    assert validate(from_iterator) == []
+
+
+def test_require_order_takes_only_ints_in_range():
+    assert require_order(3, 1, 3, "order") == 3
+    assert require_order(10 ** 30, 1, None, "order") == 10 ** 30
+    for bad, message in [(True, "must be an integer"), (2.0, "must be an integer"),
+                         (0, "order 0 not in 1..3"), (4, "order 4 not in 1..3")]:
+        with pytest.raises(InputError, match=message):
+            require_order(bad, 1, 3, "order")
+    with pytest.raises(InputError, match="order must be at least 1"):
+        require_order(0, 1, None, "order")
 
 
 def test_build_turns_list_edges_into_tuples():
