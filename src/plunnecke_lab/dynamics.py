@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from . import maxflow
 from .commutativity import is_commutative
 from .density import check_pairs
-from .errors import InputError, require_iterable
+from .errors import InputError, require_ids, require_iterable
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .maxflow import MagnificationResult, min_ratio_bruteforce, min_ratio_mincut
 from .rational import exact_sum, exact_weights, format_rational, parse_rational, to_integers
@@ -276,11 +276,16 @@ def require_valid_action(act: FiniteAction) -> None:
 
 
 def _check_atoms(act: FiniteAction, S: Iterable[str]) -> SpaceSet:
-    S = frozenset(S)
-    unknown = [x for x in S if x not in act.atoms]
-    if unknown:
-        raise InputError(f"unknown atom ({min(unknown)})")
-    return S
+    return require_ids(S, act.atoms, "atom")
+
+
+def _check_orders(j: int, k: int) -> None:
+    """Refuse orders that are not ints (bools too) or not ``0 < j <= k``."""
+    for name, value in (("order j", j), ("order k", k)):
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer (got {value!r})")
+    if not 0 < j <= k:
+        raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
 
 
 def _check_group_set(act: FiniteAction, A: GroupSet) -> None:
@@ -480,8 +485,7 @@ def verify_dyn_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str],
                          j: int, k: int, instance: str = "action"
                          ) -> VerificationReport:
     """Check c(A^j, B) ** k >= c(A^k, B) ** j for 0 < j <= k."""
-    if not 0 < j <= k:
-        raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
+    _check_orders(j, k)
     low = c(act, iterate(A, j), B)
     high = c(act, iterate(A, k), B)
     lhs, rhs = low.value ** k, high.value ** j
@@ -506,8 +510,7 @@ def verify_restricted_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str]
                                 instance: str = "action") -> VerificationReport:
     """Restricted variant: c(A^j, B, A^(j-1).E) ** k >= c(A^k, B, A^(k-1).E) ** j,
     plus commutativity of the restricted orbit subgraph it rests on."""
-    if not 0 < j <= k:
-        raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
+    _check_orders(j, k)
     E = _check_atoms(act, E)
     low = _ratio(act, iterate(A, j), B, move_set(act, iterate(A, j - 1), E), witness=False).value
     high = _ratio(act, iterate(A, k), B, move_set(act, iterate(A, k - 1), E), witness=False).value
@@ -560,8 +563,7 @@ def _grow_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
     delta = parse_rational(delta)
     if not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1) (got {delta})")
-    if not 0 < j <= k:
-        raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
+    _check_orders(j, k)
     require_valid_action(act)
     B = _check_atoms(act, B)
     if not B:

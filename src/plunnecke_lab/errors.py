@@ -26,6 +26,30 @@ def require_iterable(value, what: str):
     return value
 
 
+def require_ids(value, known, what: str) -> frozenset:
+    """``value``, an iterable of keys of ``known``, as a frozenset.
+
+    A ``str`` (whose characters would read as ids), a non-iterable, an
+    unhashable id and an unknown id raise InputError.  The unknown id named
+    is the least one, or the least by ``repr`` when the unknown ids are of
+    types that do not compare.
+    """
+    if isinstance(value, str):
+        raise InputError(f"{what} set must be a collection of ids, not a str (got {value!r})")
+    try:
+        ids = frozenset(require_iterable(value, f"{what} set"))
+    except TypeError as exc:
+        raise InputError(f"{what} ids must be hashable ({exc})") from None
+    unknown = [x for x in ids if x not in known]
+    if unknown:
+        try:
+            shown = min(unknown)
+        except TypeError:
+            shown = min(unknown, key=repr)
+        raise InputError(f"unknown {what} ({shown})")
+    return ids
+
+
 def require_order(value, lo: int, hi: int | None, what: str) -> int:
     """``value`` itself if it is an int, not a bool, in ``lo..hi`` (no upper
     bound for ``hi=None``); anything else raises InputError."""

@@ -19,7 +19,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import InputError, require_iterable
+from .errors import InputError, require_ids, require_iterable
 from .rational import exact_sum, exact_weights
 
 Edge = tuple[str, str, str]  # (tail, head, label)
@@ -200,11 +200,7 @@ def require_valid(g: LayeredMeasureGraph) -> None:
 
 
 def _check_vertices(g: LayeredMeasureGraph, S: Iterable[str]) -> frozenset[str]:
-    S = frozenset(S)
-    unknown = [v for v in S if v not in g.atoms]
-    if unknown:
-        raise InputError(f"unknown vertex ({min(unknown)})")
-    return S
+    return require_ids(S, g.atoms, "vertex")
 
 
 def successors(g: LayeredMeasureGraph) -> dict[str, frozenset[str]]:

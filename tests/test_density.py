@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from plunnecke_lab import (GroupSet, HypothesisError, InputError, PeriodicSet,
                            iterate_sumset, move_set, normalize, periodic_sumset,
                            verify_correspondence, verify_density_plunnecke,
                            verify_density_summands, window_scan)
-from plunnecke_lab.density import MAX_PERIOD_BOX, MAX_SCAN_CALLS, contains
+from plunnecke_lab.density import MAX_PERIOD_BOX, MAX_SCAN_CALLS, _point, contains
 from plunnecke_lab.dynamics import FinAbGroup, measure, translation_action, validate_action
 from plunnecke_lab.generators import (random_periodic_or_finite,
                                       random_periodic_set)
@@ -508,6 +509,88 @@ class TestScanCallContract:
         for A in (two_z, zero_pt):
             with pytest.raises(InputError, match="must be integers"):
                 contains(A, point)
+
+
+def _contains_by_map(A, point):
+    """``contains`` as it was before 1-D and 2-D tuples took a tuple
+    display: every point through ``_point``, then reduced with ``map``."""
+    point = _point(point, A.dim)
+    if A.period is None:
+        return point in A.residues
+    return tuple(map(mod, point, A.period)) in A.residues
+
+
+def _outcome(test, A, point):
+    """``test(A, point)``, or the class and message of what it raised."""
+    try:
+        return test(A, point)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_HUGE = 10 ** 30
+
+
+def _probe_points(rng, A):
+    """Points in every form ``contains`` may be handed, valid or not."""
+    dim = A.dim
+    values = [0, 1, -1, 7, -13, _HUGE, -_HUGE - 5, 2 ** 63]
+    good = [tuple(rng.choice(values) if rng.random() < 0.3 else rng.randint(-40, 40)
+                  for _ in range(dim)) for _ in range(60)]
+    good += sorted(A.residues)[:10]
+    points = good + [list(p) for p in good[::3]]
+    if dim == 1:
+        points += [p[0] for p in good[::3]]
+    for p in good[:8]:
+        for i in range(dim):
+            for bad in (True, False, 1.0, -2.5, None, "3"):
+                points.append(p[:i] + (bad,) + p[i + 1:])
+        points += [p + (0,), p[:-1], list(p + (1,)), [*p[:-1], 2.0]]
+    points += [(), [], True, 1.0, None, "x", (1, 2, 3, 4), ((0,),), {0}, range(dim)]
+    return points
+
+
+def _differential_sets(dim):
+    rng = random.Random(f"contains-sets:{dim}")
+    sets = [random_periodic_set(rng, dim=dim, max_period=9) for _ in range(4)]
+    cells = list(itertools.product(range(-6, 7), repeat=dim))
+    sets += [PeriodicSet.finite(dim, rng.sample(cells, 9)), PeriodicSet.finite(dim, [])]
+    return sets
+
+
+class TestContainsOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_same_answer_or_error_as_the_map_reduction(self, dim):
+        rng = random.Random(f"contains-points:{dim}")
+        hits = errors = 0
+        for A in _differential_sets(dim):
+            for point in _probe_points(rng, A):
+                got = _outcome(contains, A, point)
+                assert got == _outcome(_contains_by_map, A, point), (A, point)
+                if type(got) is bool:
+                    hits += got
+                else:
+                    assert got[0] is InputError, (A, point)
+                    errors += 1
+        assert hits > 20 and errors > 100
+
+    @pytest.mark.parametrize("dim, side, radius", [(1, 1, 9), (1, 4, 23), (2, 1, 5), (2, 3, 7)])
+    def test_scans_match_the_map_reduction(self, dim, side, radius):
+        for A in _differential_sets(dim):
+            got = window_scan(lambda pt: contains(A, pt), side, radius, dim=dim)
+            assert got == window_scan(lambda pt: _contains_by_map(A, pt), side, radius, dim=dim)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_int_tuples_of_one_or_two_skip_the_general_reduction(self, dim, monkeypatch):
+        def general(*args):
+            raise AssertionError("the general path was taken")
+
+        points = [(x,) * dim for x in range(-5, 6)] + [(_HUGE, -_HUGE)[:dim]]
+        cases = [(A, p, _contains_by_map(A, p)) for A in _differential_sets(dim) for p in points]
+        assert any(expected for _, _, expected in cases)
+        monkeypatch.setattr(density, "_point", general)
+        for A, point, expected in cases:
+            assert contains(A, point) is expected
 
 
 class TestScanArguments:

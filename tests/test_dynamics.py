@@ -529,6 +529,53 @@ class TestMeasure:
         with pytest.raises(InputError, match=r"unknown atom \(nope\)"):
             measure(translation(4), {"nope"})
 
+    @pytest.mark.parametrize("atoms, message", [
+        ({"nope", 3}, r"unknown atom \(nope\)"),
+        ({3, 4}, r"unknown atom \(3\)"),
+        ({"zz", "nope", "0"}, r"unknown atom \(nope\)"),
+        (5, "atom set must be an iterable"),
+        (None, "atom set must be an iterable"),
+        ("01", "atom set must be a collection of ids, not a str"),
+        ([["0"]], "atom ids must be hashable"),
+    ])
+    def test_a_malformed_atom_set_is_an_input_error(self, atoms, message):
+        act = translation(6)
+        for read in (lambda S: measure(act, S), lambda S: move_set(act, gset(6, 1), S)):
+            with pytest.raises(InputError, match=message):
+                read(atoms)
+
+
+_ORDER_CHECKS = {
+    "verify_dyn_plunnecke":
+        lambda act, j, k: verify_dyn_plunnecke(act, gset(6, 0, 1), {"0"}, j, k),
+    "verify_restricted_plunnecke":
+        lambda act, j, k: verify_restricted_plunnecke(act, gset(6, 0, 1), {"0"}, {"0"}, j, k),
+    "_grow_heavy_subset":
+        lambda act, j, k: dynamics._grow_heavy_subset(act, gset(6, 0, 1), {"0"},
+                                                      Fraction(1, 2), j, k),
+}
+
+
+class TestOrders:
+    @pytest.mark.parametrize("name", sorted(_ORDER_CHECKS))
+    @pytest.mark.parametrize("j, k, message", [
+        (True, 2, r"order j must be an integer \(got True\)"),
+        (1, True, r"order k must be an integer \(got True\)"),
+        (1.0, 2.0, r"order j must be an integer \(got 1.0\)"),
+        (1, 2.0, r"order k must be an integer \(got 2.0\)"),
+        ("1", 2, "order j must be an integer"),
+        (None, 2, "order j must be an integer"),
+        (0, 2, r"need 0 < j <= k \(got j=0, k=2\)"),
+        (3, 2, r"need 0 < j <= k \(got j=3, k=2\)"),
+    ])
+    def test_orders_must_be_ints_with_0_lt_j_le_k(self, name, j, k, message):
+        with pytest.raises(InputError, match=message):
+            _ORDER_CHECKS[name](translation(6), j, k)
+
+    @pytest.mark.parametrize("name", sorted(_ORDER_CHECKS))
+    def test_int_orders_are_accepted(self, name):
+        _ORDER_CHECKS[name](translation(6), 1, 2)
+
 
 class TestMagnificationRatio:
     def test_pinned_z6_values(self):

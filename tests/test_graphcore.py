@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError, LayeredMeasureGraph, channel, dual, flow, image, \
-    induced_subgraph, iterated_image, truncate, validate
+    induced_subgraph, is_cutset, iterated_image, truncate, validate
 from plunnecke_lab.generators import random_layered_graph, random_one_layer_graph
 from plunnecke_lab.graphcore import BACKWARD, FORWARD
 
@@ -251,6 +251,35 @@ class TestIteratedImage:
         got = iterated_image(o1, {"0@0"}, 2)
         assert got == {f"{x}@2" for x in expected}
         assert len(got) == 3
+
+
+_VERTEX_READERS = {
+    "image": lambda g, S: image(g, S, "a"),
+    "iterated_image": lambda g, S: iterated_image(g, S, 1),
+    "induced_subgraph": induced_subgraph,
+    "is_cutset": is_cutset,
+}
+
+
+class TestVertexSets:
+    @pytest.mark.parametrize("name", sorted(_VERTEX_READERS))
+    @pytest.mark.parametrize("vertices, message", [
+        ({"nope", 3}, r"unknown vertex \(nope\)"),
+        ({3, 4}, r"unknown vertex \(3\)"),
+        ({"zz", "nope", "v0"}, r"unknown vertex \(nope\)"),
+        (5, "vertex set must be an iterable"),
+        (None, "vertex set must be an iterable"),
+        ("v0", "vertex set must be a collection of ids, not a str"),
+        ([["v0"]], "vertex ids must be hashable"),
+    ])
+    def test_a_malformed_vertex_set_is_an_input_error(self, path3, name, vertices, message):
+        with pytest.raises(InputError, match=message):
+            _VERTEX_READERS[name](path3, vertices)
+
+    @pytest.mark.parametrize("name", sorted(_VERTEX_READERS))
+    def test_any_iterable_of_vertex_ids_is_read(self, path3, name):
+        read = _VERTEX_READERS[name]
+        assert read(path3, ["v1", "v1"]) == read(path3, iter({"v1"})) == read(path3, {"v1"})
 
 
 class TestInducedSubgraph:
