@@ -49,10 +49,12 @@ class PeriodicSet:
 
     For the finite variant ``residues`` holds the points themselves; such
     sets carry Banach density zero.  The constructor refuses, with
-    InputError, a ``dim`` that is not a positive int, a period that is not a
-    tuple of ``dim`` positive ints or whose box passes MAX_PERIOD_BOX, and
-    a residue that is not a tuple of ``dim`` ints, or not reduced into the
-    period box.  ``periodic`` and ``finite`` check and reduce their inputs
+    InputError, a ``dim`` that ``errors.require_order`` refuses (a bool, a
+    non-int, or less than 1), a period that is not a tuple of ``dim``
+    positive ints or whose box passes MAX_PERIOD_BOX, and a residue that is
+    not a tuple of ``dim`` ints, or not reduced into the period box.
+    ``PeriodicSet.finite`` reads its ``dim`` the same way.  ``periodic``
+    and ``finite`` check and reduce their inputs
     themselves; they and the package's own sums and normal forms build
     unchecked (``_unchecked``).
     """
@@ -63,7 +65,7 @@ class PeriodicSet:
 
     def __post_init__(self):
         dim, period = self.dim, self.period
-        _check_dim(dim)
+        require_order(dim, 1, None, "dimension")
         if period is not None:
             if type(period) is not tuple or len(period) != dim:
                 raise InputError(f"period must be a tuple of length {dim} (got {period!r})")
@@ -96,20 +98,13 @@ class PeriodicSet:
 
     @classmethod
     def finite(cls, dim, points) -> "PeriodicSet":
-        _check_dim(dim)
+        require_order(dim, 1, None, "dimension")
         return cls._unchecked(dim, None, frozenset(
             _point(p, dim) for p in require_iterable(points, "points")))
 
     @property
     def is_finite(self) -> bool:
         return self.period is None
-
-
-def _check_dim(dim) -> None:
-    if type(dim) is not int:
-        raise InputError(f"dimension must be an integer (got {dim!r})")
-    if dim < 1:
-        raise InputError(f"dimension must be positive (got {dim})")
 
 
 def _check_period(period: tuple) -> None:
@@ -297,19 +292,15 @@ def window_scan(oracle, side: int, radius: int, dim: int = 1
     cell of each cube, in ``itertools.product`` order within the cube:
     ``(2 * radius - side + 2) ** dim * side ** dim`` calls, each counted
     once if its value is truthy, with the cells streamed through ``map`` and
-    counted by ``sum`` in C.  ``side``, ``radius`` and ``dim`` must be ints
-    with ``1 <= side <= radius`` and ``dim >= 1``; anything else, and a scan
-    that would call the oracle more than MAX_SCAN_CALLS times, is refused
-    with InputError before the oracle is called.
+    counted by ``sum`` in C.  ``side``, ``radius`` and ``dim`` are read in
+    that order by ``errors.require_order``: each must be an int, not a bool,
+    with ``side >= 1``, ``radius >= side`` and ``dim >= 1``.  Anything else,
+    and a scan that would call the oracle more than MAX_SCAN_CALLS times, is
+    refused with InputError before the oracle is called.
     """
-    for name, value in (("window side", side), ("search radius", radius)):
-        if type(value) is not int:
-            raise InputError(f"{name} must be an integer (got {value!r})")
-    _check_dim(dim)
-    if side < 1:
-        raise InputError(f"window side must be at least 1 (got {side})")
-    if radius < side:
-        raise InputError(f"search radius {radius} is smaller than the side {side}")
+    require_order(side, 1, None, "window side")
+    require_order(radius, side, None, "search radius")
+    require_order(dim, 1, None, "dimension")
     calls = 1
     for _ in range(dim):
         calls *= (2 * radius - side + 2) * side

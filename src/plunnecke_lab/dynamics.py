@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from . import maxflow
 from .commutativity import is_commutative
 from .density import check_pairs
-from .errors import InputError, require_ids, require_iterable
+from .errors import InputError, require_ids, require_iterable, require_order
 from .graphcore import LayeredMeasureGraph, induced_subgraph
 from .maxflow import MagnificationResult, min_ratio_bruteforce, min_ratio_mincut
 from .rational import exact_sum, exact_weights, format_rational, parse_rational, to_integers
@@ -142,8 +142,7 @@ def product_set(A: GroupSet, B: GroupSet) -> GroupSet:
 
 def iterate(A: GroupSet, k: int) -> GroupSet:
     """k-fold sumset; k = 0 gives the identity singleton."""
-    if k < 0:
-        raise InputError(f"iteration count must be nonnegative (got {k})")
+    require_order(k, 0, None, "iteration count")
     if k == 0:
         return GroupSet._unchecked(A.group, frozenset({A.group.identity()}))
     out = A
@@ -279,13 +278,19 @@ def _check_atoms(act: FiniteAction, S: Iterable[str]) -> SpaceSet:
     return require_ids(S, act.atoms, "atom")
 
 
+def _base_set(act: FiniteAction, B: Iterable[str]) -> SpaceSet:
+    """``B`` as a nonempty set of atoms of the valid action ``act``."""
+    require_valid_action(act)
+    B = _check_atoms(act, B)
+    if not B:
+        raise InputError("B must be nonempty")
+    return B
+
+
 def _check_orders(j: int, k: int) -> None:
     """Refuse orders that are not ints (bools too) or not ``0 < j <= k``."""
-    for name, value in (("order j", j), ("order k", k)):
-        if type(value) is not int:
-            raise InputError(f"{name} must be an integer (got {value!r})")
-    if not 0 < j <= k:
-        raise InputError(f"need 0 < j <= k (got j={j}, k={k})")
+    require_order(j, 1, None, "order j")
+    require_order(k, j, None, "order k")
 
 
 def _check_group_set(act: FiniteAction, A: GroupSet) -> None:
@@ -397,8 +402,7 @@ def orbit_graph(act: FiniteAction, A: GroupSet, Y: Iterable[str], h: int
     Y = _check_atoms(act, Y)
     if not Y:
         raise InputError("base set Y must be nonempty")
-    if h < 1:
-        raise InputError(f"height must be at least 1 (got {h})")
+    require_order(h, 1, None, "height")
     labels = [(a, vec_id(a)) for a in A.elements]
     layer = Y
     vertices = [(f"{x}@0", 0, act.atoms[x]) for x in Y]
@@ -440,11 +444,8 @@ def restricted_orbit_subgraph(act: FiniteAction, A: GroupSet, B: Iterable[str],
 def _ratio(act: FiniteAction, A: GroupSet, B: Iterable[str],
            drop: Iterable[str] = frozenset(), witness: bool = True) -> MagnificationResult:
     """c(A, B) minus ``drop``; ``witness=False`` skips a min-cut witness (None)."""
-    require_valid_action(act)
-    B = _check_atoms(act, B)
+    B = _base_set(act, B)
     drop = _check_atoms(act, drop)
-    if not B:
-        raise InputError("B must be nonempty")
     neighbors = {b: move_set(act, A, frozenset([b])) - drop for b in B}
     if len(B) <= _ENUMERATE_MAX:
         return min_ratio_bruteforce(sorted(B), neighbors, act.atoms)
@@ -471,10 +472,7 @@ def c_delta(act: FiniteAction, A: GroupSet, B: Iterable[str], delta) -> Fraction
     delta = parse_rational(delta)
     if not 0 < delta <= 1:
         raise InputError(f"delta must lie in (0, 1] (got {delta})")
-    require_valid_action(act)
-    B = _check_atoms(act, B)
-    if not B:
-        raise InputError("B must be nonempty")
+    B = _base_set(act, B)
     if len(B) > maxflow.BRUTE_FORCE_LIMIT:
         raise InputError(f"heavy ratio is brute force only; |B| <= {maxflow.BRUTE_FORCE_LIMIT}")
     neighbors = {b: move_set(act, A, frozenset([b])) for b in B}
@@ -564,10 +562,7 @@ def _grow_heavy_subset(act: FiniteAction, A: GroupSet, B: Iterable[str], delta,
     if not 0 < delta < 1:
         raise InputError(f"delta must lie in (0, 1) (got {delta})")
     _check_orders(j, k)
-    require_valid_action(act)
-    B = _check_atoms(act, B)
-    if not B:
-        raise InputError("B must be nonempty")
+    B = _base_set(act, B)
     a_k = iterate(A, k)
     chosen = frozenset(c(act, a_k, B).witness)
     threshold = delta * _measure(act, B)

@@ -19,7 +19,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import InputError, require_ids, require_iterable
+from .errors import InputError, require_ids, require_iterable, require_order
 from .rational import exact_sum, exact_weights
 
 Edge = tuple[str, str, str]  # (tail, head, label)
@@ -232,7 +232,12 @@ def image(g: LayeredMeasureGraph, S: Iterable[str], label: str,
 
 
 def iterated_image(g: LayeredMeasureGraph, S: Iterable[str], steps: int) -> VertexSet:
-    """``steps``-fold image (union over all labels per step); negative steps go backward."""
+    """``steps``-fold image (union over all labels per step); negative steps go backward.
+
+    ``steps`` must be an int in ``-height..height``: a longer walk leaves
+    every layer, so it is refused rather than run.
+    """
+    require_order(steps, -g.height, g.height, "steps")
     S = _check_vertices(g, S)
     if steps == 0:
         return S
@@ -311,7 +316,6 @@ def flow(g: LayeredMeasureGraph) -> Fraction:
 
 def truncate(g: LayeredMeasureGraph, k: int) -> LayeredMeasureGraph:
     """Induced subgraph on layers 0..k, re-declared as a k-layered graph."""
-    if not 1 <= k <= g.height:
-        raise InputError(f"truncation layer {k} not in 1..{g.height}")
+    require_order(k, 1, g.height, "truncation layer")
     sub = induced_subgraph(g, (v for v, l in g.layer.items() if l <= k))
     return LayeredMeasureGraph(sub.atoms, sub.layer, k, sub.labels, sub.edges)

@@ -177,6 +177,7 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
 
 def push_penalty(label_count: int, C, eps) -> Fraction:
     """Slack added by one push of a cutset that was within eps of optimal."""
+    require_order(label_count, 0, None, "label count")
     C, eps = parse_rational(C), parse_rational(eps)
     return eps + 4 * label_count ** 2 * C * eps + 4 * label_count ** 2 * eps
 
@@ -196,8 +197,7 @@ def cutset_push(g: LayeredMeasureGraph, S: Iterable[str], C, j: int) -> VertexSe
     """
     C = _rate(C)
     require_valid(g)
-    if not 1 <= j <= g.height - 1:
-        raise InputError(f"push layer {j} not in 1..{g.height - 1}")
+    require_order(j, 1, g.height - 1, "push layer")
     S = _check_vertices(g, S)
     allowed = set(range(0, j + 1)) | {g.height}
     outside = sorted(v for v in S if g.layer[v] not in allowed)

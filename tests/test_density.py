@@ -343,7 +343,7 @@ class TestValidByConstruction:
         (1, [4], frozenset(), "tuple of length 1"),
         (1, (True,), frozenset(), "must be integers"),
         (1, (MAX_PERIOD_BOX + 1,), frozenset(), "MAX_PERIOD_BOX"),
-        (0, None, frozenset(), "dimension must be positive"),
+        (0, None, frozenset(), "dimension must be at least 1"),
         (True, None, frozenset(), "dimension must be an integer"),
         (1, (4,), frozenset({(1.0,)}), "must be integers"),
         (1, (4,), frozenset({(True,)}), "must be integers"),
@@ -598,8 +598,8 @@ class TestScanArguments:
         (2.5, 3, 1, "window side must be an integer"),
         (2, 3.0, 1, "search radius must be an integer"),
         (2, 3, 1.5, "dimension must be an integer"),
-        (2, 3, -1, "dimension must be positive"),
-        (2, 3, 0, "dimension must be positive"),
+        (2, 3, -1, "dimension must be at least 1"),
+        (2, 3, 0, "dimension must be at least 1"),
         (True, 3, 1, "window side must be an integer"),
         (2, True, 1, "search radius must be an integer"),
         (2, 3, True, "dimension must be an integer"),
@@ -607,7 +607,7 @@ class TestScanArguments:
         (None, 3, 1, "window side must be an integer"),
         # refused as malformed before the budget would refuse them
         (True, MAX_SCAN_CALLS, 1, "window side must be an integer"),
-        (1, MAX_SCAN_CALLS, 0, "dimension must be positive"),
+        (1, MAX_SCAN_CALLS, 0, "dimension must be at least 1"),
         (1, 2, 10.0 ** 9, "dimension must be an integer"),
     ])
     def test_malformed_arguments_are_refused_before_any_oracle_call(

@@ -565,8 +565,8 @@ class TestOrders:
         (1, 2.0, r"order k must be an integer \(got 2.0\)"),
         ("1", 2, "order j must be an integer"),
         (None, 2, "order j must be an integer"),
-        (0, 2, r"need 0 < j <= k \(got j=0, k=2\)"),
-        (3, 2, r"need 0 < j <= k \(got j=3, k=2\)"),
+        (0, 2, r"order j must be at least 1 \(got 0\)"),
+        (3, 2, r"order k must be at least 3 \(got 2\)"),
     ])
     def test_orders_must_be_ints_with_0_lt_j_le_k(self, name, j, k, message):
         with pytest.raises(InputError, match=message):

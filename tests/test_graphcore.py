@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,19 @@ class TestIteratedImage:
         got = iterated_image(o1, {"0@0"}, 2)
         assert got == {f"{x}@2" for x in expected}
         assert len(got) == 3
+
+    def test_steps_run_from_minus_to_plus_the_height(self, o1):
+        assert iterated_image(o1, {"0@0"}, 2) == {"0@2", "1@2", "2@2"}
+        assert iterated_image(o1, {"0@2"}, -2) == {"0@0"}
+        for steps in (3, -3):
+            with pytest.raises(InputError, match=rf"^steps {steps} not in -2\.\.2$"):
+                iterated_image(o1, {"0@0"}, steps)
+
+    def test_a_huge_step_count_is_refused_at_once(self, o1):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=r"steps 1000000000000 not in -2\.\.2"):
+            iterated_image(o1, {"0@0"}, 10 ** 12)
+        assert time.perf_counter() - start < 1
 
 
 _VERTEX_READERS = {

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import sys
 import types
 from fractions import Fraction
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import plunnecke_lab
+
+from conftest import gset, translation
 
 
 def test_star_import_resolves_every_exported_name():
@@ -127,3 +130,74 @@ def test_no_module_splits_a_ratio_solver_result():
     src = Path(plunnecke_lab.__file__).parent
     for path in sorted(src.glob("*.py")):
         assert _solver_result_splits(path.read_text()) == [], path.name
+
+
+def _graph():
+    """Z/4's orbit graph of {0, 1} over atom 0, three layers high."""
+    return plunnecke_lab.orbit_graph(translation(4), gset(4, 0, 1), {"0"}, 3)
+
+
+def _periodic(*residues):
+    return plunnecke_lab.PeriodicSet.periodic((4,), [(r,) for r in residues])
+
+
+_ACTION = {"act": translation(6), "A": gset(6, 0, 1), "B": {"0"}}
+_ORDERS = {"j": "order j", "k": "order k"}
+
+# name -> (a valid call's keyword arguments, the name each int parameter's
+# message gives it); restricted_orbit_subgraph's k is its orbit graph's height
+_INT_ARGUMENTS = {
+    "cutset_push": (lambda: {"g": _graph(), "S": {"0@0"}, "C": 1, "j": 1},
+                    {"j": "push layer"}),
+    "heavy_subset": (lambda: {**_ACTION, "delta": "1/2", "j": 1, "k": 2}, _ORDERS),
+    "iterate": (lambda: {"A": gset(6, 0, 1), "k": 2}, {"k": "iteration count"}),
+    "iterate_sumset": (lambda: {"A": _periodic(0, 1), "k": 2}, {"k": "iteration count"}),
+    "iterated_image": (lambda: {"g": _graph(), "S": {"0@0"}, "steps": 1}, {"steps": "steps"}),
+    "magnification_bruteforce": (lambda: {"g": _graph(), "j": 1}, {"j": "order"}),
+    "magnification_mincut": (lambda: {"g": _graph(), "j": 1}, {"j": "order"}),
+    "orbit_graph": (lambda: {"act": translation(4), "A": gset(4, 0, 1), "Y": {"0"}, "h": 2},
+                    {"h": "height"}),
+    "push_penalty": (lambda: {"label_count": 2, "C": 1, "eps": "1/2"},
+                     {"label_count": "label count"}),
+    "restricted_orbit_subgraph": (lambda: {**_ACTION, "E": {"0"}, "k": 2}, {"k": "height"}),
+    "truncate": (lambda: {"g": _graph(), "k": 2}, {"k": "truncation layer"}),
+    "verify_density_plunnecke": (lambda: {"A": _periodic(0, 1), "B": _periodic(0), "j": 1,
+                                          "k": 2}, _ORDERS),
+    "verify_dyn_plunnecke": (lambda: {**_ACTION, "j": 1, "k": 2}, _ORDERS),
+    "verify_heavy_subset": (lambda: {**_ACTION, "delta": "1/2", "j": 1, "k": 2}, _ORDERS),
+    "verify_restricted_plunnecke": (lambda: {**_ACTION, "E": {"0"}, "j": 1, "k": 2},
+                                    _ORDERS),
+    "window_scan": (lambda: {"oracle": bool, "side": 2, "radius": 3, "dim": 1},
+                    {"side": "window side", "radius": "search radius", "dim": "dimension"}),
+}
+_INT_ROWS = sorted((name, param) for name, (_call, names) in _INT_ARGUMENTS.items()
+                   for param in names)
+
+
+def _int_parameters():
+    for name in plunnecke_lab.__all__:
+        value = getattr(plunnecke_lab, name)
+        if inspect.isfunction(value):
+            for param in inspect.signature(value).parameters.values():
+                if param.annotation in ("int", int):
+                    yield name, param.name
+
+
+def test_every_int_parameter_has_a_row():
+    """A new int-annotated parameter of an exported function needs a row."""
+    assert set(_INT_ROWS) == set(_int_parameters())
+
+
+@pytest.mark.parametrize("name, param", _INT_ROWS)
+def test_each_int_parameter_is_read_by_require_order(name, param):
+    """A valid int returns; a bool, a float, None and a str raise InputError
+    with ``require_order``'s message, naming the parameter."""
+    call, names = _INT_ARGUMENTS[name]
+    function = getattr(plunnecke_lab, name)
+    function(**call())
+    for bad in (True, 2.0, None, "2"):
+        kwargs = call()
+        kwargs[param] = bad
+        message = f"{names[param]} must be an integer (got {bad!r})"
+        with pytest.raises(plunnecke_lab.InputError, match=f"^{re.escape(message)}$"):
+            function(**kwargs)

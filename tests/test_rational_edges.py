@@ -134,6 +134,16 @@ class TestRefusedRationals:
         with pytest.raises(InputError):
             push_penalty(2, 2, eps)
 
+    @pytest.mark.parametrize("count, message", [
+        (2.0, r"label count must be an integer \(got 2\.0\)"),
+        (True, r"label count must be an integer \(got True\)"),
+        (-1, r"label count must be at least 0 \(got -1\)"),
+    ])
+    def test_push_penalty_label_count(self, count, message):
+        with pytest.raises(InputError, match=message):
+            push_penalty(count, 1, "1/2")
+        assert push_penalty(2, 1, "1/2") == Fraction(33, 2)
+
     @pytest.mark.parametrize("delta", [0.5, True, "0.5"])
     def test_deltas(self, delta):
         act, A, B = translation(6), gset(6, 0, 1), {"0", "3"}
