@@ -57,16 +57,15 @@ from .reports import CSV_COLUMNS, VerificationReport, csv_row
 # ---------------------------------------------------------------------------
 
 
-def _orders(b) -> tuple[int, int]:
-    """The bundle's orders j and k, refused past MAX_ORDER before any sumset."""
-    j, k = b["j"], b["k"]
-    if max(j, k) > MAX_ORDER:
-        raise InputError(f"orders j={j}, k={k} exceed MAX_ORDER ({MAX_ORDER})")
-    return j, k
+# A row is (runner, generator, generator kind).  A runner takes a bundle as
+# `jsonio.read_bundle` returns it: checked against its schema, with its
+# documents built and its orders bounded.  Most runners only pass bundle
+# fields to a library verifier; `_call` builds those.
 
+def _call(verify, *fields):
+    """The runner passing a bundle's ``fields``, in order, to ``verify``."""
+    return lambda b: verify(*[b[f] for f in fields], instance=b["instance"])
 
-# Each runner takes a bundle as `jsonio.read_bundle` returns it: checked
-# against its schema, with its documents built.
 
 def _run_flow_duality(b) -> VerificationReport:
     require_valid(b["graph"])
@@ -81,63 +80,29 @@ def _run_orbit_commutes(b) -> VerificationReport:
                               Fraction(1), verdict.holds, details=details)
 
 
-def _run_graph_plunnecke(b) -> VerificationReport:
-    return verify_graph_plunnecke(b["graph"], instance=b["instance"])
-
-
-def _run_bottom_layer(b) -> VerificationReport:
-    return verify_bottom_layer_minimal(b["graph"], b["C"], instance=b["instance"])
-
-
-def _run_dyn_plunnecke(b) -> VerificationReport:
-    return verify_dyn_plunnecke(b["action"], b["A"], b["B"], *_orders(b),
-                                instance=b["instance"])
-
-
-def _run_restricted(b) -> VerificationReport:
-    return verify_restricted_plunnecke(b["action"], b["A"], b["B"], b.get("E", frozenset()),
-                                       *_orders(b), instance=b["instance"])
-
-
-def _run_heavy(b) -> VerificationReport:
-    return verify_heavy_subset(b["action"], b["A"], b["B"], b["delta"], *_orders(b),
-                               instance=b["instance"])
-
-
-def _run_multiplicativity(b) -> VerificationReport:
-    return verify_multiplicativity(b["action"], b["action2"], b["A"], b["A2"], b["B"],
-                                   b["B2"], instance=b["instance"])
-
-
-def _run_different_summands(b) -> VerificationReport:
-    return verify_different_summands(b["action"], b["A_list"], b["B"], instance=b["instance"])
-
-
-def _run_density_plunnecke(b) -> VerificationReport:
-    return verify_density_plunnecke(b["A"], b["B"], *_orders(b), instance=b["instance"])
-
-
-def _run_density_summands(b) -> VerificationReport:
-    return verify_density_summands(b["A_list"], b["B"], instance=b["instance"])
-
-
-def _run_correspondence(b) -> VerificationReport:
-    return verify_correspondence(b["B"], b["A0"], instance=b["instance"])
-
-
 CHECKS = {
     "prop-2.10": (_run_flow_duality, generators.bundle_flow_duality, "graph"),
     "ex-2.6": (_run_orbit_commutes, generators.bundle_graph_plunnecke, "orbit"),
-    "thm-3.5": (_run_graph_plunnecke, generators.bundle_graph_plunnecke, "orbit"),
-    "cor-3.4": (_run_bottom_layer, generators.bundle_bottom_layer, "orbit"),
-    "thm-4.2": (_run_dyn_plunnecke, generators.bundle_dyn_plunnecke, "action"),
-    "thm-4.3": (_run_restricted, generators.bundle_restricted, "action"),
-    "lemma-5.4": (_run_heavy, generators.bundle_heavy, "action"),
-    "lemma-6.1": (_run_multiplicativity, generators.bundle_multiplicativity, "action"),
-    "prop-6.2": (_run_different_summands, generators.bundle_different_summands, "action"),
-    "thm-1.3": (_run_density_plunnecke, generators.bundle_density_plunnecke, "periodic"),
-    "thm-1.4": (_run_density_summands, generators.bundle_density_summands, "periodic"),
-    "lemma-7.1": (_run_correspondence, generators.bundle_correspondence, "periodic"),
+    "thm-3.5": (_call(verify_graph_plunnecke, "graph"),
+                generators.bundle_graph_plunnecke, "orbit"),
+    "cor-3.4": (_call(verify_bottom_layer_minimal, "graph", "C"),
+                generators.bundle_bottom_layer, "orbit"),
+    "thm-4.2": (_call(verify_dyn_plunnecke, "action", "A", "B", "j", "k"),
+                generators.bundle_dyn_plunnecke, "action"),
+    "thm-4.3": (_call(verify_restricted_plunnecke, "action", "A", "B", "E", "j", "k"),
+                generators.bundle_restricted, "action"),
+    "lemma-5.4": (_call(verify_heavy_subset, "action", "A", "B", "delta", "j", "k"),
+                  generators.bundle_heavy, "action"),
+    "lemma-6.1": (_call(verify_multiplicativity, "action", "action2", "A", "A2", "B", "B2"),
+                  generators.bundle_multiplicativity, "action"),
+    "prop-6.2": (_call(verify_different_summands, "action", "A_list", "B"),
+                 generators.bundle_different_summands, "action"),
+    "thm-1.3": (_call(verify_density_plunnecke, "A", "B", "j", "k"),
+                generators.bundle_density_plunnecke, "periodic"),
+    "thm-1.4": (_call(verify_density_summands, "A_list", "B"),
+                generators.bundle_density_summands, "periodic"),
+    "lemma-7.1": (_call(verify_correspondence, "B", "A0"),
+                  generators.bundle_correspondence, "periodic"),
 }
 
 

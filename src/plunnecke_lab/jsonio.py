@@ -184,8 +184,8 @@ def _all_fit(values: list, schema) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Readers and writers.  A reader checks its document unless a bundle check
-# already has (``checked=True``).
+# Readers and writers.  A graph, action or periodic reader checks its
+# document unless a bundle check already has (``checked=True``).
 # ---------------------------------------------------------------------------
 
 
@@ -251,15 +251,11 @@ def group_set_to_doc(A: GroupSet) -> list:
     return [list(e) for e in sorted(A.elements)]
 
 
-def group_set_from_doc(group: FinAbGroup, doc, *, checked: bool = False) -> GroupSet:
-    if not checked:
-        check(doc, [VECTOR], "translates")
+def group_set_from_doc(group: FinAbGroup, doc) -> GroupSet:
     return GroupSet.of(group, [(e,) if type(e) is int else e for e in doc])
 
 
-def space_set_from_doc(doc, *, checked: bool = False) -> frozenset[str]:
-    if not checked:
-        check(doc, [STR], "atom_set")
+def space_set_from_doc(doc) -> frozenset[str]:
     return frozenset(doc)
 
 
@@ -287,7 +283,9 @@ def periodic_from_doc(doc: dict, *, checked: bool = False) -> PeriodicSet:
 def read_bundle(theorem: str, doc) -> dict:
     """``doc`` checked as a ``theorem`` bundle, each field read by its schema.
 
-    A translate set is read in the group of the action before it.
+    A translate set is read in the group of the action before it, and an
+    absent optional id set as the empty set.  Then the orders j and k are
+    refused past MAX_ORDER, before any sumset is formed.
     """
     check(doc, BUNDLES[theorem])
     out, group = dict(doc), None
@@ -296,6 +294,12 @@ def read_bundle(theorem: str, doc) -> dict:
         if key in doc:
             out[key] = _read(schema, doc[key], group)
             group = out[key].group if schema is ACTION else group
+        elif schema == [STR]:
+            out[key] = frozenset()
+    for key in ("j", "k"):
+        if out.get(key, 0) > MAX_ORDER:
+            raise InputError(f"order {key} must be at most MAX_ORDER ({MAX_ORDER}) "
+                             f"(got {out[key]})")
     return out
 
 
@@ -307,9 +311,9 @@ def _read(schema, value, group):
     if schema is PERIODIC:
         return periodic_from_doc(value, checked=True)
     if schema == [STR]:
-        return space_set_from_doc(value, checked=True)
+        return space_set_from_doc(value)
     if schema == [VECTOR]:
-        return group_set_from_doc(group, value, checked=True)
+        return group_set_from_doc(group, value)
     if type(schema) is list:  # an A_list
         return [_read(schema[0], item, group) for item in value]
     return parse_rational(value) if schema is RATIONAL else value

@@ -178,7 +178,9 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
 def push_penalty(label_count: int, C, eps) -> Fraction:
     """Slack added by one push of a cutset that was within eps of optimal."""
     require_order(label_count, 0, None, "label count")
-    C, eps = parse_rational(C), parse_rational(eps)
+    C, eps = _rate(C), parse_rational(eps)
+    if eps < 0:
+        raise InputError("eps must be nonnegative")
     return eps + 4 * label_count ** 2 * C * eps + 4 * label_count ** 2 * eps
 
 

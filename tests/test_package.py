@@ -47,6 +47,20 @@ def test_benchmark_trace_hooks_name_package_attributes(monkeypatch):
     assert isinstance(importlib.import_module("plunnecke_lab.cli").CHECKS, dict)
 
 
+def test_readme_documents_every_check_id():
+    """Each ``cli.CHECKS`` id has one row in README's "Check ids" table and
+    a line in the bundle list above it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    above, below = text.split("### Check ids\n\n")
+    bundles = above[above.index("`verify` accepts instance bundle files"):]
+    listed = [i for line in re.findall(r"^\* (.*?):", bundles, re.M)
+              for i in re.findall(r"`([^`]+)`", line)]
+    rows = re.findall(r"^\| `([^`]+)` +\|", below.split("\n\n")[0], re.M)
+    checks = sorted(importlib.import_module("plunnecke_lab.cli").CHECKS)
+    assert sorted(rows) == checks
+    assert sorted(listed) == checks
+
+
 def test_verification_reports_are_frozen():
     report = plunnecke_lab.VerificationReport("x", "thm-3.5", Fraction(1), Fraction(1), True)
     with pytest.raises(dataclasses.FrozenInstanceError):

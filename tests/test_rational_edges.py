@@ -112,7 +112,7 @@ class TestRefusedRationals:
     def graph(self):
         return random_orbit_graph(random.Random(6), max_n=6, max_h=2)
 
-    @pytest.mark.parametrize("rate", [0.5, 1.0, True, "0.5", "1e0"])
+    @pytest.mark.parametrize("rate", [0.5, 1.0, True, "0.5", "1e0", 0, "-1/2"])
     def test_rates(self, graph, rate):
         with pytest.raises(InputError):
             min_weight_cutset(graph, rate)
@@ -129,7 +129,7 @@ class TestRefusedRationals:
         assert cut_weight(graph, top, "2") == cut_weight(graph, top, 2)
         assert push_penalty(2, "1/2", "1/10") == push_penalty(2, Fraction(1, 2), Fraction(1, 10))
 
-    @pytest.mark.parametrize("eps", [0.1, False, "0.1"])
+    @pytest.mark.parametrize("eps", [0.1, False, "0.1", -1, "-1/10"])
     def test_push_penalty_eps(self, eps):
         with pytest.raises(InputError):
             push_penalty(2, 2, eps)

@@ -139,6 +139,29 @@ def test_graph_height_is_bounded_when_read():
         jsonio.graph_from_doc(doc)
 
 
+@pytest.mark.parametrize("check_id", ["thm-4.2", "thm-4.3", "lemma-5.4", "thm-1.3"])
+def test_bundle_orders_are_bounded_when_read(check_id):
+    bundle = cli.CHECKS[check_id][1](random.Random(4), "orders")
+    top = jsonio.MAX_ORDER
+    read = jsonio.read_bundle(check_id, {**bundle, "j": top, "k": top})
+    assert (read["j"], read["k"]) == (top, top)
+    for j, k, name in [(top + 1, 1, "j"), (1, top + 1, "k"), (top + 1, top + 2, "j")]:
+        with pytest.raises(InputError) as refused:
+            jsonio.read_bundle(check_id, {**bundle, "j": j, "k": k})
+        assert str(refused.value) == \
+            f"order {name} must be at most MAX_ORDER ({top}) (got {top + 1})"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_missing_E_reads_and_reports_as_an_empty_one(seed):
+    bundle = cli.CHECKS["thm-4.3"][1](random.Random(seed), f"no-E-{seed}")
+    empty = cli.run_check_bundle("thm-4.3", {**bundle, "E": []})
+    del bundle["E"]
+    assert jsonio.read_bundle("thm-4.3", bundle)["E"] == frozenset()
+    assert jsonio.dumps_canonical(cli.run_check_bundle("thm-4.3", bundle)) == \
+        jsonio.dumps_canonical(empty)
+
+
 def test_an_edge_label_that_is_not_a_string_exits_two(tmp_path, capsys):
     doc = _graph_doc()
     doc["edges"][0]["label"] = ["x"]
