@@ -284,8 +284,9 @@ def read_bundle(theorem: str, doc) -> dict:
     """``doc`` checked as a ``theorem`` bundle, each field read by its schema.
 
     A translate set is read in the group of the action before it, and an
-    absent optional id set as the empty set.  Then the orders j and k are
-    refused past MAX_ORDER, before any sumset is formed.
+    absent optional id set as the empty set.  Then the orders j and k the
+    schema names are refused past MAX_ORDER, before any sumset is formed;
+    a field the schema does not name is ignored, as ``check`` ignores it.
     """
     check(doc, BUNDLES[theorem])
     out, group = dict(doc), None
@@ -297,7 +298,7 @@ def read_bundle(theorem: str, doc) -> dict:
         elif schema == [STR]:
             out[key] = frozenset()
     for key in ("j", "k"):
-        if out.get(key, 0) > MAX_ORDER:
+        if key in BUNDLES[theorem] and out[key] > MAX_ORDER:
             raise InputError(f"order {key} must be at most MAX_ORDER ({MAX_ORDER}) "
                              f"(got {out[key]})")
     return out

@@ -152,6 +152,18 @@ def test_bundle_orders_are_bounded_when_read(check_id):
             f"order {name} must be at most MAX_ORDER ({top}) (got {top + 1})"
 
 
+@pytest.mark.parametrize("check_id", sorted(cid for cid in cli.CHECKS
+                                             if "j" not in jsonio.BUNDLES[cid]))
+def test_an_order_the_schema_does_not_name_is_ignored(tmp_path, capsys, check_id):
+    bundle = cli.CHECKS[check_id][1](random.Random(4), "extra")
+    path = _write(tmp_path / "b.json", bundle)
+    plain = main(["verify", check_id, *path]), capsys.readouterr()
+    for key in ("j", "k"):
+        for extra in ["x", None, jsonio.MAX_ORDER + 1]:
+            extended = _write(tmp_path / "b.json", {**bundle, key: extra})
+            assert (main(["verify", check_id, *extended]), capsys.readouterr()) == plain
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_missing_E_reads_and_reports_as_an_empty_one(seed):
     bundle = cli.CHECKS["thm-4.3"][1](random.Random(seed), f"no-E-{seed}")
