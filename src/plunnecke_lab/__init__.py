@@ -8,7 +8,7 @@ periodic subsets of Z^d.  All arithmetic is exact rational.
 
 __version__ = "0.1.0"
 
-from .commutativity import CommutativityVerdict, is_commutative
+from .commutativity import CommutativityVerdict, is_commutative, matching_witnesses
 from .density import (PeriodicSet, banach_density, correspondence_system,
                       iterate_sumset, normalize, periodic_sumset,
                       verify_correspondence, verify_density_plunnecke,
@@ -40,7 +40,8 @@ __all__ = [
     "format_rational", "heavy_subset", "image", "induced_subgraph",
     "is_commutative", "is_cutset", "iterate",
     "iterate_sumset", "iterated_image", "magnification_bruteforce",
-    "magnification_mincut", "min_weight_cutset", "move_set", "normalize",
+    "magnification_mincut", "matching_witnesses", "min_weight_cutset",
+    "move_set", "normalize",
     "orbit_graph", "parse_rational", "periodic_sumset", "product_action",
     "product_set", "push_penalty", "restricted_orbit_subgraph",
     "translation_action", "truncate", "validate", "validate_action",

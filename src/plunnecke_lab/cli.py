@@ -442,16 +442,6 @@ def _check_bounds(args) -> None:
             raise InputError(f"{flag} must be at most {high} (got {value})")
 
 
-def _payload_doc(exc: HypothesisError):
-    payload = getattr(exc, "payload", None)
-    if payload is None or isinstance(payload, (dict, list, str, int, bool)):
-        return payload
-    failing = getattr(payload, "failing_edge", None)
-    if failing is not None:
-        return {"failing_edge": list(failing)}
-    return str(payload)
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as an InputError; subparsers inherit this."""
 
@@ -553,7 +543,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except HypothesisError as exc:
         sys.stderr.write(json.dumps(
-            {"error": str(exc), "kind": "hypothesis", "payload": _payload_doc(exc)},
+            {"error": str(exc), "kind": "hypothesis", "payload": exc.payload},
             sort_keys=True) + "\n")
         return 2
     except InputError as exc:

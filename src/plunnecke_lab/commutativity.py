@@ -6,9 +6,9 @@ partial injections, so an edge (y, z, b) can only be matched to an edge from
 x to the unique a-tail of z.  The candidates therefore fall into complete
 bipartite blocks, one per a-tail, and by Hall's theorem an injection exists
 iff every block offers at least as many edges leaving x as it needs edges
-leaving y.  Each witness injection pairs a block's edges in sorted order;
-the verdict needs only the counts, so the injections are built from the
-edges when a caller first reads them.
+leaving y.  The verdict needs only the counts; ``matching_witnesses``
+builds the injections, each pairing a block's edges in sorted order, and
+``check_witnesses`` re-checks them from the edges alone.
 
 A graph is commutative when this holds for the graph and for its dual, but
 one pass decides both.  Take x two layers below z and a label a.  Let
@@ -24,10 +24,11 @@ the other.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from .errors import HypothesisError
 from .graphcore import Edge, LayeredMeasureGraph, require_valid
 
 Injection = tuple[tuple[Edge, Edge], ...]
@@ -37,45 +38,6 @@ Injection = tuple[tuple[Edge, Edge], ...]
 class CommutativityVerdict:
     holds: bool
     failing_edge: Edge | None = None
-    matching_witnesses: Mapping[Edge, Injection] | None = None  # a read-only copy
-
-    def __post_init__(self):
-        witnesses = self.matching_witnesses
-        if witnesses is not None:
-            if not isinstance(witnesses, _Witnesses):
-                witnesses = dict(witnesses)
-            object.__setattr__(self, "matching_witnesses", MappingProxyType(witnesses))
-
-    def __reduce__(self):
-        witnesses = self.matching_witnesses
-        return (type(self), (self.holds, self.failing_edge,
-                             None if witnesses is None else dict(witnesses)))
-
-
-class _Witnesses(Mapping):
-    """One witness injection per edge of a commutative graph, built from its
-    edges on the first read, so a caller that reads only the verdict never
-    pays for them."""
-
-    def __init__(self, edges: Iterable[Edge]):
-        self._edges, self._table = edges, None
-
-    def _built(self) -> dict[Edge, Injection]:
-        if self._table is None:
-            self._table, self._edges = _witness_injections(self._edges), None
-        return self._table
-
-    def __getitem__(self, edge: Edge) -> Injection:
-        return self._built()[edge]
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
 
 
 def _injections(edges: Iterable[Edge]) -> Edge | None:
@@ -110,10 +72,30 @@ def _injections(edges: Iterable[Edge]) -> Edge | None:
     return first
 
 
-def _witness_injections(edges: Iterable[Edge]) -> dict[Edge, Injection]:
-    """The witness injection of every edge of a commutative valid graph: each
-    block's edges paired in sorted order."""
-    edges = sorted(edges)
+def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
+    """Commutativity of a valid graph, by one forward pass; on failure the
+    first failing edge in (tail, head, label) order is reported."""
+    require_valid(g)
+    failing = _injections(g.edges)
+    return CommutativityVerdict(failing is None, failing)
+
+
+def require_commutative(g: LayeredMeasureGraph) -> None:
+    """Refuse a graph that does not commute with HypothesisError, whose
+    payload names the failing edge."""
+    verdict = is_commutative(g)
+    if not verdict.holds:
+        raise HypothesisError(
+            f"graph is not commutative (edge {verdict.failing_edge})",
+            payload={"failing_edge": list(verdict.failing_edge)})
+
+
+def matching_witnesses(g: LayeredMeasureGraph) -> Mapping[Edge, Injection]:
+    """The witness injection of every edge of a commutative valid graph, read
+    only: each block's edges paired in sorted order.  A graph that does not
+    commute is refused by ``require_commutative``."""
+    require_commutative(g)
+    edges = sorted(g.edges)
     out_edges: dict[str, list[Edge]] = {}
     parallel: dict[tuple[str, str], list[Edge]] = {}  # (tail, head) -> edges
     tail_of: dict[tuple[str, str], str] = {}          # (head, label) -> its tail
@@ -131,37 +113,25 @@ def _witness_injections(edges: Iterable[Edge]) -> dict[Edge, Injection]:
             used[w] = k + 1
             pairs.append((e, parallel[x, w][k]))
         witnesses[(x, y, a)] = tuple(pairs)
-    return witnesses
+    return MappingProxyType(witnesses)
 
 
-def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
-    """Commutativity of a valid graph, by one forward pass.
-
-    On failure the first failing edge in (tail, head, label) order is
-    reported; on success the verdict carries one witness injection per edge,
-    built when ``matching_witnesses`` is first read.
-    """
+def check_witnesses(g: LayeredMeasureGraph, witnesses: Mapping[Edge, Injection]) -> bool:
+    """Whether ``witnesses`` certifies that ``g`` commutes, checked from the
+    edges alone: one injection per edge (x, y, a), whose domain is the edges
+    leaving y, each once, mapped injectively into the edges leaving x so that
+    matched heads are joined by an a-labelled edge."""
     require_valid(g)
-    failing = _injections(g.edges)
-    if failing is not None:
-        return CommutativityVerdict(False, failing, None)
-    return CommutativityVerdict(True, None, _Witnesses(g.edges))
-
-
-def check_witnesses(g: LayeredMeasureGraph, verdict: CommutativityVerdict) -> bool:
-    """Re-verify a positive verdict: injectivity plus head-compatibility."""
-    if not verdict.holds or verdict.matching_witnesses is None:
+    if set(witnesses) != g.edges:
         return False
-    for key, pairs in verdict.matching_witnesses.items():
-        if key not in g.edges:
-            return False
-        x, y, a = key
-        targets = [phi for _, phi in pairs]
-        if len(set(targets)) != len(targets):
+    out_edges: dict[str, list[Edge]] = {}
+    for e in sorted(g.edges):
+        out_edges.setdefault(e[0], []).append(e)
+    for (x, y, a), pairs in witnesses.items():
+        targets = {phi for _, phi in pairs}
+        if sorted(e for e, _ in pairs) != out_edges.get(y, []) or len(targets) != len(pairs):
             return False
         for e, phi in pairs:
-            if e[0] != y or phi[0] != x or e not in g.edges or phi not in g.edges:
-                return False
-            if (phi[1], e[1], a) not in g.edges:
+            if phi not in g.edges or phi[0] != x or (phi[1], e[1], a) not in g.edges:
                 return False
     return True

@@ -10,8 +10,9 @@ class InputError(ValueError):
 class HypothesisError(InputError):
     """A check was refused because the statement's hypothesis fails on the input.
 
-    Carries an optional payload describing the offending data (for example a
-    commutativity counterexample).
+    Carries an optional JSON-ready payload describing the offending data
+    (for example ``{"failing_edge": [tail, head, label]}`` for a graph that
+    does not commute), which the CLI writes as it is.
     """
 
     def __init__(self, message, payload=None):

@@ -221,7 +221,11 @@ def predecessors(g: LayeredMeasureGraph) -> dict[str, frozenset[str]]:
 def image(g: LayeredMeasureGraph, S: Iterable[str], label: str,
           direction: str = FORWARD) -> VertexSet:
     """One-step image of ``S`` under a single label, forward or backward."""
-    if label not in g.labels:
+    try:
+        known = label in g.labels
+    except TypeError:
+        raise InputError(f"label must be hashable (got {label!r})") from None
+    if not known:
         raise InputError(f"unknown label ({label})")
     S = _check_vertices(g, S)
     if direction == FORWARD:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import maxflow
-from .commutativity import is_commutative
+from .commutativity import require_commutative
 from .errors import HypothesisError, InputError, require_order
 from .graphcore import (LayeredMeasureGraph, VertexSet, _check_vertices, _closure,
                         iterated_image, require_valid)
@@ -52,14 +52,6 @@ def _bottom_problem(g: LayeredMeasureGraph, j: int, brute: bool = False):
             f"layer 0 has {len(bottom)} vertices, over the brute-force limit "
             f"{maxflow.BRUTE_FORCE_LIMIT}; use magnification_mincut")
     return bottom, {v: iterated_image(g, frozenset([v]), j) for v in bottom}
-
-
-def _require_commutative(g: LayeredMeasureGraph) -> None:
-    verdict = is_commutative(g)
-    if not verdict.holds:
-        raise HypothesisError(
-            f"graph is not commutative (edge {verdict.failing_edge})",
-            payload=verdict)
 
 
 def _rate(C) -> Fraction:
@@ -230,7 +222,7 @@ def verify_graph_plunnecke(g: LayeredMeasureGraph,
     first failing one); per-order values sit in the details.  Only order h
     reports a witness, so the lower orders skip witness extraction.
     """
-    _require_commutative(g)
+    require_commutative(g)
     h = g.height
     top = magnification_mincut(g, h)
     ratio = {j: mincut_value(g, j) for j in range(1, h)}
@@ -268,7 +260,7 @@ def verify_bottom_layer_minimal(g: LayeredMeasureGraph, C,
                                 instance: str = "graph") -> VerificationReport:
     """Check that layer 0 attains the minimum cutset weight when C**h <= D_h."""
     C = _rate(C)
-    _require_commutative(g)
+    require_commutative(g)
     top_ratio = mincut_value(g, g.height)
     if C ** g.height > top_ratio:
         raise HypothesisError(

@@ -157,6 +157,34 @@ class TestVerify:
         path.write_text(json.dumps(bundle))
         assert main(["verify", "cor-3.4", str(path)]) == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("check_id, bundle, line", [
+        ("thm-3.5", {"graph": "chain"},
+         '{"error": "graph is not commutative (edge (\'v0\', \'v1\', \'a\'))", '
+         '"kind": "hypothesis", "payload": {"failing_edge": ["v0", "v1", "a"]}}'),
+        ("cor-3.4", {"graph": "chain", "C": "1/1"},
+         '{"error": "graph is not commutative (edge (\'v0\', \'v1\', \'a\'))", '
+         '"kind": "hypothesis", "payload": {"failing_edge": ["v0", "v1", "a"]}}'),
+        ("cor-3.4", {"graph": "O1", "C": "5/1"},
+         '{"error": "C^h = 25/1 exceeds the top magnification ratio 3/1", '
+         '"kind": "hypothesis", "payload": {"C": "5/1", "d_h": "3/1"}}'),
+        ("thm-1.4", {"A_list": [{"dim": 1, "period": [2], "residues": [[0]]}],
+                     "B": {"dim": 1, "finite": [[0]]}},
+         '{"error": "B has zero density; the bound is vacuous there", '
+         '"kind": "hypothesis", "payload": {"d_base": "0/1"}}'),
+    ], ids=["thm-3.5-commutativity", "cor-3.4-commutativity", "cor-3.4-rate",
+            "thm-1.4-zero-density"])
+    def test_hypothesis_refusals_write_one_json_line(self, tmp_path, capsys, chain_file,
+                                                     o1_file, check_id, bundle, line, jobs):
+        graphs = {"chain": chain_file, "O1": o1_file}
+        if "graph" in bundle:
+            bundle = {**bundle, "graph": json.loads(Path(graphs[bundle["graph"]]).read_text())}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"instance": "refused", **bundle}))
+        assert main(["verify", check_id, str(path), str(path), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+
     def test_wrong_generator_kind_exits_two(self):
         assert main(["verify", "thm-3.5", "--generate", "periodic"]) == 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pickle
 import random
@@ -6,9 +7,10 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, strategies as st
 
-from plunnecke_lab import (HypothesisError, InputError, LayeredMeasureGraph, channel,
-                           commutativity, dual, is_commutative, validate)
-from plunnecke_lab.commutativity import check_witnesses
+from plunnecke_lab import (CommutativityVerdict, HypothesisError, InputError,
+                           LayeredMeasureGraph, channel, commutativity, dual,
+                           is_commutative, matching_witnesses, validate)
+from plunnecke_lab.commutativity import check_witnesses, require_commutative
 from plunnecke_lab.generators import random_layered_graph, random_orbit_graph
 
 from conftest import build
@@ -92,8 +94,9 @@ def test_block_count_matches_the_matching_oracle():
         verdict = is_commutative(g)
         assert (verdict.holds, verdict.failing_edge) == oracle_commutative(g)
         if verdict.holds:
-            assert check_witnesses(g, verdict)
-            assert set(verdict.matching_witnesses) == g.edges
+            witnesses = matching_witnesses(g)
+            assert check_witnesses(g, witnesses)
+            assert set(witnesses) == g.edges
         else:
             failures += 1
     # the battery must exercise refutations, of graphs and of duals
@@ -103,8 +106,8 @@ def test_block_count_matches_the_matching_oracle():
 
 # -- the verdict-only pass against the full pass ------------------------------
 # The package decides the verdict from edge counts and builds the witness
-# injections only when they are read; this is the pass it replaced, which
-# built every injection while it decided.
+# injections only on request, in ``matching_witnesses``; this is the pass it
+# replaced, which built every injection while it decided.
 
 
 def full_pass(edges):
@@ -143,28 +146,27 @@ def test_verdict_only_pass_matches_the_full_pass():
         assert (verdict.holds, verdict.failing_edge) == (holds, failing)
         if holds:
             held += 1
-            assert list(verdict.matching_witnesses.items()) == list(witnesses.items())
+            assert list(matching_witnesses(g).items()) == list(witnesses.items())
         else:
-            assert verdict.matching_witnesses is None
+            with pytest.raises(HypothesisError):
+                matching_witnesses(g)
     assert 100 < held < len(graphs) - 100
 
 
-def test_witnesses_are_built_once_and_only_when_read(monkeypatch, o1_full):
-    built = []
-    real = commutativity._witness_injections
+def test_is_commutative_builds_no_injection(monkeypatch, o1_full):
+    def refuse(g):
+        raise AssertionError("is_commutative built the witness injections")
 
-    def counting(edges):
-        built.append(1)
-        return real(edges)
-
-    monkeypatch.setattr(commutativity, "_witness_injections", counting)
+    monkeypatch.setattr(commutativity, "matching_witnesses", refuse)
     verdict = is_commutative(o1_full)
-    assert verdict.holds and not built
+    assert verdict == CommutativityVerdict(True, None)
+    assert [f.name for f in dataclasses.fields(verdict)] == ["holds", "failing_edge"]
+    monkeypatch.undo()
+    witnesses = matching_witnesses(o1_full)
     edge = min(o1_full.edges)
-    assert verdict.matching_witnesses[edge] == full_pass(o1_full.edges)[2][edge]
-    assert len(verdict.matching_witnesses) == len(o1_full.edges)
-    assert check_witnesses(o1_full, verdict)
-    assert len(built) == 1
+    assert witnesses[edge] == full_pass(o1_full.edges)[2][edge]
+    assert len(witnesses) == len(o1_full.edges)
+    assert check_witnesses(o1_full, witnesses)
 
 
 def test_chain_counterexample_fails_with_documented_edge(chain_counterexample):
@@ -185,9 +187,8 @@ def test_top_layer_edges_are_vacuous(path3):
 
 
 def test_o1_commutative(o1):
-    verdict = is_commutative(o1)
-    assert verdict.holds
-    assert check_witnesses(o1, verdict)
+    assert is_commutative(o1).holds
+    assert check_witnesses(o1, matching_witnesses(o1))
 
 
 def test_o2_commutative(o2):
@@ -265,35 +266,107 @@ def test_invalid_graph_is_an_input_error():
 
 def test_witnesses_satisfy_injectivity_and_compatibility(o1, o1_full):
     for g in (o1, o1_full):
-        verdict = is_commutative(g)
-        assert verdict.holds
-        assert check_witnesses(g, verdict)
+        assert is_commutative(g).holds
+        witnesses = matching_witnesses(g)
+        assert check_witnesses(g, witnesses)
         # one witness injection per edge of the graph
-        assert set(verdict.matching_witnesses) == g.edges
+        assert set(witnesses) == g.edges
 
 
 def test_verdict_witnesses_are_read_only_and_pickle(o1, chain_counterexample):
-    verdict = is_commutative(o1)
-    edge = min(verdict.matching_witnesses)
+    witnesses = matching_witnesses(o1)
+    assert isinstance(witnesses, MappingProxyType)
+    edge = min(witnesses)
     with pytest.raises(TypeError):
-        verdict.matching_witnesses[edge] = ()
+        witnesses[edge] = ()
     with pytest.raises(TypeError):
-        del verdict.matching_witnesses[edge]
-    for v in (verdict, is_commutative(chain_counterexample)):
-        again = pickle.loads(pickle.dumps(v))
-        assert again == v
-        assert again.matching_witnesses is None or isinstance(
-            again.matching_witnesses, MappingProxyType)
+        del witnesses[edge]
+    for v in (is_commutative(o1), is_commutative(chain_counterexample)):
+        assert pickle.loads(pickle.dumps(v)) == v
     # the refusal's payload crosses worker processes by pickling
-    refused = HypothesisError("not commutative", payload=is_commutative(chain_counterexample))
-    assert pickle.loads(pickle.dumps(refused)).payload == refused.payload
+    with pytest.raises(HypothesisError) as refused:
+        require_commutative(chain_counterexample)
+    again = pickle.loads(pickle.dumps(refused.value))
+    assert str(again) == str(refused.value)
+    assert again.payload == refused.value.payload == {"failing_edge": ["v0", "v1", "a"]}
 
 
 @given(orbit_graphs)
 def test_orbit_graphs_are_commutative(g):
-    verdict = is_commutative(g)
-    assert verdict.holds
-    assert check_witnesses(g, verdict)
+    assert is_commutative(g).holds
+    assert check_witnesses(g, matching_witnesses(g))
+
+
+# -- the certificate checker --------------------------------------------------
+# ``check_witnesses`` reads only the graph's edges, so a certificate that is
+# incomplete or tampered with is refused whatever produced it.
+
+
+@pytest.fixture
+def fork():
+    """(v0, v1, a) needs an a-edge into v2 from a head of v0; there is none."""
+    return build([("v0", 0, 1), ("v1", 1, 1), ("w1", 1, 1), ("v2", 2, 1)],
+                 [("v0", "v1", "a"), ("v1", "v2", "b"), ("v0", "w1", "b")], height=2)
+
+
+def test_matching_witnesses_refuses_a_graph_that_does_not_commute(fork, chain_counterexample):
+    for g in (fork, chain_counterexample):
+        verdict = is_commutative(g)
+        assert not verdict.holds
+        with pytest.raises(HypothesisError, match="graph is not commutative") as err:
+            matching_witnesses(g)
+        assert err.value.payload == {"failing_edge": list(verdict.failing_edge)}
+
+
+def test_certificates_of_a_graph_that_does_not_commute_are_refused(fork):
+    assert not check_witnesses(fork, {})
+    assert not check_witnesses(fork, {e: () for e in fork.edges})
+    # the only candidate pairing for (v0, v1, a) misses an a-edge into v2
+    forged = {e: () for e in fork.edges}
+    forged["v0", "v1", "a"] = ((("v1", "v2", "b"), ("v0", "w1", "b")),)
+    assert not check_witnesses(fork, forged)
+
+
+def _without_edge(witnesses):
+    out = dict(witnesses)
+    del out[max(e for e, pairs in out.items() if pairs)]
+    return out
+
+
+def _without_pair(witnesses):
+    out = dict(witnesses)
+    edge = max(e for e, pairs in out.items() if pairs)
+    out[edge] = out[edge][1:]
+    return out
+
+
+def _repeated_pair(witnesses):
+    out = dict(witnesses)
+    edge = max(e for e, pairs in out.items() if pairs)
+    out[edge] = out[edge] + out[edge][:1]
+    return out
+
+
+def _shared_target(witnesses):
+    out = dict(witnesses)
+    edge = max(e for e, pairs in out.items() if len(pairs) > 1)
+    (e0, phi0), (e1, _phi1), *rest = out[edge]
+    out[edge] = ((e0, phi0), (e1, phi0), *rest)
+    return out
+
+
+def _extra_edge(witnesses):
+    return {**witnesses, ("v0", "v1", "zzz"): ()}
+
+
+@pytest.mark.parametrize("mutate", [lambda w: {}, _without_edge, _without_pair,
+                                    _repeated_pair, _shared_target, _extra_edge],
+                         ids=["empty", "edge-dropped", "pair-dropped", "pair-repeated",
+                              "shared-target", "unknown-edge"])
+def test_mutated_certificates_of_o1_are_refused(o1, mutate):
+    witnesses = matching_witnesses(o1)
+    assert check_witnesses(o1, witnesses)
+    assert not check_witnesses(o1, mutate(witnesses))
 
 
 @given(orbit_graphs, st.data())

@@ -211,6 +211,11 @@ class TestImage:
         with pytest.raises(InputError):
             image(path2, {"v0"}, "zzz")
 
+    @pytest.mark.parametrize("label", [[], ["a"], {}], ids=["empty-list", "list", "dict"])
+    def test_unhashable_label(self, path2, label):
+        with pytest.raises(InputError, match="label must be hashable"):
+            image(path2, {"v0"}, label)
+
     @given(graphs, st.data())
     def test_distributes_over_unions(self, g, data):
         ids = sorted(g.atoms)
