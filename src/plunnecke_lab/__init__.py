@@ -8,7 +8,8 @@ periodic subsets of Z^d.  All arithmetic is exact rational.
 
 __version__ = "0.1.0"
 
-from .commutativity import CommutativityVerdict, is_commutative, matching_witnesses
+from .commutativity import (CommutativityVerdict, is_commutative, matching_witnesses,
+                            verify_orbit_commutes)
 from .density import (PeriodicSet, banach_density, correspondence_system,
                       iterate_sumset, normalize, periodic_sumset,
                       verify_correspondence, verify_density_plunnecke,
@@ -22,7 +23,7 @@ from .dynamics import (FinAbGroup, FiniteAction, GroupSet, c, c_delta,
                        verify_multiplicativity, verify_restricted_plunnecke)
 from .errors import HypothesisError, InputError
 from .graphcore import (LayeredMeasureGraph, channel, dual, flow, image,
-                        induced_subgraph, iterated_image, truncate, validate)
+                        induced_subgraph, iterated_image, truncate, validate, verify_flow_duality)
 from .magnification import (CutsetReport, MagnificationResult, cut_weight,
                             cutset_push, is_cutset, magnification_bruteforce,
                             magnification_mincut, min_weight_cutset,
@@ -47,7 +48,7 @@ __all__ = [
     "translation_action", "truncate", "validate", "validate_action",
     "verify_bottom_layer_minimal", "verify_correspondence",
     "verify_density_plunnecke", "verify_density_summands",
-    "verify_different_summands", "verify_dyn_plunnecke", "verify_graph_plunnecke",
-    "verify_heavy_subset", "verify_multiplicativity",
-    "verify_restricted_plunnecke", "window_scan",
+    "verify_different_summands", "verify_dyn_plunnecke", "verify_flow_duality",
+    "verify_graph_plunnecke", "verify_heavy_subset", "verify_multiplicativity",
+    "verify_orbit_commutes", "verify_restricted_plunnecke", "window_scan",
 ]

@@ -28,12 +28,11 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
 from . import __version__, generators, jsonio
-from .commutativity import is_commutative
+from .commutativity import is_commutative, verify_orbit_commutes
 from .density import (banach_density, contains, periodic_sumset,
                       verify_correspondence, verify_density_plunnecke,
                       verify_density_summands, window_scan)
@@ -43,73 +42,74 @@ from .dynamics import (MAX_GROUP_ORDER, FinAbGroup, GroupSet, orbit_graph,
                        verify_heavy_subset, verify_multiplicativity,
                        verify_restricted_plunnecke)
 from .errors import HypothesisError, InputError
-from .graphcore import dual, flow, require_valid, validate
+from .graphcore import validate, verify_flow_duality
+from .jsonio import ACTION, GRAPH, INT, MAX_ORDER, PERIODIC, RATIONAL, STR, VECTOR
 from .magnification import (cut_weight, cutset_push, magnification_bruteforce,
                             magnification_mincut, min_weight_cutset,
                             verify_bottom_layer_minimal, verify_graph_plunnecke)
-from .jsonio import MAX_ORDER
 from .rational import format_rational, parse_rational
-from .reports import CSV_COLUMNS, VerificationReport, csv_row
+from .reports import CSV_COLUMNS, csv_row
 
 
 # ---------------------------------------------------------------------------
-# Check registry: bundle runners and matching instance generators.
+# Check registry: one row per check id.
 # ---------------------------------------------------------------------------
 
 
-# A row is (runner, generator, generator kind).  A runner takes a bundle as
-# `jsonio.read_bundle` returns it: checked against its schema, with its
-# documents built and its orders bounded.  Most runners only pass bundle
-# fields to a library verifier; `_call` builds those.
-
-def _call(verify, *fields):
-    """The runner passing a bundle's ``fields``, in order, to ``verify``."""
-    return lambda b: verify(*[b[f] for f in fields], instance=b["instance"])
-
-
-def _run_flow_duality(b) -> VerificationReport:
-    require_valid(b["graph"])
-    lhs, rhs = flow(b["graph"]), flow(dual(b["graph"]))
-    return VerificationReport(b["instance"], "prop-2.10", lhs, rhs, lhs == rhs)
-
-
-def _run_orbit_commutes(b) -> VerificationReport:
-    verdict = is_commutative(b["graph"])
-    details = {} if verdict.holds else {"failing_edge": list(verdict.failing_edge)}
-    return VerificationReport(b["instance"], "ex-2.6", Fraction(int(verdict.holds)),
-                              Fraction(1), verdict.holds, details=details)
-
-
-CHECKS = {
-    "prop-2.10": (_run_flow_duality, generators.bundle_flow_duality, "graph"),
-    "ex-2.6": (_run_orbit_commutes, generators.bundle_graph_plunnecke, "orbit"),
-    "thm-3.5": (_call(verify_graph_plunnecke, "graph"),
+# A row is (library verifier, bundle fields with their schemas, generator,
+# generator kind); a key ending in "?" is optional.  The fields are checked
+# and read in the row's order, which picks the refusal of a bundle with
+# several bad fields and reads each translate set after its action.  The
+# verifier takes them in that order, but each X2 right after X, j and k last.
+_ACTION_FIELDS = {"action": ACTION, "A": [VECTOR], "B": [STR]}
+_ORDERS = {"j": INT, "k": INT}
+REGISTRY = {
+    "prop-2.10": (verify_flow_duality, {"graph": GRAPH},
+                  generators.bundle_flow_duality, "graph"),
+    "ex-2.6": (verify_orbit_commutes, {"graph": GRAPH},
+               generators.bundle_graph_plunnecke, "orbit"),
+    "thm-3.5": (verify_graph_plunnecke, {"graph": GRAPH},
                 generators.bundle_graph_plunnecke, "orbit"),
-    "cor-3.4": (_call(verify_bottom_layer_minimal, "graph", "C"),
+    "cor-3.4": (verify_bottom_layer_minimal, {"graph": GRAPH, "C": RATIONAL},
                 generators.bundle_bottom_layer, "orbit"),
-    "thm-4.2": (_call(verify_dyn_plunnecke, "action", "A", "B", "j", "k"),
+    "thm-4.2": (verify_dyn_plunnecke, {**_ACTION_FIELDS, **_ORDERS},
                 generators.bundle_dyn_plunnecke, "action"),
-    "thm-4.3": (_call(verify_restricted_plunnecke, "action", "A", "B", "E", "j", "k"),
+    "thm-4.3": (verify_restricted_plunnecke, {**_ACTION_FIELDS, **_ORDERS, "E?": [STR]},
                 generators.bundle_restricted, "action"),
-    "lemma-5.4": (_call(verify_heavy_subset, "action", "A", "B", "delta", "j", "k"),
+    "lemma-5.4": (verify_heavy_subset, {**_ACTION_FIELDS, **_ORDERS, "delta": RATIONAL},
                   generators.bundle_heavy, "action"),
-    "lemma-6.1": (_call(verify_multiplicativity, "action", "action2", "A", "A2", "B", "B2"),
+    "lemma-6.1": (verify_multiplicativity,
+                  {**_ACTION_FIELDS, "action2": ACTION, "A2": [VECTOR], "B2": [STR]},
                   generators.bundle_multiplicativity, "action"),
-    "prop-6.2": (_call(verify_different_summands, "action", "A_list", "B"),
+    "prop-6.2": (verify_different_summands, {"action": ACTION, "A_list": [[VECTOR]], "B": [STR]},
                  generators.bundle_different_summands, "action"),
-    "thm-1.3": (_call(verify_density_plunnecke, "A", "B", "j", "k"),
+    "thm-1.3": (verify_density_plunnecke, {"A": PERIODIC, "B": PERIODIC, **_ORDERS},
                 generators.bundle_density_plunnecke, "periodic"),
-    "thm-1.4": (_call(verify_density_summands, "A_list", "B"),
+    "thm-1.4": (verify_density_summands, {"A_list": [PERIODIC], "B": PERIODIC},
                 generators.bundle_density_summands, "periodic"),
-    "lemma-7.1": (_call(verify_correspondence, "B", "A0"),
+    "lemma-7.1": (verify_correspondence, {"B": PERIODIC, "A0": PERIODIC},
                   generators.bundle_correspondence, "periodic"),
 }
+
+
+def _argument_order(fields: dict) -> list[str]:
+    names = [key.removesuffix("?") for key in fields]
+    return sorted(names, key=lambda n: (n in ("j", "k"), names.index(n.removesuffix("2"))))
+
+
+# Derived from the registry.  `verify` draws instances from CHECKS's
+# (verifier, generator, kind) rows, and the benchmark reads them by position.
+_ARGUMENTS = {theorem: _argument_order(row[1]) for theorem, row in REGISTRY.items()}
+CHECKS = {theorem: (verify, draw, kind)
+          for theorem, (verify, _fields, draw, kind) in REGISTRY.items()}
 
 
 def run_check_bundle(theorem: str, doc: dict, with_timing: bool = False) -> dict:
     """Check and read ``doc`` as a ``theorem`` bundle, then run the check."""
     start = time.perf_counter()
-    report = CHECKS[theorem][0](jsonio.read_bundle(theorem, doc))
+    verify, fields = REGISTRY[theorem][:2]
+    bundle = jsonio.read_bundle(theorem, fields, doc)
+    report = verify(*[bundle[name] for name in _ARGUMENTS[theorem]], instance=doc["instance"])
     millis = (time.perf_counter() - start) * 1000.0
     row = report.to_doc()
     if with_timing:
@@ -255,7 +255,7 @@ def _cmd_verify(args) -> int:
     if theorem not in CHECKS:
         raise InputError(
             f"unknown check id {theorem!r}; available: {', '.join(sorted(CHECKS))}")
-    _runner, draw, kind = CHECKS[theorem]
+    _verify, draw, kind = CHECKS[theorem]
     if args.generate is not None and args.generate != kind:
         raise InputError(
             f"check {theorem} draws its instances from kind {kind!r}, not {args.generate!r}")

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import HypothesisError
 from .graphcore import Edge, LayeredMeasureGraph, require_valid
+from .reports import VerificationReport
 
 Injection = tuple[tuple[Edge, Edge], ...]
 
@@ -80,6 +82,14 @@ def is_commutative(g: LayeredMeasureGraph) -> CommutativityVerdict:
     return CommutativityVerdict(failing is None, failing)
 
 
+def verify_orbit_commutes(g: LayeredMeasureGraph, instance: str = "graph") -> VerificationReport:
+    """Report whether a valid graph commutes: 1 against 1, or 0 and its first failing edge."""
+    verdict = is_commutative(g)
+    details = {} if verdict.holds else {"failing_edge": list(verdict.failing_edge)}
+    return VerificationReport(instance, "ex-2.6", Fraction(int(verdict.holds)),
+                              Fraction(1), verdict.holds, details=details)
+
+
 def require_commutative(g: LayeredMeasureGraph) -> None:
     """Refuse a graph that does not commute with HypothesisError, whose
     payload names the failing edge."""
@@ -120,18 +130,22 @@ def check_witnesses(g: LayeredMeasureGraph, witnesses: Mapping[Edge, Injection])
     """Whether ``witnesses`` certifies that ``g`` commutes, checked from the
     edges alone: one injection per edge (x, y, a), whose domain is the edges
     leaving y, each once, mapped injectively into the edges leaving x so that
-    matched heads are joined by an a-labelled edge."""
+    matched heads are joined by an a-labelled edge.  A certificate of any
+    other shape is refused with False; an invalid graph raises InputError."""
     require_valid(g)
-    if set(witnesses) != g.edges:
-        return False
     out_edges: dict[str, list[Edge]] = {}
     for e in sorted(g.edges):
         out_edges.setdefault(e[0], []).append(e)
-    for (x, y, a), pairs in witnesses.items():
-        targets = {phi for _, phi in pairs}
-        if sorted(e for e, _ in pairs) != out_edges.get(y, []) or len(targets) != len(pairs):
+    try:
+        if set(witnesses) != g.edges:
             return False
-        for e, phi in pairs:
-            if phi not in g.edges or phi[0] != x or (phi[1], e[1], a) not in g.edges:
+        for (x, y, a), pairs in witnesses.items():
+            targets = {phi for _, phi in pairs}
+            if sorted(e for e, _ in pairs) != out_edges.get(y, []) or len(targets) != len(pairs):
                 return False
+            for e, phi in pairs:
+                if phi not in g.edges or phi[0] != x or (phi[1], e[1], a) not in g.edges:
+                    return False
+    except (AttributeError, TypeError, ValueError):  # not a map of edges to pairs of edges
+        return False
     return True

@@ -341,7 +341,6 @@ def verify_density_plunnecke(A: PeriodicSet, B: PeriodicSet, j: int, k: int,
         lhs=lhs,
         rhs=rhs,
         holds=lhs >= rhs,
-        witness=[],
         details={
             "j": j, "k": k,
             "d_sum": format_rational(d_mixed),
@@ -377,7 +376,6 @@ def verify_density_summands(A_list: list[PeriodicSet], B: PeriodicSet,
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs,
-        witness=[],
         details={"k": k, "d_total": format_rational(banach_density(total)),
                  "d_base": format_rational(d_base)},
     )
@@ -462,6 +460,5 @@ def verify_correspondence(B: PeriodicSet, A0: PeriodicSet | None = None,
         lhs=measures["mu_translated"],
         rhs=measures["d_sum"],
         holds=all(bridges.values()),
-        witness=[],
         details={**{key: format_rational(m) for key, m in measures.items()}, **bridges},
     )

@@ -521,7 +521,6 @@ def verify_restricted_plunnecke(act: FiniteAction, A: GroupSet, B: Iterable[str]
         lhs=lhs,
         rhs=rhs,
         holds=(lhs >= rhs) and sub_ok,
-        witness=[],
         details={
             "j": j, "k": k,
             "c_j_restricted": format_rational(low),
@@ -627,7 +626,6 @@ def verify_multiplicativity(act: FiniteAction, act2: FiniteAction,
         lhs=left,
         rhs=right,
         holds=left == right,
-        witness=[],
         details={"c_left_product": format_rational(left),
                  "c_product_action": format_rational(right)},
     )

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 from .errors import InputError, require_ids, require_iterable, require_order
 from .rational import exact_sum, exact_weights
+from .reports import VerificationReport
 
 Edge = tuple[str, str, str]  # (tail, head, label)
 VertexSet = frozenset[str]
@@ -316,6 +317,13 @@ def flow(g: LayeredMeasureGraph) -> Fraction:
     if g.height != 1:
         raise InputError(f"flow needs a 1-layered graph (height {g.height})")
     return exact_sum(g.atoms[t] for t, _, _ in g.edges)
+
+
+def verify_flow_duality(g: LayeredMeasureGraph, instance: str = "graph") -> VerificationReport:
+    """Check that a valid 1-layered graph's flow equals its dual's."""
+    require_valid(g)
+    lhs, rhs = flow(g), flow(dual(g))
+    return VerificationReport(instance, "prop-2.10", lhs, rhs, lhs == rhs)
 
 
 def truncate(g: LayeredMeasureGraph, k: int) -> LayeredMeasureGraph:

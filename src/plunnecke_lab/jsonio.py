@@ -1,9 +1,10 @@
 """JSON interchange for graphs, actions, periodic sets, and reports.
 
-Each document kind and each check's bundle has one schema here, checked
-once before anything is built; the readers then index the checked
-document.  What a schema does not say (duplicate ids, rational literals,
-ranks, budgets) is refused by the reader or the constructor it calls.
+Each document kind has one schema here, and a check's bundle fields are
+built from them in ``cli.REGISTRY``.  A document is checked once before
+anything is built; the readers then index the checked document.  What a
+schema does not say (duplicate ids, rational literals, ranks, budgets) is
+refused by the reader or the constructor it calls.
 
 Documents are emitted in a canonical form (sorted keys, sorted collections,
 two-space indent, trailing newline) so that identical inputs always produce
@@ -59,27 +60,6 @@ def PERIODIC(doc):
     if type(doc) is dict and "finite" in doc:
         return {"dim": INT, "finite": [VECTOR]}
     return {"dim": INT, "period": [INT], "residues": [VECTOR]}
-
-
-# Each check's bundle: its name, the `theorem` tag a bundle file may carry,
-# and the fields its runner reads.
-_ACTION_BUNDLE = {"action": ACTION, "A": [VECTOR], "B": [STR], "j": INT, "k": INT}
-BUNDLES = {theorem: {"instance": STR, "theorem?": {theorem}, **fields}
-           for theorem, fields in {
-    "prop-2.10": {"graph": GRAPH},
-    "ex-2.6": {"graph": GRAPH},
-    "thm-3.5": {"graph": GRAPH},
-    "cor-3.4": {"graph": GRAPH, "C": RATIONAL},
-    "thm-4.2": _ACTION_BUNDLE,
-    "thm-4.3": {**_ACTION_BUNDLE, "E?": [STR]},
-    "lemma-5.4": {**_ACTION_BUNDLE, "delta": RATIONAL},
-    "lemma-6.1": {"action": ACTION, "A": [VECTOR], "B": [STR],
-                  "action2": ACTION, "A2": [VECTOR], "B2": [STR]},
-    "prop-6.2": {"action": ACTION, "A_list": [[VECTOR]], "B": [STR]},
-    "thm-1.3": {"A": PERIODIC, "B": PERIODIC, "j": INT, "k": INT},
-    "thm-1.4": {"A_list": [PERIODIC], "B": PERIODIC},
-    "lemma-7.1": {"B": PERIODIC, "A0": PERIODIC},
-}.items()}
 
 
 _WHAT = {STR: "a JSON string", INT: "an integer", RATIONAL: "a JSON string or an integer",
@@ -280,17 +260,18 @@ def periodic_from_doc(doc: dict, *, checked: bool = False) -> PeriodicSet:
     return got
 
 
-def read_bundle(theorem: str, doc) -> dict:
-    """``doc`` checked as a ``theorem`` bundle, each field read by its schema.
+def read_bundle(theorem: str, fields: dict, doc) -> dict:
+    """``doc`` checked as a ``theorem`` bundle with ``fields`` (each field's
+    schema, in reading order), each field read by its schema.
 
     A translate set is read in the group of the action before it, and an
-    absent optional id set as the empty set.  Then the orders j and k the
-    schema names are refused past MAX_ORDER, before any sumset is formed;
-    a field the schema does not name is ignored, as ``check`` ignores it.
+    absent optional id set as the empty set.  Then the orders j and k that
+    ``fields`` names are refused past MAX_ORDER, before any sumset is formed;
+    a field it does not name is ignored, as ``check`` ignores it.
     """
-    check(doc, BUNDLES[theorem])
-    out, group = dict(doc), None
-    for key, schema in BUNDLES[theorem].items():
+    check(doc, {"instance": STR, "theorem?": {theorem}, **fields})
+    out, group = {}, None
+    for key, schema in fields.items():
         key = key.removesuffix("?")
         if key in doc:
             out[key] = _read(schema, doc[key], group)
@@ -298,7 +279,7 @@ def read_bundle(theorem: str, doc) -> dict:
         elif schema == [STR]:
             out[key] = frozenset()
     for key in ("j", "k"):
-        if key in BUNDLES[theorem] and out[key] > MAX_ORDER:
+        if key in out and out[key] > MAX_ORDER:
             raise InputError(f"order {key} must be at most MAX_ORDER ({MAX_ORDER}) "
                              f"(got {out[key]})")
     return out

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from plunnecke_lab import (CommutativityVerdict, HypothesisError, InputError,
                            LayeredMeasureGraph, channel, commutativity, dual,
-                           is_commutative, matching_witnesses, validate)
+                           is_commutative, matching_witnesses, validate,
+                           verify_orbit_commutes)
 from plunnecke_lab.commutativity import check_witnesses, require_commutative
 from plunnecke_lab.generators import random_layered_graph, random_orbit_graph
 
@@ -318,6 +319,15 @@ def test_matching_witnesses_refuses_a_graph_that_does_not_commute(fork, chain_co
         assert err.value.payload == {"failing_edge": list(verdict.failing_edge)}
 
 
+def test_the_commutativity_report_names_the_failing_edge(o1, fork):
+    held = verify_orbit_commutes(o1, "o1")
+    assert (held.instance, held.theorem, held.lhs, held.rhs) == ("o1", "ex-2.6", 1, 1)
+    assert held.holds and held.details == {}
+    failed = verify_orbit_commutes(fork)
+    assert (failed.lhs, failed.rhs, failed.holds) == (0, 1, False)
+    assert failed.details == {"failing_edge": list(is_commutative(fork).failing_edge)}
+
+
 def test_certificates_of_a_graph_that_does_not_commute_are_refused(fork):
     assert not check_witnesses(fork, {})
     assert not check_witnesses(fork, {e: () for e in fork.edges})
@@ -367,6 +377,27 @@ def test_mutated_certificates_of_o1_are_refused(o1, mutate):
     witnesses = matching_witnesses(o1)
     assert check_witnesses(o1, witnesses)
     assert not check_witnesses(o1, mutate(witnesses))
+
+
+@pytest.mark.parametrize("certificate", [
+    lambda g: {e: 5 for e in g.edges},
+    lambda g: 7,
+    lambda g: {e: ((1,),) for e in g.edges},
+    lambda g: [list(e) for e in g.edges],
+    lambda g: {e: tuple((list(p[0]), list(p[1])) for p in pairs)
+               for e, pairs in matching_witnesses(g).items()},
+    lambda g: sorted(g.edges),
+], ids=["int-injections", "not-a-mapping", "short-pairs", "unhashable-list",
+        "list-edges", "edges-without-injections"])
+def test_malformed_certificates_are_refused_with_false(o1, certificate):
+    assert check_witnesses(o1, certificate(o1)) is False
+
+
+def test_an_invalid_graph_is_refused_whatever_the_certificate(path2):
+    broken = build([("v0", 0, 1), ("v1", 1, 2)], [("v0", "v1", "a")], height=1)
+    for certificate in ({}, 7, matching_witnesses(path2)):
+        with pytest.raises(InputError, match="invalid graph"):
+            check_witnesses(broken, certificate)
 
 
 @given(orbit_graphs, st.data())

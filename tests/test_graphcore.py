@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plunnecke_lab import InputError, LayeredMeasureGraph, channel, dual, flow, image, \
-    induced_subgraph, is_cutset, iterated_image, truncate, validate
+    induced_subgraph, is_cutset, iterated_image, truncate, validate, verify_flow_duality
 from plunnecke_lab.generators import random_layered_graph, random_one_layer_graph
 from plunnecke_lab.graphcore import BACKWARD, FORWARD
 
@@ -405,6 +405,18 @@ class TestFlow:
     def test_flow_duality(self, g):
         assert validate(g) == []
         assert flow(g) == flow(dual(g))
+
+    def test_the_duality_report(self, bipartite_flow_example):
+        report = verify_flow_duality(bipartite_flow_example, "bip")
+        assert (report.instance, report.theorem, report.holds) == ("bip", "prop-2.10", True)
+        assert report.lhs == report.rhs == Fraction(3, 2)
+
+    def test_the_duality_check_refuses_invalid_and_taller_graphs(self, path3):
+        broken = build([("v0", 0, 1), ("v1", 1, 2)], [("v0", "v1", "a")], height=1)
+        with pytest.raises(InputError, match="invalid graph"):
+            verify_flow_duality(broken)
+        with pytest.raises(InputError, match="1-layered"):
+            verify_flow_duality(path3)
 
 
 class TestTruncate:

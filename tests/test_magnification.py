@@ -53,6 +53,20 @@ class TestMagnification:
             magnification_bruteforce(g, 1)
         assert magnification_mincut(g, 1).value == 0
 
+    def test_brute_force_takes_exactly_the_limit(self):
+        # a ring: each bottom vertex reaches its own top vertex and the next
+        # one's, so only the whole bottom layer has as large an image as itself
+        n = maxflow.BRUTE_FORCE_LIMIT
+        vertices = [(f"b{i:02d}", 0, 1) for i in range(n)] + \
+            [(f"t{i:02d}", 1, 1) for i in range(n)]
+        edges = [(f"b{i:02d}", f"t{i:02d}", "a") for i in range(n)] + \
+            [(f"b{i:02d}", f"t{(i + 1) % n:02d}", "b") for i in range(n)]
+        g = build(vertices, edges, height=1)
+        brute = magnification_bruteforce(g, 1)
+        assert brute.value == 1 and len(brute.witness) == n
+        mincut = magnification_mincut(g, 1)
+        assert (mincut.value, mincut.witness) == (brute.value, brute.witness)
+
     def test_out_of_range_order(self, o1):
         for j in (0, 3):
             with pytest.raises(InputError):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import random
 import re
 import sys
 import types
@@ -45,6 +46,36 @@ def test_benchmark_trace_hooks_name_package_attributes(monkeypatch):
                 owner = getattr(owner, part)
             assert callable(owner), (module, attr)
     assert isinstance(importlib.import_module("plunnecke_lab.cli").CHECKS, dict)
+
+
+def test_every_registry_row_keeps_the_contract_the_benchmark_reads():
+    """Each ``cli.CHECKS`` row is (verifier, generator, kind), derived from
+    its ``cli.REGISTRY`` row: the generator draws a bundle ``read_bundle``
+    accepts, the kind is a ``generate`` kind, and the verifier is exported,
+    takes one argument per bundle field, then the instance name, and holds
+    on the draw.  No other module has a global CHECKS, whose rows the
+    benchmark's tracer walks."""
+    cli = importlib.import_module("plunnecke_lab.cli")
+    jsonio = importlib.import_module("plunnecke_lab.jsonio")
+    assert list(cli.CHECKS) == list(cli.REGISTRY)
+    for check_id, row in cli.CHECKS.items():
+        assert type(row) is tuple and len(row) == 3, check_id
+        verify, fields, draw, kind = cli.REGISTRY[check_id]
+        assert row == (verify, draw, kind)
+        assert kind in cli._GENERATORS
+        bundle = row[1](random.Random(f"contract:{check_id}"), check_id)
+        read = jsonio.read_bundle(check_id, fields, bundle)
+        assert sorted(cli._ARGUMENTS[check_id]) == sorted(read)
+        assert verify.__name__ in plunnecke_lab.__all__
+        assert getattr(plunnecke_lab, verify.__name__) is verify
+        params = list(inspect.signature(verify).parameters)
+        assert params[-1] == "instance" and len(params) == len(fields) + 1, check_id
+        assert cli.run_check_bundle(check_id, bundle)["holds"] is True
+    src = Path(plunnecke_lab.__file__).parent
+    modules = [importlib.import_module(f"plunnecke_lab.{path.stem}")
+               for path in sorted(src.glob("*.py")) if not path.stem.startswith("__")]
+    holders = [mod.__name__ for mod in [plunnecke_lab, *modules] if "CHECKS" in vars(mod)]
+    assert holders == ["plunnecke_lab.cli"]
 
 
 def test_readme_documents_every_check_id():
@@ -160,6 +191,7 @@ _ORDERS = {"j": "order j", "k": "order k"}
 
 # name -> (a valid call's keyword arguments, the name each int parameter's
 # message gives it); restricted_orbit_subgraph's k is its orbit graph's height
+# and the two verifiers without one are rows for their valid calls
 _INT_ARGUMENTS = {
     "cutset_push": (lambda: {"g": _graph(), "S": {"0@0"}, "C": 1, "j": 1},
                     {"j": "push layer"}),
@@ -178,7 +210,10 @@ _INT_ARGUMENTS = {
     "verify_density_plunnecke": (lambda: {"A": _periodic(0, 1), "B": _periodic(0), "j": 1,
                                           "k": 2}, _ORDERS),
     "verify_dyn_plunnecke": (lambda: {**_ACTION, "j": 1, "k": 2}, _ORDERS),
+    "verify_flow_duality": (lambda: {"g": plunnecke_lab.orbit_graph(
+        translation(4), gset(4, 0, 1), {"0"}, 1), "instance": "O1"}, {}),
     "verify_heavy_subset": (lambda: {**_ACTION, "delta": "1/2", "j": 1, "k": 2}, _ORDERS),
+    "verify_orbit_commutes": (lambda: {"g": _graph(), "instance": "O1"}, {}),
     "verify_restricted_plunnecke": (lambda: {**_ACTION, "E": {"0"}, "j": 1, "k": 2},
                                     _ORDERS),
     "window_scan": (lambda: {"oracle": bool, "side": 2, "radius": 3, "dim": 1},
@@ -186,6 +221,12 @@ _INT_ARGUMENTS = {
 }
 _INT_ROWS = sorted((name, param) for name, (_call, names) in _INT_ARGUMENTS.items()
                    for param in names)
+
+
+@pytest.mark.parametrize("name", sorted(_INT_ARGUMENTS))
+def test_each_row_is_a_valid_call(name):
+    call, _names = _INT_ARGUMENTS[name]
+    getattr(plunnecke_lab, name)(**call())
 
 
 def _int_parameters():

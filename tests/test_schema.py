@@ -103,12 +103,16 @@ def test_every_field_refusal_names_its_path(tmp_path, capsys, monkeypatch, check
                     (step, new, refusal)
 
 
+def _read_bundle(check_id, doc):
+    return jsonio.read_bundle(check_id, cli.REGISTRY[check_id][1], doc)
+
+
 def test_every_check_has_a_bundle_schema_its_generator_fits():
-    assert sorted(jsonio.BUNDLES) == sorted(cli.CHECKS)
-    for check_id, (_runner, draw, kind) in cli.CHECKS.items():
+    assert sorted(cli.REGISTRY) == sorted(cli.CHECKS)
+    for check_id, (_verify, draw, kind) in cli.CHECKS.items():
         rng = random.Random(f"fit:{check_id}")
         for i in range(50):
-            jsonio.check(draw(rng, f"{kind}-{i}"), jsonio.BUNDLES[check_id])
+            _read_bundle(check_id, draw(rng, f"{kind}-{i}"))
 
 
 def _graph_doc(ids=("a", "b"), label="x"):
@@ -139,21 +143,21 @@ def test_graph_height_is_bounded_when_read():
         jsonio.graph_from_doc(doc)
 
 
-@pytest.mark.parametrize("check_id", ["thm-4.2", "thm-4.3", "lemma-5.4", "thm-1.3"])
+@pytest.mark.parametrize("check_id", [cid for cid, row in cli.REGISTRY.items() if "j" in row[1]])
 def test_bundle_orders_are_bounded_when_read(check_id):
     bundle = cli.CHECKS[check_id][1](random.Random(4), "orders")
     top = jsonio.MAX_ORDER
-    read = jsonio.read_bundle(check_id, {**bundle, "j": top, "k": top})
+    read = _read_bundle(check_id, {**bundle, "j": top, "k": top})
     assert (read["j"], read["k"]) == (top, top)
     for j, k, name in [(top + 1, 1, "j"), (1, top + 1, "k"), (top + 1, top + 2, "j")]:
         with pytest.raises(InputError) as refused:
-            jsonio.read_bundle(check_id, {**bundle, "j": j, "k": k})
+            _read_bundle(check_id, {**bundle, "j": j, "k": k})
         assert str(refused.value) == \
             f"order {name} must be at most MAX_ORDER ({top}) (got {top + 1})"
 
 
 @pytest.mark.parametrize("check_id", sorted(cid for cid in cli.CHECKS
-                                             if "j" not in jsonio.BUNDLES[cid]))
+                                             if "j" not in cli.REGISTRY[cid][1]))
 def test_an_order_the_schema_does_not_name_is_ignored(tmp_path, capsys, check_id):
     bundle = cli.CHECKS[check_id][1](random.Random(4), "extra")
     path = _write(tmp_path / "b.json", bundle)
@@ -169,7 +173,7 @@ def test_a_missing_E_reads_and_reports_as_an_empty_one(seed):
     bundle = cli.CHECKS["thm-4.3"][1](random.Random(seed), f"no-E-{seed}")
     empty = cli.run_check_bundle("thm-4.3", {**bundle, "E": []})
     del bundle["E"]
-    assert jsonio.read_bundle("thm-4.3", bundle)["E"] == frozenset()
+    assert _read_bundle("thm-4.3", bundle)["E"] == frozenset()
     assert jsonio.dumps_canonical(cli.run_check_bundle("thm-4.3", bundle)) == \
         jsonio.dumps_canonical(empty)
 
