@@ -127,7 +127,11 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     v_out -> t and probes for more flow (``max_flow(0, 1, probe=True)``,
     which pushes nothing), and a rejected vertex loses them and has its
     split arc raised to infinity for good, so every probe runs on the
-    network of the textbook greedy's query (see ``lex_min_walk``).
+    network of the textbook greedy's query (see ``lex_min_walk``).  The
+    force arcs go through ``add_edge`` and ``truncate`` and the raise
+    through ``set_cap``, which keep the network's residual closures, so a
+    probe searches only from the arcs changed since the last accepted
+    query.
     ``is_cutset`` runs on the empty set, then once the chosen vertices'
     weight reaches the minimum.
     """
@@ -155,7 +159,7 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
         return False
 
     def bar(i: int) -> None:
-        net.cap[2 * i] = inf  # vertex i's split arc is arc 2*i
+        net.set_cap(2 * i, inf)  # vertex i's split arc is arc 2*i
 
     def done(chosen) -> bool:
         nonlocal weight

@@ -13,8 +13,10 @@ source weight <= 0 and a neighbor weight < 0, and return one
 says why nesting the rounds and opening each with a greedy flow leave every
 result unchanged.  Its witness and the minimum-weight cutset's come from
 ``lex_min_walk``, whose every query pins one index in and probes once
-(``max_flow(s, t, probe=True)``: one depth-first residual search, apart
-from Dinic's phases, that stops at the sink and pushes nothing).
+(``max_flow(s, t, probe=True)``, which pushes nothing).  A probe searches
+only from the arcs the walk changed since the last probe that found no
+path: the network keeps the residual closures of s and of t between probes
+(``FlowNetwork``).
 """
 
 from __future__ import annotations
@@ -44,10 +46,22 @@ class FlowNetwork:
     Arc ``a`` runs to ``head[a]`` with residual capacity ``cap[a]``; its
     reverse arc is ``a ^ 1`` and ``adj[v]`` lists the arcs leaving ``v``.
     ``max_flow`` augments the flow ``cap`` already holds and returns the
-    flow it adds, so after raising some ``cap[a]``, or adding arcs, it finds
-    just the extra flow they admit; with ``probe=True`` it only says whether
-    any exists.  ``truncate`` removes arcs added after a mark, so a network
-    can carry an arc only while it is needed.
+    flow it adds, so after raising some capacities (``set_cap``), or adding
+    arcs, it finds just the extra flow they admit; with ``probe=True`` it
+    only says whether any exists.  ``truncate`` removes arcs added after a
+    mark, so a network can carry an arc only while it is needed.
+
+    Probes keep two closures of the residual network from call to call: the
+    nodes s reaches, and nodes known to reach t.  A probe that finds no path
+    commits them, and later probes search only from the arcs changed since
+    (``_probe``).  So between probes every change to ``cap`` goes through
+    ``set_cap``, ``add_edge`` and ``truncate``, which note it.  Raising a
+    capacity and adding an arc only grow the closures.  Lowering an arc back
+    to no less than it held at the last committed probe, and removing arcs
+    added after that probe, leave them valid too: with raising and adding,
+    these are all a witness walk does between such probes.  Any other
+    lowering or removal, a new ``cap`` list, or a full ``max_flow`` drops
+    both closures, and the next probe starts again from s alone.
     """
 
     def __init__(self, n: int, arcs=()):
@@ -64,6 +78,11 @@ class FlowNetwork:
         for a, (u, v, _c) in enumerate(arcs):
             adj[u].append(2 * a)
             adj[v].append(2 * a + 1)
+        # the probe closures (see _probe): the (s, t, cap) they belong to, or
+        # None; _from_s and _to_t mark their nodes, _leaving and _entering
+        # hold the noted arcs, _mark is len(head) at the last commit and
+        # _floor[a] what arc a < _mark held then, once a has changed since
+        self._key = None
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add the arc u -> v of capacity ``cap`` and return its index."""
@@ -72,49 +91,59 @@ class FlowNetwork:
         self.cap += (cap, 0)
         self.adj[u].append(arc)
         self.adj[v].append(arc + 1)
+        if self._key is not None:
+            self._note(arc)
         return arc
+
+    def set_cap(self, a: int, c: int) -> None:
+        """Set arc ``a``'s residual capacity to ``c``.
+
+        A raise is noted for the probe closures; lowering an arc below what
+        it held at the last committed probe drops them.
+        """
+        cap = self.cap
+        if self._key is not None:
+            if a < self._mark and c < self._floor.setdefault(a, cap[a]):
+                self._key = None
+            elif c > cap[a]:
+                self._note(a)
+        cap[a] = c
 
     def truncate(self, arcs: int) -> None:
         """Remove every arc added after the first ``arcs``, newest first.
 
         ``arcs`` is a past ``len(head)``; the remaining arcs keep whatever
-        ``cap`` holds for them.
+        ``cap`` holds for them.  Removing an arc the last committed probe
+        saw drops the probe closures.
         """
         adj, head = self.adj, self.head
         for a in range(len(head) - 1, arcs - 1, -1):
             adj[head[a ^ 1]].pop()
         del head[arcs:], self.cap[arcs:]
+        if self._key is not None:
+            if arcs < self._mark:
+                self._key = None
+            else:
+                self._leaving = [a for a in self._leaving if a < arcs]
+                self._entering = [a for a in self._entering if a < arcs]
 
     def max_flow(self, s: int, t: int, probe: bool = False) -> int:
         """Augment to a maximum s-t flow and return the flow this call added.
 
         Each phase labels BFS levels until t is labelled, then finishes a
-        blocking flow on the level graph.  ``probe=True`` runs no phase and
-        pushes nothing: one depth-first search of the residual network,
-        which stops at the first residual arc into t, returns 1 if it finds
-        one, so more flow exists, and 0 if ``cap`` holds a maximum flow
-        already.  ``s == t`` is refused in both modes.
+        blocking flow on the level graph; the probe closures are dropped.
+        ``probe=True`` runs no phase and pushes nothing: it returns 1 if the
+        residual network has an s-t path, so more flow exists, and 0 if
+        ``cap`` holds a maximum flow already.  It searches only from the
+        arcs changed since the last probe that returned 0 (``_probe``).
+        ``s == t`` is refused in both modes.
         """
         if s == t:
             raise ValueError(f"source and sink are the same node ({s})")
-        adj, head, cap = self.adj, self.head, self.cap
         if probe:
-            # any residual s-t path will do; the stack takes the heads of
-            # the newest arcs, last in their lists, first
-            seen = [False] * self.n
-            seen[s] = True
-            stack = [s]
-            push, pop = stack.append, stack.pop
-            while stack:
-                for a in adj[pop()]:
-                    if cap[a]:
-                        w = head[a]
-                        if not seen[w]:
-                            if w == t:
-                                return 1
-                            seen[w] = True
-                            push(w)
-            return 0
+            return self._probe(s, t)
+        self._key = None
+        adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
             # BFS levels, stopping once t is labelled: every vertex below
@@ -175,6 +204,71 @@ class FlowNetwork:
                         break
                     v = head[path.pop() ^ 1]
                     ptr[v] += 1
+
+    def _probe(self, s: int, t: int) -> int:
+        """1 if t is reachable from s in the residual network, else 0.
+
+        With no closures kept for (s, t, cap), the source side starts as
+        {s} with every arc out of s noted, and the sink side as {t}.  The
+        search starts from the noted arcs that leave the source side, and
+        stops at the first node of the sink side.  If it reaches one, it
+        forgets the nodes it reached.  Otherwise it commits: the source side
+        keeps them, the sink side grows back from the noted arcs that enter
+        it, and no arc stays noted.  A node joins each side at most once,
+        when its arcs are scanned, so the committing probes of one walk
+        scan each arc at most twice in all, plus the arcs noted; a probe
+        that finds a path also scans the arcs of the nodes it forgets.
+        """
+        adj, head, cap = self.adj, self.head, self.cap
+        key = self._key
+        if key is None or key[2] is not cap or key[0] != s or key[1] != t:
+            # {s} with its arcs noted, and {t}: they rely on no arc yet
+            self._key = (s, t, cap)
+            self._from_s, self._to_t = [False] * self.n, [False] * self.n
+            self._from_s[s] = self._to_t[t] = True
+            self._leaving, self._entering, self._floor, self._mark = adj[s][:], [], {}, 0
+        from_s, to_t = self._from_s, self._to_t
+        reached: list[int] = []
+        stack = [self._leaving]
+        while stack:
+            for a in stack.pop():
+                if cap[a]:
+                    w = head[a]
+                    if not from_s[w]:
+                        if to_t[w]:
+                            for v in reached:
+                                from_s[v] = False
+                            return 1
+                        from_s[w] = True
+                        reached.append(w)
+                        stack.append(adj[w])
+        self._reach_t([head[a ^ 1] for a in self._entering if cap[a]])
+        self._leaving, self._entering, self._floor, self._mark = [], [], {}, len(head)
+        return 0
+
+    def _note(self, a: int) -> None:
+        """Note arc ``a``, just raised or added, if it leaves the source side
+        or enters the sink side."""
+        if self._from_s[self.head[a ^ 1]]:
+            self._leaving.append(a)
+        if self._to_t[self.head[a]]:
+            self._entering.append(a)
+
+    def _reach_t(self, nodes) -> None:
+        """Add ``nodes``, and every node that reaches one of them in the
+        residual network, to the sink side."""
+        adj, head, cap, to_t = self.adj, self.head, self.cap, self._to_t
+        stack = []
+        for v in nodes:
+            if not to_t[v]:
+                to_t[v] = True
+                stack.append(v)
+        while stack:
+            for b in adj[stack.pop()]:
+                x = head[b]
+                if not to_t[x] and cap[b ^ 1]:
+                    to_t[x] = True
+                    stack.append(x)
 
     def source_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network (the minimal min cut)."""
@@ -333,7 +427,10 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     source arc to infinity and probes, and a rejected source gets its old
     capacity back and then an infinite arc to the sink for good, so every
     probe runs on the network of the textbook greedy's query (see
-    ``lex_min_walk``).  A probe pushes nothing, so it asks whether the
+    ``lex_min_walk``).  Each change goes through ``FlowNetwork.set_cap`` or
+    ``add_edge`` and keeps the network's closures, so a probe searches only
+    from the arcs its query and the bars since the last accepted query
+    changed.  A probe pushes nothing, so it asks whether the
     pinned network's maximum flow exceeds the last round's value, whichever
     maximum flow the round left.  S_{R-1} holds every source chosen so far
     and none barred, so the walk accepts exactly its sources, and the
@@ -409,15 +506,16 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         raise RuntimeError(f"ratio iteration exceeded its bound of {bound}")
     if not witness:
         return MagnificationResult(lam, None, tuple(trace))
-    cap, num, den = net.cap, lam.numerator, lam.denominator
+    num, den = lam.numerator, lam.denominator
     image: set[int] = set()
     img_w = set_w = 0
 
     def force_in(i: int) -> bool:
-        old, cap[2 * i] = cap[2 * i], inf  # source arc i is arc 2*i
+        old = net.cap[2 * i]  # source arc i is arc 2*i
+        net.set_cap(2 * i, inf)
         if not net.max_flow(0, 1, probe=True):
             return True
-        cap[2 * i] = old
+        net.set_cap(2 * i, old)
         return False
 
     def attains_optimum(chosen) -> bool:

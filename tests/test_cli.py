@@ -794,6 +794,13 @@ def test_importing_the_cli_loads_no_process_pool():
 # ---------------------------------------------------------------------------
 
 
+def _large_orbit_graph(n, A, Y):
+    """The orbit graph of Z/n for the atoms ``A``, with base ``Y``, h = 3."""
+    act = dynamics.translation_action(dynamics.FinAbGroup((n,)))
+    return dynamics.orbit_graph(act, dynamics.GroupSet.of(act.group, [(a,) for a in A]),
+                                {str(y) for y in Y}, 3)
+
+
 def _write_golden_inputs(directory):
     z4 = dynamics.translation_action(dynamics.FinAbGroup((4,)))
     o1 = dynamics.orbit_graph(z4, dynamics.GroupSet.of(z4.group, [(0,), (1,)]), {"0"}, 2)
@@ -819,6 +826,11 @@ def _write_golden_inputs(directory):
         "o1-rate.json": {"instance": "O1", "graph": jsonio.graph_to_doc(o1), "C": "5/1"},
         "chain-bundle.json": {"instance": "chain", "graph": chain},
         "dyn-bundle.json": generators.bundle_dyn_plunnecke(random.Random(1), "dyn"),
+        # past the brute-force limit: the anchor graph, and a Z/64 graph whose
+        # ratio takes three rounds to a witness of 10 of its 25 base atoms
+        "Z128.json": jsonio.graph_to_doc(_large_orbit_graph(128, (0, 1, 3), range(0, 128, 3))),
+        "Z64.json": jsonio.graph_to_doc(
+            _large_orbit_graph(64, (0, 1, 3), [*range(10), *range(20, 64, 3)])),
     }
     for name, doc in docs.items():
         (directory / name).write_text(jsonio.dumps_canonical(doc))
@@ -852,6 +864,8 @@ _GOLDEN_ARGV = {
     "cutset-push": "cutset O1.json --C 2/1 --push 1",
     "cutset-push-set": "cutset O1.json --C 1/1 --push 1 --set 0@1;1@1",
     "cutset-bad-rate": "cutset O1.json --C 1.5",
+    "magnify-large": "magnify Z128.json Z64.json --j 3",
+    "cutset-large": "cutset Z128.json Z64.json --C 1/1",
     **{f"verify-{check_id}": f"verify {check_id} --seed 0 --count 3"
        for check_id in ("prop-2.10", "ex-2.6", "thm-3.5", "cor-3.4", "thm-4.2",
                         "thm-4.3", "lemma-5.4", "lemma-6.1", "prop-6.2", "thm-1.3",
@@ -913,6 +927,7 @@ _GOLDEN = {
     "correspond-A0": (0, "7fbbc5879dbd0f85"),
     "cutset": (0, "2ccd75c6cef28a52"),
     "cutset-bad-rate": (2, "c3ff8249f975c27d"),
+    "cutset-large": (0, "e1358d19d6bfe1af"),
     "cutset-push": (0, "fd73f174ef8af277"),
     "cutset-push-set": (0, "f76f212206bd6396"),
     "density-banach": (0, "661a05ac006d8eaf"),
@@ -932,6 +947,7 @@ _GOLDEN = {
     "generate-periodic-sized": (0, "d0510e03773f0c64"),
     "magnify-both": (0, "d77575c8b8c86c02"),
     "magnify-brute": (0, "5cd504b962581633"),
+    "magnify-large": (0, "0aa1dda3b94af0b5"),
     "magnify-mincut": (0, "25924f43ab6a7213"),
     "orbit-graph": (0, "f653038adac8056a"),
     "orbit-graph-2d": (0, "6d706b6b3debec51"),

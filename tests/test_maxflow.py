@@ -181,7 +181,9 @@ def _checked_probe(net, s, t, max_flow=FlowNetwork.max_flow):
 
 def test_probe_matches_a_breadth_first_search_in_walk_states():
     """Random networks in the states a witness walk leaves: at a maximum
-    flow, with pins raised, with bars added, and after truncating them."""
+    flow, with pins raised, some of them undone after a probe that found a
+    path, with bars added, and after truncating them.  Every change goes
+    through ``set_cap``, ``add_edge`` and ``truncate``."""
     rng = random.Random(2026)
     answers = []
     for _ in range(400):
@@ -191,8 +193,12 @@ def test_probe_matches_a_breadth_first_search_in_walk_states():
         answers.append(_checked_probe(net, s, t))
         mark = len(net.head)
         for arc in rng.sample(range(0, mark, 2), min(mark // 2, rng.randint(1, 3))):
-            net.cap[arc] += rng.choice([1, 4, 10 ** 15])  # a pin
+            old = net.cap[arc]
+            net.set_cap(arc, old + rng.choice([1, 4, 10 ** 15]))  # a pin
             answers.append(_checked_probe(net, s, t))
+            if answers[-1] and rng.random() < 0.5:
+                net.set_cap(arc, old)  # the pin undone
+                answers.append(_checked_probe(net, s, t))
         for _bar in range(rng.randint(1, 3)):
             net.add_edge(rng.randrange(n), rng.choice([t, rng.randrange(n)]),
                          rng.choice([0, 1, 10 ** 15]))
@@ -202,26 +208,140 @@ def test_probe_matches_a_breadth_first_search_in_walk_states():
     assert answers.count(0) >= 300 and answers.count(1) >= 300
 
 
-@pytest.mark.parametrize("n", [8, 11, 16])
-def test_probe_matches_a_breadth_first_search_on_orbit_graphs(n, monkeypatch):
-    """Every probe of the ratio and cutset walks on Z/n orbit graphs, h = 3."""
-    act = translation_action(FinAbGroup((n,)))
-    g = orbit_graph(act, GroupSet.of(act.group, [(0,), (1,), (3,)]),
-                    {str(y) for y in range(0, n, 3)}, 3)
+def _check_every_probe(monkeypatch):
+    """Check every probe against ``_bfs_reaches`` from now on; returns the
+    list the answers go to."""
     answers = []
     original = FlowNetwork.max_flow
 
     def checked(net, s, t, probe=False):
         if probe:
-            answers.append(_checked_probe(net, s, t))
+            answers.append(_checked_probe(net, s, t, original))
+            return answers[-1]
         return original(net, s, t, probe)
 
     monkeypatch.setattr(FlowNetwork, "max_flow", checked)
+    return answers
+
+
+@pytest.mark.parametrize("n", [8, 11, 16, 32, 48, 64])
+def test_probe_matches_a_breadth_first_search_on_orbit_graphs(n, monkeypatch):
+    """Every probe of the ratio and cutset walks on Z/n orbit graphs, h = 3.
+    At n = 64 layer 0 has 22 vertices, past BRUTE_FORCE_LIMIT."""
+    act = translation_action(FinAbGroup((n,)))
+    g = orbit_graph(act, GroupSet.of(act.group, [(0,), (1,), (3,)]),
+                    {str(y) for y in range(0, n, 3)}, 3)
+    answers = _check_every_probe(monkeypatch)
     for j in (1, 2, 3):
         magnification.magnification_mincut(g, j)
     for C in (1, 2):
         magnification.min_weight_cutset(g, C)
     assert answers.count(0) >= 20 and answers.count(1) >= 30
+
+
+@pytest.mark.parametrize("size", [12, 24, 40])
+def test_probe_matches_a_breadth_first_search_on_product_actions(size, monkeypatch):
+    """Every probe of the ratio walk of c(A x A2, B x B2) on products of two
+    cyclic actions (the thm-4.2 min-cut route), |B x B2| = ``size``."""
+    answers = _check_every_probe(monkeypatch)
+    for seed in range(4):
+        min_ratio_mincut(*_product_relation(seed, size))
+    assert answers.count(0) >= 30 and answers.count(1) >= 5
+
+
+def _committed(net, s, t):
+    """Probe once, expecting no path, so that the probe commits its closures."""
+    assert net.max_flow(s, t, probe=True) == 0
+
+
+@pytest.mark.parametrize("change", ["truncate", "new cap list", "set_cap below", "max_flow"])
+@pytest.mark.parametrize("side", ["source", "sink"])
+def test_a_change_that_takes_away_drops_the_kept_closures(change, side):
+    """After a committed probe saw node 2 on one side (reached from s 0 over
+    arc 0, or reaching t 1 over it), each change that takes that arc away
+    must make the next probe search afresh.  An arc 2 -> t, or s -> 2, then
+    closes a path only on the stale side, so a stale probe would answer 1."""
+    net = FlowNetwork(3)
+    if side == "sink":
+        _committed(net, 0, 1)  # keep closures, so that the next arc is noted
+    net.add_edge(*((0, 2, 1) if side == "source" else (2, 1, 1)))
+    _committed(net, 0, 1)
+    if change == "truncate":
+        net.truncate(0)
+    elif change == "new cap list":
+        net.cap = [0] * len(net.cap)
+    elif change == "set_cap below":
+        net.set_cap(0, 0)
+    else:
+        net.add_edge(*((2, 1, 1) if side == "source" else (0, 2, 1)))
+        assert net.max_flow(0, 1) == 1 and net.cap[0] == 0
+        net.truncate(2)  # leaves the arc the committed probe saw
+    net.add_edge(*((2, 1, 1) if side == "source" else (0, 2, 1)))
+    assert _bfs_reaches(net, 0, 1) == 0
+    assert net.max_flow(0, 1, probe=True) == 0
+
+
+def test_a_probe_between_other_nodes_searches_afresh():
+    """Closures committed for s = 0 and t = 1 say nothing about 2 -> 1 or
+    0 -> 3; kept, they would answer 0 to both."""
+    net = _build(4, [(0, 3, 1), (2, 1, 1)])
+    _committed(net, 0, 1)
+    assert net.max_flow(2, 1, probe=True) == 1
+    _committed(net, 0, 1)
+    assert net.max_flow(0, 3, probe=True) == 1
+
+
+def test_the_sink_side_grows_only_over_arcs_with_capacity():
+    """An arc into t noted with capacity 0 at a commit does not put its
+    tail on the sink side: a later arc 0 -> 2 closes no path."""
+    net = FlowNetwork(3)
+    _committed(net, 0, 1)
+    arc = net.add_edge(2, 1, 4)
+    net.set_cap(arc, 0)  # an arc added since the commit may be lowered
+    _committed(net, 0, 1)
+    net.add_edge(0, 2, 1)
+    assert _bfs_reaches(net, 0, 1) == 0
+    assert net.max_flow(0, 1, probe=True) == 0
+
+
+def test_the_probes_of_a_walk_scan_each_arc_about_once(monkeypatch):
+    """The probes of one witness walk keep their residual closures, so
+    together they scan at most twice as many arcs as the network has.  The
+    walks: both of the Z/128 anchor graph (a fresh search from the source
+    per probe scanned 38 and 14 times as many), and four ratio walks of
+    product actions with |B x B2| = 40, where rejected pins are undone."""
+    act = translation_action(FinAbGroup((128,)))
+    g = orbit_graph(act, GroupSet.of(act.group, [(0,), (1,), (3,)]),
+                    frozenset(str(x) for x in range(0, 128, 3)), 3)
+    scanned = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            scanned[0] += len(self)
+            return super().__iter__()
+
+    original = FlowNetwork.max_flow
+    walk = {}
+
+    def counted(net, s, t, probe=False):
+        if not probe:
+            net.adj = [Counted(arcs) for arcs in net.adj]
+            return original(net, s, t)
+        before = scanned[0]
+        got = original(net, s, t, probe)
+        walk["scanned"] = walk.get("scanned", 0) + scanned[0] - before
+        walk["arcs"] = len(net.head)
+        return got
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    walks = [lambda: magnification.magnification_mincut(g, 3),
+             lambda: magnification.min_weight_cutset(g, 1),
+             *(lambda seed=seed: min_ratio_mincut(*_product_relation(seed, 40))
+               for seed in range(4))]
+    for solve in walks:
+        walk.clear()
+        solve()
+        assert 0 < walk["scanned"] <= 2 * walk["arcs"]
 
 
 @pytest.mark.parametrize("probe", [False, True])
@@ -663,7 +783,7 @@ def test_arc_list_network_matches_add_edge_calls():
 def _cold_min_ratio(sources, neighbors, weight):
     """The ratio solver before its rounds were nested: every round re-weighs
     the full source set from zero flow, and a rejected witness query is
-    undone by restoring a copy of every capacity."""
+    undone by installing a copy of every capacity as a new list."""
     sources = sorted(sources)
     sw, dw, nbr = _integerize(sources, neighbors, weight)
     n, m = len(sw), len(dw)
@@ -703,7 +823,7 @@ def _cold_min_ratio(sources, neighbors, weight):
 
     def feasible(chosen, barred):
         for i in chosen[kept[0]:]:
-            net.cap[2 * i] = inf
+            net.set_cap(2 * i, inf)
         for i in barred[kept[1]:]:
             net.add_edge(2 + i, 1, inf)
         if not net.max_flow(0, 1, probe=True):
@@ -711,7 +831,7 @@ def _cold_min_ratio(sources, neighbors, weight):
             kept[:] = len(chosen), len(barred)
             return True
         net.truncate(len(base))
-        net.cap[:] = base
+        net.cap = base[:]
         return False
 
     chosen = lex_min_greedy(n, feasible, lambda s: bool(s) and ratio(s) == lam)
