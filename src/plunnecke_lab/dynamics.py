@@ -195,7 +195,8 @@ class FiniteAction:
         return self._cycle_tables
 
     def apply(self, element, atom: str) -> str:
-        """``element . atom``; raises InputError on an invalid action.
+        """``element . atom``; raises InputError on an invalid action, and on
+        an unknown or unhashable ``atom``.
 
         Every cycle's length divides its modulus, so a tuple ``element`` is
         used unreduced; any other sequence is read by ``FinAbGroup.reduce``.
@@ -206,7 +207,12 @@ class FiniteAction:
         for table, times in zip(cycles, element):
             if type(times) is not int:
                 raise InputError(f"element {element} must have integer coordinates")
-            cycle, at = table[atom]
+            try:
+                cycle, at = table[atom]
+            except KeyError:  # only the given atom can be unknown
+                raise InputError(f"unknown atom ({atom})") from None
+            except TypeError as exc:
+                raise InputError(f"atom ids must be hashable ({exc})") from None
             atom = cycle[(at + times) % len(cycle)]
         return atom
 

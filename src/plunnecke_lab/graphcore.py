@@ -103,10 +103,11 @@ class LayeredMeasureGraph:
         return cls(atoms, layer, height, labels, edge_set)
 
     def weight(self, vertices: Iterable[str]) -> Fraction:
-        return exact_sum(map(self.atoms.__getitem__, vertices))
+        """The total weight of a vertex set, read by ``_check_vertices``."""
+        return exact_sum(map(self.atoms.__getitem__, _check_vertices(self, vertices)))
 
     def total_weight(self) -> Fraction:
-        return self.weight(self.atoms)
+        return exact_sum(self.atoms.values())
 
     def layer_set(self, i: int) -> VertexSet:
         return self._layer_sets.get(i, frozenset())

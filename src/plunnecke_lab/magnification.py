@@ -122,44 +122,37 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
 
     The minimum is one min cut of a split-vertex network: node 0 is the
     source, node 1 the sink, and vertex v becomes a split arc v_in -> v_out
-    of its scaled weight.  The canonical witness is grown by ``lex_min_walk``
-    on the minimum's flow: a query adds infinite force arcs s -> v_in and
-    v_out -> t and probes for more flow (``max_flow(0, 1, probe=True)``,
-    which pushes nothing), and a rejected vertex loses them and has its
-    split arc raised to infinity for good, so every probe runs on the
-    network of the textbook greedy's query (see ``lex_min_walk``).  The
-    force arcs go through ``add_edge`` and ``truncate`` and the raise
-    through ``set_cap``, which keep the network's residual closures, so a
-    probe searches only from the arcs changed since the last accepted
-    query.
+    of its scaled weight.  Each vertex also gets a force arc s -> v_in and
+    one v_out -> t, infinite for a bottom and a top vertex and 0 for the
+    rest.  The canonical witness is grown by ``lex_min_walk`` on the
+    minimum's flow: a query raises the vertex's two force arcs to infinity
+    and probes for more flow (``max_flow(0, 1, probe=True)``, which pushes
+    nothing), and a rejected vertex gets their old capacities back and has
+    its split arc raised to infinity for good, so every probe runs on the
+    network of the textbook greedy's query (see ``lex_min_walk``).  Each
+    change keeps the network's residual closures, so a probe searches only
+    from the arcs raised since the last accepted query.
     ``is_cutset`` runs on the empty set, then once the chosen vertices'
     weight reaches the minimum.
     """
     C = _rate(C)
     require_valid(g)
     ids = sorted(g.atoms)
+    n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
     wci, scale = _discounted(g, ids, C)
     inf = 1 + sum(wci)
-    net = FlowNetwork(2 + 2 * len(ids), [
+    bottom, top = g.layer_set(0), g.layer_set(g.height)
+    # arcs: the n split arcs, the n arcs s -> v_in, the n arcs v_out -> t,
+    # then one arc per edge
+    net = FlowNetwork(2 + 2 * n, [
         *((2 + 2 * i, 3 + 2 * i, w) for i, w in enumerate(wci)),
+        *((0, 2 + 2 * i, inf if v in bottom else 0) for i, v in enumerate(ids)),
+        *((3 + 2 * i, 1, inf if v in top else 0) for i, v in enumerate(ids)),
         *((3 + 2 * index[t], 2 + 2 * index[h], inf)
-          for t, h in sorted({(t, h) for t, h, _ in g.edges})),
-        *((0, 2 + 2 * index[v], inf) for v in sorted(g.layer_set(0))),
-        *((3 + 2 * index[v], 1, inf) for v in sorted(g.layer_set(g.height)))])
+          for t, h in sorted({(t, h) for t, h, _ in g.edges}))])
     minimum = net.max_flow(0, 1)
     weight = 0
-
-    def choose(i: int) -> bool:
-        net.add_edge(0, 2 + 2 * i, inf)
-        net.add_edge(3 + 2 * i, 1, inf)
-        if not net.max_flow(0, 1, probe=True):
-            return True
-        net.truncate(len(net.head) - 4)
-        return False
-
-    def bar(i: int) -> None:
-        net.set_cap(2 * i, inf)  # vertex i's split arc is arc 2*i
 
     def done(chosen) -> bool:
         nonlocal weight
@@ -167,7 +160,10 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
             weight += wci[chosen[-1]]
         return weight == minimum and is_cutset(g, [ids[i] for i in chosen])
 
-    cutset = frozenset(ids[i] for i in lex_min_walk(len(ids), choose, bar, done))
+    # vertex i is pinned by its force arcs n + i and 2n + i, and barred by
+    # its split arc i (arc k has index 2k)
+    cutset = frozenset(ids[i] for i in lex_min_walk(
+        net, [(2 * (n + i), 2 * (2 * n + i)) for i in range(n)], range(0, 2 * n, 2), inf, done))
     return CutsetReport(cutset=cutset, weight=Fraction(minimum, scale), C=C, is_minimal=True)
 
 

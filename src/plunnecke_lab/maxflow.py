@@ -13,10 +13,11 @@ source weight <= 0 and a neighbor weight < 0, and return one
 says why nesting the rounds and opening each with a greedy flow leave every
 result unchanged.  Its witness and the minimum-weight cutset's come from
 ``lex_min_walk``, whose every query pins one index in and probes once
-(``max_flow(s, t, probe=True)``, which pushes nothing).  A probe searches
-only from the arcs the walk changed since the last probe that found no
-path: the network keeps the residual closures of s and of t between probes
-(``FlowNetwork``).
+(``max_flow(s, t, probe=True)``, which pushes nothing).  Each network is
+built with every arc its walk pins or bars, so a walk only sets
+capacities.  A probe searches only from the arcs the walk
+raised since the last probe that found no path: the network keeps the
+residual closures of s and of t between probes (``FlowNetwork``).
 """
 
 from __future__ import annotations
@@ -45,28 +46,26 @@ class FlowNetwork:
 
     Arc ``a`` runs to ``head[a]`` with residual capacity ``cap[a]``; its
     reverse arc is ``a ^ 1`` and ``adj[v]`` lists the arcs leaving ``v``.
-    ``max_flow`` augments the flow ``cap`` already holds and returns the
-    flow it adds, so after raising some capacities (``set_cap``), or adding
-    arcs, it finds just the extra flow they admit; with ``probe=True`` it
-    only says whether any exists.  ``truncate`` removes arcs added after a
-    mark, so a network can carry an arc only while it is needed.
+    Arcs are fixed at construction: an arc a caller may need later is
+    built in at capacity 0.  ``max_flow`` augments the flow ``cap`` already
+    holds and returns the flow it adds, so after raising some capacities
+    (``set_cap``) it finds just the extra flow they admit; with
+    ``probe=True`` it only says whether any exists.
 
     Probes keep two closures of the residual network from call to call: the
     nodes s reaches, and nodes known to reach t.  A probe that finds no path
-    commits them, and later probes search only from the arcs changed since
+    commits them, and later probes search only from the arcs raised since
     (``_probe``).  So between probes every change to ``cap`` goes through
-    ``set_cap``, ``add_edge`` and ``truncate``, which note it.  Raising a
-    capacity and adding an arc only grow the closures.  Lowering an arc back
-    to no less than it held at the last committed probe, and removing arcs
-    added after that probe, leave them valid too: with raising and adding,
-    these are all a witness walk does between such probes.  Any other
-    lowering or removal, a new ``cap`` list, or a full ``max_flow`` drops
-    both closures, and the next probe starts again from s alone.
+    ``set_cap``, which notes a raise.  A lowering that leaves the arc no
+    lower than it held at the last committing probe keeps the closures:
+    with raising, it is all a witness walk does between such probes.  Any
+    other lowering, a new ``cap`` list, or a full ``max_flow`` drops both
+    closures, and the next probe starts again from s alone.
     """
 
-    def __init__(self, n: int, arcs=()):
-        """``n`` nodes and the arcs ``(u, v, cap)`` of ``arcs``, laid out as
-        the same ``add_edge`` calls would lay them out."""
+    def __init__(self, n: int, arcs):
+        """``n`` nodes and the arcs ``(u, v, cap)`` of ``arcs``: arc k has
+        index 2k, and each node lists its arcs in the order of ``arcs``."""
         self.n = n
         adj = self.adj = [[] for _ in range(n)]
         arcs = list(arcs)
@@ -80,20 +79,9 @@ class FlowNetwork:
             adj[v].append(2 * a + 1)
         # the probe closures (see _probe): the (s, t, cap) they belong to, or
         # None; _from_s and _to_t mark their nodes, _leaving and _entering
-        # hold the noted arcs, _mark is len(head) at the last commit and
-        # _floor[a] what arc a < _mark held then, once a has changed since
+        # hold the noted arcs, and _floor[a] is what arc a held at the last
+        # commit, once a has changed since
         self._key = None
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add the arc u -> v of capacity ``cap`` and return its index."""
-        arc = len(self.head)
-        self.head += (v, u)
-        self.cap += (cap, 0)
-        self.adj[u].append(arc)
-        self.adj[v].append(arc + 1)
-        if self._key is not None:
-            self._note(arc)
-        return arc
 
     def set_cap(self, a: int, c: int) -> None:
         """Set arc ``a``'s residual capacity to ``c``.
@@ -103,29 +91,11 @@ class FlowNetwork:
         """
         cap = self.cap
         if self._key is not None:
-            if a < self._mark and c < self._floor.setdefault(a, cap[a]):
+            if c < self._floor.setdefault(a, cap[a]):
                 self._key = None
             elif c > cap[a]:
                 self._note(a)
         cap[a] = c
-
-    def truncate(self, arcs: int) -> None:
-        """Remove every arc added after the first ``arcs``, newest first.
-
-        ``arcs`` is a past ``len(head)``; the remaining arcs keep whatever
-        ``cap`` holds for them.  Removing an arc the last committed probe
-        saw drops the probe closures.
-        """
-        adj, head = self.adj, self.head
-        for a in range(len(head) - 1, arcs - 1, -1):
-            adj[head[a ^ 1]].pop()
-        del head[arcs:], self.cap[arcs:]
-        if self._key is not None:
-            if arcs < self._mark:
-                self._key = None
-            else:
-                self._leaving = [a for a in self._leaving if a < arcs]
-                self._entering = [a for a in self._entering if a < arcs]
 
     def max_flow(self, s: int, t: int, probe: bool = False) -> int:
         """Augment to a maximum s-t flow and return the flow this call added.
@@ -226,7 +196,7 @@ class FlowNetwork:
             self._key = (s, t, cap)
             self._from_s, self._to_t = [False] * self.n, [False] * self.n
             self._from_s[s] = self._to_t[t] = True
-            self._leaving, self._entering, self._floor, self._mark = adj[s][:], [], {}, 0
+            self._leaving, self._entering, self._floor = adj[s][:], [], {}
         from_s, to_t = self._from_s, self._to_t
         reached: list[int] = []
         stack = [self._leaving]
@@ -243,12 +213,12 @@ class FlowNetwork:
                         reached.append(w)
                         stack.append(adj[w])
         self._reach_t([head[a ^ 1] for a in self._entering if cap[a]])
-        self._leaving, self._entering, self._floor, self._mark = [], [], {}, len(head)
+        self._leaving, self._entering, self._floor = [], [], {}
         return 0
 
     def _note(self, a: int) -> None:
-        """Note arc ``a``, just raised or added, if it leaves the source side
-        or enters the sink side."""
+        """Note arc ``a``, just raised, if it leaves the source side or
+        enters the sink side."""
         if self._from_s[self.head[a ^ 1]]:
             self._leaving.append(a)
         if self._to_t[self.head[a]]:
@@ -362,26 +332,37 @@ def min_ratio_bruteforce(sources, neighbors, weight,
                                        frozenset(sources[k] for k in best), ())
 
 
-def lex_min_walk(n: int, query, bar, done) -> list[int]:
-    """Grow the lexicographically smallest index set in 0..n-1 that ``done`` accepts.
+def lex_min_walk(net: FlowNetwork, pins, bars, inf: int, done) -> list[int]:
+    """Grow the lexicographically smallest index set in 0..len(pins)-1 that
+    ``done`` accepts, on ``net`` at a maximum flow from node 0 to node 1.
 
-    Indices are offered once each, in increasing order.  ``query(i)`` says
-    whether some optimal set contains ``i`` and every index chosen so far
-    and avoids every barred one; an accepted ``i`` is chosen and keeps its
-    pin.  A rejected ``i`` lies in no such set, so ``bar(i)`` bars it for
-    the rest of the walk.  So each query sees the chosen and barred sets of
-    the textbook greedy, which tries the indices after the last chosen one
-    in turn with every skipped one barred, with the bars set in the order
-    of that greedy's lists.  ``done(chosen)`` is called on the walk's own
-    list, empty first and then after each acceptance, so a caller can fold
-    in just ``chosen[-1]``.
+    Indices are offered once each, in increasing order.  The query of ``i``
+    raises every arc of ``pins[i]`` to ``inf``, which pins ``i`` in, and
+    probes once (``max_flow(0, 1, probe=True)``, which pushes nothing).
+    No more flow means some optimal set contains ``i`` and every index
+    chosen so far and avoids every barred one: ``i`` is chosen and keeps
+    its pin.  Otherwise ``i`` lies in no such set: its pin arcs get their
+    old capacities back and arc ``bars[i]`` is raised to ``inf``, which bars
+    ``i`` for the rest of the walk.  So each query sees the chosen and
+    barred sets of the textbook greedy, which tries the indices after the
+    last chosen one in turn with every skipped one barred, with the bars
+    set in the order of that greedy's lists.  Every change goes through
+    ``net.set_cap`` and keeps the probe closures, since an undone pin only
+    lowers arcs back.  ``done(chosen)`` is called on the walk's own list,
+    empty first and then after each acceptance, so a caller can fold in
+    just ``chosen[-1]``.
     """
     chosen: list[int] = []
     if done(chosen):
         return chosen
-    for i in range(n):
-        if not query(i):
-            bar(i)
+    for i, pin in enumerate(pins):
+        old = [net.cap[a] for a in pin]
+        for a in pin:
+            net.set_cap(a, inf)
+        if net.max_flow(0, 1, probe=True):
+            for a, c in zip(pin, old):
+                net.set_cap(a, c)
+            net.set_cap(bars[i], inf)
         else:
             chosen.append(i)
             if done(chosen):
@@ -425,12 +406,12 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     The witness, the lexicographically smallest optimal set, is grown by
     ``lex_min_walk`` on the last round's flow.  A query raises the source's
     source arc to infinity and probes, and a rejected source gets its old
-    capacity back and then an infinite arc to the sink for good, so every
-    probe runs on the network of the textbook greedy's query (see
-    ``lex_min_walk``).  Each change goes through ``FlowNetwork.set_cap`` or
-    ``add_edge`` and keeps the network's closures, so a probe searches only
+    capacity back and then has its bar arc, built in at capacity 0 from the
+    source to the sink, raised to infinity for good, so every probe runs on
+    the network of the textbook greedy's query (see ``lex_min_walk``).
+    Each change keeps the network's closures, so a probe searches only
     from the arcs its query and the bars since the last accepted query
-    changed.  A probe pushes nothing, so it asks whether the
+    raised.  A probe pushes nothing, so it asks whether the
     pinned network's maximum flow exceeds the last round's value, whichever
     maximum flow the round left.  S_{R-1} holds every source chosen so far
     and none barred, so the walk accepts exactly its sources, and the
@@ -444,23 +425,26 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     n, m = len(sources), len(dw)
     total_src, total_dst = sum(sw), sum(dw)
     # nodes: 0 source, 1 sink, 2..2+n-1 the sources, then the targets; arcs:
-    # the n source arcs, then the middle arcs source by source, then the m
-    # target arcs; first_mid[i] is source i's first middle arc
+    # the n source arcs, the n bar arcs (source i -> sink), then the middle
+    # arcs source by source, then the m target arcs; first_mid[i] is source
+    # i's first middle arc
     net = FlowNetwork(2 + n + m, [
         *((0, 2 + i, 0) for i in range(n)),
+        *((2 + i, 1, 0) for i in range(n)),
         *((2 + i, 2 + n + k, 0) for i, ks in enumerate(nbr) for k in ks),
         *((2 + n + k, 1, 0) for k in range(m))])
-    first_mid = [2 * n]
+    first_mid = [4 * n]
     for ks in nbr:
         first_mid.append(first_mid[-1] + 2 * len(ks))
     first_target = first_mid[-1]
 
     def reweigh(num: int, den: int, live) -> tuple[int, int]:
-        # source arcs num*sw for live sources and 0 for the rest, middle arcs
-        # infinite, target arcs den*dw; returns infinity and the greedy flow
+        # source arcs num*sw for live sources and 0 for the rest, bar arcs 0,
+        # middle arcs infinite, target arcs den*dw; returns infinity and the
+        # greedy flow
         inf = num * total_src + den * total_dst + 1
         cap = [inf, 0] * (len(net.head) // 2)
-        cap[:2 * n] = [0] * (2 * n)
+        cap[:4 * n] = [0] * (4 * n)
         room = [den * w for w in dw]
         for i in live:
             give = left = num * sw[i]
@@ -510,14 +494,6 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     image: set[int] = set()
     img_w = set_w = 0
 
-    def force_in(i: int) -> bool:
-        old = net.cap[2 * i]  # source arc i is arc 2*i
-        net.set_cap(2 * i, inf)
-        if not net.max_flow(0, 1, probe=True):
-            return True
-        net.set_cap(2 * i, old)
-        return False
-
     def attains_optimum(chosen) -> bool:
         nonlocal img_w, set_w
         if not chosen:
@@ -528,5 +504,6 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
         set_w += sw[i]
         return img_w * den == num * set_w
 
-    chosen = lex_min_walk(n, force_in, lambda i: net.add_edge(2 + i, 1, inf), attains_optimum)
+    chosen = lex_min_walk(net, [(2 * i,) for i in range(n)], range(2 * n, 4 * n, 2), inf,
+                          attains_optimum)
     return MagnificationResult(lam, frozenset(sources[i] for i in chosen), tuple(trace))

@@ -382,6 +382,21 @@ class TestCycleTables:
         with pytest.raises(InputError, match="wrong rank"):
             translation(3).apply((1, 1), "0")
 
+    @pytest.mark.parametrize("atom, message", [
+        ("nope", r"unknown atom \(nope\)"),
+        ("", r"unknown atom \(\)"),
+        (3, r"unknown atom \(3\)"),
+        (None, r"unknown atom \(None\)"),
+        (["0"], "atom ids must be hashable"),
+        ({"0"}, "atom ids must be hashable"),
+    ])
+    def test_apply_refuses_an_unknown_or_unhashable_atom(self, atom, message):
+        # a KeyError and a TypeError escaped from the cycle tables
+        for act in (translation(3), product_action(translation(4), translation(3))):
+            for element in ((1,) * act.group.rank, [0] * act.group.rank):
+                with pytest.raises(InputError, match=message):
+                    act.apply(element, atom)
+
     def test_validating_then_applying_builds_one_table_per_generator(self, monkeypatch):
         act = product_action(translation(4), translation(3))
         built = []

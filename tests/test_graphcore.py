@@ -277,6 +277,7 @@ _VERTEX_READERS = {
     "iterated_image": lambda g, S: iterated_image(g, S, 1),
     "induced_subgraph": induced_subgraph,
     "is_cutset": is_cutset,
+    "weight": lambda g, S: g.weight(S),
 }
 
 

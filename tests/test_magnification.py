@@ -212,17 +212,12 @@ def _cold_cutset(g, rate):
     edges = sorted({(index[t], index[h]) for t, h, _ in g.edges})
 
     def flow(chosen=(), barred=()):
-        net = FlowNetwork(2 + 2 * len(ids))
-        for i, w in enumerate(wci):
-            net.add_edge(2 + 2 * i, 3 + 2 * i,
-                         0 if i in chosen else inf if i in barred else w)
-        for t, h in edges:
-            net.add_edge(3 + 2 * t, 2 + 2 * h, inf)
-        for v in g.layer_set(0):
-            net.add_edge(0, 2 + 2 * index[v], inf)
-        for v in g.layer_set(g.height):
-            net.add_edge(3 + 2 * index[v], 1, inf)
-        return net.max_flow(0, 1)
+        return FlowNetwork(2 + 2 * len(ids), [
+            *((2 + 2 * i, 3 + 2 * i, 0 if i in chosen else inf if i in barred else w)
+              for i, w in enumerate(wci)),
+            *((3 + 2 * t, 2 + 2 * h, inf) for t, h in edges),
+            *((0, 2 + 2 * index[v], inf) for v in g.layer_set(0)),
+            *((3 + 2 * index[v], 1, inf) for v in g.layer_set(g.height))]).max_flow(0, 1)
 
     minimum = flow()
 
@@ -247,15 +242,14 @@ def _cold_magnification(g, j):
     def network(lam, forced_in=(), forced_out=()):
         num, den = lam.numerator, lam.denominator
         inf = num * sum(sw) + den * sum(dw) + 1
-        net = FlowNetwork(2 + n + m)
+        arcs = []
         for i in range(n):
-            net.add_edge(0, 2 + i, inf if i in forced_in else num * sw[i])
+            arcs.append((0, 2 + i, inf if i in forced_in else num * sw[i]))
             if i in forced_out:
-                net.add_edge(2 + i, 1, inf)
-            for k in nbr[i]:
-                net.add_edge(2 + i, 2 + n + k, inf)
-        for k in range(m):
-            net.add_edge(2 + n + k, 1, den * dw[k])
+                arcs.append((2 + i, 1, inf))
+            arcs += [(2 + i, 2 + n + k, inf) for k in nbr[i]]
+        arcs += [(2 + n + k, 1, den * dw[k]) for k in range(m)]
+        net = FlowNetwork(2 + n + m, arcs)
         return net, net.max_flow(0, 1) == num * sum(sw)
 
     lam = Fraction(sum(dw), sum(sw))
@@ -418,47 +412,41 @@ class TestPinnedQueries:
     itself whole, and then its index is barred."""
 
     def test_a_rejected_query_leaves_the_last_state_plus_one_bar(self, monkeypatch):
-        last = [None]  # the network of the latest max flow: the solver's own
-        flow = FlowNetwork.max_flow
-
-        def recorded(net, *args, **kwargs):
-            last[0] = net
-            return flow(net, *args, **kwargs)
-
         def state(net):
             return len(net.head), net.cap[:], [len(arcs) for arcs in net.adj]
 
         original = maxflow.lex_min_walk
         seen = {"accepted": 0, "rejected": 0}
 
-        def watched(n, query, bar, done):
-            net = last[0]
-            before = [None]
+        def watched(net, pins, bars, inf, done):
+            # the state after the last accepted query or bar, against the
+            # state at each bar: one bar arc raised, nothing else changed
+            last = [state(net)]
+            bar_arcs = set(bars)
 
-            def checked_query(i):
-                before[0] = state(net)
-                ok = query(i)
-                if not ok:
-                    assert state(net) == before[0]
-                seen["accepted" if ok else "rejected"] += 1
-                return ok
+            class Watched:
+                cap = net.cap
 
-            def checked_bar(i):
-                bar(i)
-                arcs, cap, degrees = state(net)
-                old_arcs, old_cap, old_degrees = before[0]
-                if arcs == old_arcs:  # one capacity raised
-                    raised = [a for a in range(arcs) if cap[a] != old_cap[a]]
-                    assert len(raised) == 1 and cap[raised[0]] > old_cap[raised[0]]
-                    assert degrees == old_degrees
-                else:  # one arc to the sink added
-                    assert arcs == old_arcs + 2 and cap[:old_arcs] == old_cap
-                    assert net.head[-2] == 1 and cap[-1] == 0
-                    assert sum(degrees) == sum(old_degrees) + 2
+                def set_cap(self, a, c):
+                    net.set_cap(a, c)
+                    if a in bar_arcs:
+                        arcs, cap, degrees = state(net)
+                        old_arcs, old_cap, old_degrees = last[0]
+                        assert (arcs, degrees) == (old_arcs, old_degrees)
+                        assert [b for b in range(arcs) if cap[b] != old_cap[b]] == [a]
+                        assert cap[a] > old_cap[a]
+                        seen["rejected"] += 1
+                        last[0] = arcs, cap, degrees
 
-            return original(n, checked_query, checked_bar, done)
+                def max_flow(self, s, t, probe=False):
+                    got = net.max_flow(s, t, probe)
+                    if not got:
+                        seen["accepted"] += 1
+                        last[0] = state(net)
+                    return got
 
-        monkeypatch.setattr(FlowNetwork, "max_flow", recorded)
+            return original(Watched(), pins, bars, inf, done)
+
         monkeypatch.setattr(maxflow, "lex_min_walk", watched)
         monkeypatch.setattr(magnification, "lex_min_walk", watched)
         for seed in range(30):
@@ -493,8 +481,9 @@ class TestPinnedQueries:
 
     def test_extraction_leaves_the_maximum_flow_on_every_original_arc(self, monkeypatch):
         """Probes push nothing, and a pin or bar only raises a forward
-        residual or adds an arc, so after extraction every arc that the last
-        full max-flow saw still holds that flow as its reverse residual."""
+        residual, so after extraction the network has the arcs the last full
+        max-flow saw, and each still holds that flow as its reverse
+        residual.  Pins and bars open arcs that held 0 at the maximum flow."""
         runs = []
         original = FlowNetwork.max_flow
 
@@ -506,7 +495,7 @@ class TestPinnedQueries:
             return got
 
         monkeypatch.setattr(FlowNetwork, "max_flow", recorded)
-        solves = raised = added = 0
+        solves = raised = opened = 0
         for seed in range(30):
             g = _seeded_graph(seed)
             for solve in [lambda: min_weight_cutset(g, 1),
@@ -515,11 +504,11 @@ class TestPinnedQueries:
                 runs.clear()
                 solve()
                 net, arcs, cap = runs[-1]
-                assert net.cap[1:arcs:2] == cap[1::2]
+                assert len(net.head) == arcs and net.cap[1::2] == cap[1::2]
                 solves += 1
-                raised += net.cap[:arcs:2] != cap[::2]
-                added += len(net.head) > arcs
-        assert solves >= 80 and raised >= 30 and added >= 30
+                raised += net.cap[::2] != cap[::2]
+                opened += any(new and not old for old, new in zip(cap[::2], net.cap[::2]))
+        assert solves >= 80 and raised >= 30 and opened >= 30
 
 
 class TestCutsetPush:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,18 +19,13 @@ from conftest import lex_min_greedy
 
 def test_textbook_max_flow():
     # classic 6-node network with max flow 23
-    net = FlowNetwork(6)
-    for u, v, c in [(0, 1, 16), (0, 2, 13), (1, 2, 10), (2, 1, 4), (1, 3, 12),
-                    (3, 2, 9), (2, 4, 14), (4, 3, 7), (3, 5, 20), (4, 5, 4)]:
-        net.add_edge(u, v, c)
+    net = FlowNetwork(6, [(0, 1, 16), (0, 2, 13), (1, 2, 10), (2, 1, 4), (1, 3, 12),
+                          (3, 2, 9), (2, 4, 14), (4, 3, 7), (3, 5, 20), (4, 5, 4)])
     assert net.max_flow(0, 5) == 23
 
 
 def test_source_side_is_min_cut():
-    net = FlowNetwork(4)
-    net.add_edge(0, 1, 1)
-    net.add_edge(1, 2, 5)
-    net.add_edge(2, 3, 5)
+    net = FlowNetwork(4, [(0, 1, 1), (1, 2, 5), (2, 3, 5)])
     assert net.max_flow(0, 3) == 1
     assert net.source_side(0) == {0}
 
@@ -52,13 +48,6 @@ def _random_network(rng):
     return n, arcs, s, t
 
 
-def _build(n, arcs):
-    net = FlowNetwork(n)
-    for u, v, c in arcs:
-        net.add_edge(u, v, c)
-    return net
-
-
 def _cut_oracle(n, arcs, s, t):
     """Minimum s-t cut value and the intersection of all minimum source sides,
     by enumerating every cut."""
@@ -79,7 +68,7 @@ def test_max_flow_matches_cut_enumeration():
     for _ in range(600):
         n, arcs, s, t = _random_network(rng)
         value, common = _cut_oracle(n, arcs, s, t)
-        net = _build(n, arcs)
+        net = FlowNetwork(n, arcs)
         assert net.max_flow(s, t) == value, (n, arcs, s, t)
         assert net.source_side(s) == common, (n, arcs, s, t)
 
@@ -87,9 +76,7 @@ def test_max_flow_matches_cut_enumeration():
 def test_long_chain_needs_no_recursion():
     # a recursive path walk would go 4000 frames deep here
     n = 4000
-    net = FlowNetwork(n)
-    for v in range(n - 1):
-        net.add_edge(v, v + 1, 7 if v == 2500 else 9 + v % 5)
+    net = FlowNetwork(n, [(v, v + 1, 7 if v == 2500 else 9 + v % 5) for v in range(n - 1)])
     assert net.max_flow(0, n - 1) == 7
     assert net.source_side(0) == set(range(2501))
 
@@ -98,13 +85,13 @@ def test_warm_start_after_raising_arcs_matches_a_fresh_network():
     rng = random.Random(1970)
     for _ in range(300):
         n, arcs, s, t = _random_network(rng)
-        net = FlowNetwork(n)
-        handles = [net.add_edge(u, v, c) for u, v, c in arcs]
+        net = FlowNetwork(n, arcs)
         first = net.max_flow(s, t)
         if not arcs:
             continue
-        # raise 1-3 arcs, one of them carrying flow whenever some arc does
-        carrying = [k for k, a in enumerate(handles) if net.cap[a ^ 1]]
+        # raise 1-3 arcs, one of them carrying flow whenever some arc does;
+        # arc k has index 2k
+        carrying = [k for k in range(len(arcs)) if net.cap[2 * k + 1]]
         picks = rng.sample(range(len(arcs)), min(len(arcs), rng.randint(1, 3)))
         if carrying:
             picks[0] = rng.choice(carrying)
@@ -113,8 +100,8 @@ def test_warm_start_after_raising_arcs_matches_a_fresh_network():
             u, v, c = arcs[k]
             new = rng.choice([c + 1, c + 4, 10 ** 15])
             raised[k] = (u, v, new)
-            net.cap[handles[k]] += new - c
-        fresh = _build(n, raised)
+            net.cap[2 * k] += new - c
+        fresh = FlowNetwork(n, raised)
         assert first + net.max_flow(s, t) == fresh.max_flow(s, t), (n, arcs, raised)
         assert net.source_side(s) == fresh.source_side(s), (n, arcs, raised)
 
@@ -126,11 +113,10 @@ def test_probe_answers_whether_more_flow_exists():
     feasible = infeasible = stopped = 0
     for _ in range(400):
         n, arcs, s, t = _random_network(rng)
-        net = FlowNetwork(n)
-        handles = [net.add_edge(u, v, c) for u, v, c in arcs]
+        net = FlowNetwork(n, arcs)
         net.max_flow(s, t)
         base = net.cap[:]
-        pins = rng.sample(handles, min(len(handles), rng.randint(0, 3)))
+        pins = rng.sample(range(0, 2 * len(arcs), 2), min(len(arcs), rng.randint(0, 3)))
         for arc in pins:
             base[arc] += rng.choice([1, 4, 10 ** 15])
         net.cap[:] = base
@@ -182,16 +168,19 @@ def _checked_probe(net, s, t, max_flow=FlowNetwork.max_flow):
 def test_probe_matches_a_breadth_first_search_in_walk_states():
     """Random networks in the states a witness walk leaves: at a maximum
     flow, with pins raised, some of them undone after a probe that found a
-    path, with bars added, and after truncating them.  Every change goes
-    through ``set_cap``, ``add_edge`` and ``truncate``."""
+    path, with bars raised (1-3 arcs built in at capacity 0), and with every
+    arc lowered back to what it held at the maximum flow.  Every change goes
+    through ``set_cap``."""
     rng = random.Random(2026)
     answers = []
     for _ in range(400):
         n, arcs, s, t = _random_network(rng)
-        net = _build(n, arcs)
+        bars = [(rng.randrange(n), rng.choice([t, rng.randrange(n)]), 0)
+                for _bar in range(rng.randint(1, 3))]
+        net = FlowNetwork(n, arcs + bars)
         net.max_flow(s, t)
         answers.append(_checked_probe(net, s, t))
-        mark = len(net.head)
+        mark, at_max = 2 * len(arcs), net.cap[:]
         for arc in rng.sample(range(0, mark, 2), min(mark // 2, rng.randint(1, 3))):
             old = net.cap[arc]
             net.set_cap(arc, old + rng.choice([1, 4, 10 ** 15]))  # a pin
@@ -199,11 +188,11 @@ def test_probe_matches_a_breadth_first_search_in_walk_states():
             if answers[-1] and rng.random() < 0.5:
                 net.set_cap(arc, old)  # the pin undone
                 answers.append(_checked_probe(net, s, t))
-        for _bar in range(rng.randint(1, 3)):
-            net.add_edge(rng.randrange(n), rng.choice([t, rng.randrange(n)]),
-                         rng.choice([0, 1, 10 ** 15]))
+        for bar in range(mark, len(net.head), 2):
+            net.set_cap(bar, rng.choice([0, 1, 10 ** 15]))
             answers.append(_checked_probe(net, s, t))
-        net.truncate(mark)
+        for a, c in enumerate(at_max):
+            net.set_cap(a, c)
         answers.append(_checked_probe(net, s, t))
     assert answers.count(0) >= 300 and answers.count(1) >= 300
 
@@ -254,29 +243,29 @@ def _committed(net, s, t):
     assert net.max_flow(s, t, probe=True) == 0
 
 
-@pytest.mark.parametrize("change", ["truncate", "new cap list", "set_cap below", "max_flow"])
+@pytest.mark.parametrize("change", ["set_cap back past a commit", "new cap list",
+                                    "set_cap below", "max_flow"])
 @pytest.mark.parametrize("side", ["source", "sink"])
 def test_a_change_that_takes_away_drops_the_kept_closures(change, side):
     """After a committed probe saw node 2 on one side (reached from s 0 over
     arc 0, or reaching t 1 over it), each change that takes that arc away
-    must make the next probe search afresh.  An arc 2 -> t, or s -> 2, then
-    closes a path only on the stale side, so a stale probe would answer 1."""
-    net = FlowNetwork(3)
-    if side == "sink":
-        _committed(net, 0, 1)  # keep closures, so that the next arc is noted
-    net.add_edge(*((0, 2, 1) if side == "source" else (2, 1, 1)))
+    must make the next probe search afresh.  Raising arc 2, 2 -> t or
+    s -> 2, then closes a path only on the stale side, so a stale probe
+    would answer 1.  "set_cap back past a commit" lowers arc 0 to what it
+    held at an earlier commit, before the last one saw it raised."""
+    net = FlowNetwork(3, [(0, 2, 0), (2, 1, 0)] if side == "source" else [(2, 1, 0), (0, 2, 0)])
+    if side == "sink" or change == "set_cap back past a commit":
+        _committed(net, 0, 1)  # keep closures, so that the next raise is noted
+    net.set_cap(0, 1)
     _committed(net, 0, 1)
-    if change == "truncate":
-        net.truncate(0)
-    elif change == "new cap list":
+    if change == "new cap list":
         net.cap = [0] * len(net.cap)
-    elif change == "set_cap below":
-        net.set_cap(0, 0)
+    elif change == "max_flow":
+        net.set_cap(2, 1)
+        assert net.max_flow(0, 1) == 1 and net.cap[0] == net.cap[2] == 0
     else:
-        net.add_edge(*((2, 1, 1) if side == "source" else (0, 2, 1)))
-        assert net.max_flow(0, 1) == 1 and net.cap[0] == 0
-        net.truncate(2)  # leaves the arc the committed probe saw
-    net.add_edge(*((2, 1, 1) if side == "source" else (0, 2, 1)))
+        net.set_cap(0, 0)
+    net.set_cap(2, 1)
     assert _bfs_reaches(net, 0, 1) == 0
     assert net.max_flow(0, 1, probe=True) == 0
 
@@ -284,7 +273,7 @@ def test_a_change_that_takes_away_drops_the_kept_closures(change, side):
 def test_a_probe_between_other_nodes_searches_afresh():
     """Closures committed for s = 0 and t = 1 say nothing about 2 -> 1 or
     0 -> 3; kept, they would answer 0 to both."""
-    net = _build(4, [(0, 3, 1), (2, 1, 1)])
+    net = FlowNetwork(4, [(0, 3, 1), (2, 1, 1)])
     _committed(net, 0, 1)
     assert net.max_flow(2, 1, probe=True) == 1
     _committed(net, 0, 1)
@@ -293,13 +282,26 @@ def test_a_probe_between_other_nodes_searches_afresh():
 
 def test_the_sink_side_grows_only_over_arcs_with_capacity():
     """An arc into t noted with capacity 0 at a commit does not put its
-    tail on the sink side: a later arc 0 -> 2 closes no path."""
-    net = FlowNetwork(3)
+    tail on the sink side: raising arc 0 -> 2 later closes no path."""
+    net = FlowNetwork(3, [(2, 1, 0), (0, 2, 0)])
     _committed(net, 0, 1)
-    arc = net.add_edge(2, 1, 4)
-    net.set_cap(arc, 0)  # an arc added since the commit may be lowered
+    net.set_cap(0, 4)
+    net.set_cap(0, 0)  # lowered back to what the commit saw: no drop
     _committed(net, 0, 1)
-    net.add_edge(0, 2, 1)
+    net.set_cap(2, 1)
+    assert _bfs_reaches(net, 0, 1) == 0
+    assert net.max_flow(0, 1, probe=True) == 0
+
+
+def test_the_sink_side_grows_only_against_residual_arcs():
+    """Node 2 joins the sink side when arc 2 -> t is raised; node 3, which
+    2 reaches but which reaches nothing, must not join it, so raising
+    arc 0 -> 3 later closes no path."""
+    net = FlowNetwork(4, [(2, 1, 0), (2, 3, 1), (0, 3, 0)])
+    _committed(net, 0, 1)
+    net.set_cap(0, 1)
+    _committed(net, 0, 1)
+    net.set_cap(4, 1)
     assert _bfs_reaches(net, 0, 1) == 0
     assert net.max_flow(0, 1, probe=True) == 0
 
@@ -347,7 +349,7 @@ def test_the_probes_of_a_walk_scan_each_arc_about_once(monkeypatch):
 @pytest.mark.parametrize("probe", [False, True])
 def test_a_flow_from_a_node_to_itself_is_refused(probe):
     # a probe answered 1 here, and a full max flow failed inside min()
-    net = _build(3, [(0, 1, 2), (1, 0, 2), (1, 2, 1)])
+    net = FlowNetwork(3, [(0, 1, 2), (1, 0, 2), (1, 2, 1)])
     with pytest.raises(ValueError, match="same node"):
         net.max_flow(1, 1, probe=probe)
 
@@ -356,13 +358,12 @@ def _pinned_warm_start(rng):
     """A random network at its maximum flow, with 0-3 arcs then raised as
     pins are: returns the network, s, t and each arc's capacity."""
     n, arcs, s, t = _random_network(rng)
-    net = FlowNetwork(n)
-    handles = [net.add_edge(u, v, c) for u, v, c in arcs]
+    net = FlowNetwork(n, arcs)
     net.max_flow(s, t)
     capacity = []
     for _u, _v, c in arcs:
         capacity += (c, 0)
-    for arc in rng.sample(handles, min(len(handles), rng.randint(0, 3))):
+    for arc in rng.sample(range(0, 2 * len(arcs), 2), min(len(arcs), rng.randint(0, 3))):
         raise_by = rng.choice([1, 4, 10 ** 15])
         net.cap[arc] += raise_by
         capacity[arc] += raise_by
@@ -393,22 +394,29 @@ def test_warm_started_flow_stays_feasible():
     assert found >= 34  # cases where the warm start admits more flow
 
 
-def test_truncate_leaves_the_network_that_never_had_the_arcs():
+def test_zero_capacity_arcs_leave_the_network_that_never_had_them():
+    """Arcs built in at capacity 0, as a walk's pin and bar arcs are, change
+    no flow: at its maximum flow the network holds on every other arc what
+    the network without them holds, with the same minimal min cut.  Raised,
+    flowed through and given back their saved capacities, they leave a
+    maximum flow again."""
     rng = random.Random(1974)
     for _ in range(300):
         n, arcs, s, t = _random_network(rng)
-        net = _build(n, arcs)
-        net.max_flow(s, t)
-        mark, saved = len(net.head), net.cap[:]
+        extra = []
         for _extra in range(rng.randint(1, 4)):
             u, v = rng.choice([rng.sample(range(n), 2), [s, t], [s, s]])
-            net.add_edge(u, v, rng.choice([0, 1, 7, 10 ** 15]))
+            extra.append((u, v, 0))
+        net, fresh = FlowNetwork(n, arcs + extra), FlowNetwork(n, arcs)
+        assert net.max_flow(s, t) == fresh.max_flow(s, t)
+        mark, saved = 2 * len(arcs), net.cap[:]
+        assert (net.head[:mark], saved[:mark]) == (fresh.head, fresh.cap)
+        assert saved[mark:] == [0] * (2 * len(extra))
+        assert net.source_side(s) == fresh.source_side(s)
+        for a in range(mark, len(net.head), 2):
+            net.set_cap(a, rng.choice([0, 1, 7, 10 ** 15]))
         net.max_flow(s, t)
-        net.truncate(mark)
         net.cap[:] = saved
-        fresh = _build(n, arcs)
-        fresh.max_flow(s, t)
-        assert (net.head, net.cap, net.adj) == (fresh.head, fresh.cap, fresh.adj)
         assert net.max_flow(s, t) == 0
 
 
@@ -439,46 +447,108 @@ def test_mincut_agrees_with_bruteforce_on_product_actions(seed):
         sources, neighbors, weights)
 
 
+class _WalkNetwork:
+    """What ``lex_min_walk`` asks of a network, with each probe logged.
+
+    Wraps ``net``, or with ``net=None`` stands in for one: its capacities
+    start as ``caps``, and a probe answers ``accept(chosen, barred)``, True
+    for no more flow.  ``log`` gets each probe's (chosen, barred, accepted):
+    the indices whose every pin arc, and those whose bar arc, ``set_cap``
+    last set to ``inf``, each list in the order the indices were raised.
+    ``sets`` gets each ``set_cap`` as (arc, old, new).
+    """
+
+    def __init__(self, pins, bars, inf, net=None, caps=None, accept=None):
+        self.net, self.accept, self.pins, self.inf = net, accept, pins, inf
+        self.cap = caps if net is None else net.cap
+        self.bar_of = {a: i for i, a in enumerate(bars)}
+        self.at_inf = {}  # the arcs set to inf, in the order they were set
+        self.log, self.sets = [], []
+
+    def set_cap(self, a, c):
+        self.sets.append((a, self.cap[a], c))
+        if self.net is None:
+            self.cap[a] = c
+        else:
+            self.net.set_cap(a, c)
+        self.at_inf.pop(a, None)
+        if c == self.inf:
+            self.at_inf[a] = None
+
+    def max_flow(self, s, t, probe=False):
+        assert (s, t, probe) == (0, 1, True)
+        order = {a: k for k, a in enumerate(self.at_inf)}
+        chosen = sorted((max(order[a] for a in pin), i) for i, pin in enumerate(self.pins)
+                        if all(a in order for a in pin))
+        barred = sorted((order[a], i) for a, i in self.bar_of.items() if a in order)
+        chosen, barred = [i for _k, i in chosen], [i for _k, i in barred]
+        got = (0 if self.accept(chosen, barred) else 1) if self.net is None \
+            else self.net.max_flow(s, t, probe)
+        self.log.append((chosen, barred, not got))
+        return got
+
+
+_INF = 10 ** 6
+
+
+def _stand_in(n, accept):
+    """A ``_WalkNetwork`` standing in for an n-index walk's network: index
+    i's pin arcs are 2i and 2(n + i), its bar arc 2(2n + i), and every arc
+    starts below ``_INF``.  Returns it with the pins and the bars."""
+    pins = [(2 * i, 2 * (n + i)) for i in range(n)]
+    bars = [2 * (2 * n + i) for i in range(n)]
+    caps = [a % 7 for a in range(6 * n)]
+    return _WalkNetwork(pins, bars, _INF, caps=caps, accept=accept), pins, bars
+
+
 def test_lex_min_walk_queries_only_add_constraints():
+    """Each query pins its own index on top of the last accepted query's
+    pins and bars.  A rejected one gives its pin arcs back what they held
+    and raises its bar arc; nothing else changes, so every ``set_cap``
+    raises an arc to ``inf`` or undoes a pin, and the walk ends with the
+    accepted indices pinned, the rejected ones barred and every other arc
+    as it started."""
     rng = random.Random(1967)
     for _ in range(200):
         n = rng.randint(1, 9)
-        queries, chosen, barred = [], [], []
+        accepted, rejected = [], []
 
-        def query(i):
+        def accept(chosen, barred):
             # the query's chosen set is the last accepted one plus i, its
             # barred set the last one's, and the two stay disjoint
-            assert i not in chosen and i not in barred
-            queries.append(i)
+            i = chosen[-1]
+            assert i not in accepted and i not in rejected
+            assert (chosen, barred) == (accepted + [i], rejected)
             ok = rng.random() < 0.5 or i == n - 1
-            if ok:
-                chosen.append(i)
+            (accepted if ok else rejected).append(i)
             return ok
 
-        def bar(i):
-            assert queries[-1] == i and i not in chosen and i not in barred
-            barred.append(i)
-
         def done(got):
-            assert got == chosen
+            assert got == accepted
             return bool(got) and (len(got) >= target or got[-1] == n - 1)
 
         target = rng.randint(1, n)
-        witness = lex_min_walk(n, query, bar, done)
-        assert queries and witness == chosen
+        net, pins, bars = _stand_in(n, accept)
+        start = net.cap[:]
+        witness = lex_min_walk(net, pins, bars, _INF, done)
+        assert net.log and witness == accepted
+        undone = {a for i in rejected for a in pins[i]}
+        assert all(new == _INF or (a in undone and new == start[a]) for a, _old, new in net.sets)
+        held = {a for i in accepted for a in pins[i]} | {bars[i] for i in rejected}
+        assert net.cap == [_INF if a in held else c for a, c in enumerate(start)]
 
 
-def _walk_outcome(walk, n, query, done):
+def _walk_outcome(walk):
     try:
-        return walk(n, query, done)
+        return walk()
     except RuntimeError:
         return "exhausted"
 
 
 def test_lex_min_walk_replays_the_reference_greedy_on_answer_sequences():
-    """Each query's (chosen, barred) lists, in order, equal the reference
-    greedy's, on 200 seeded answer sequences; so do the witness and the
-    end of the walk."""
+    """Each probe's (chosen, barred) lists, in order, equal the reference
+    greedy's queries, on 200 seeded answer sequences; so do the witness
+    and the end of the walk."""
     rng = random.Random(2011)
     exhausted = 0
     for _ in range(200):
@@ -489,54 +559,35 @@ def test_lex_min_walk_replays_the_reference_greedy_on_answer_sequences():
         def done(chosen):
             return len(chosen) >= target
 
-        walk_log, chosen, barred = [], [], []
-
-        def query(i):
-            walk_log.append((chosen + [i], barred[:]))
-            ok = answers[len(walk_log) - 1]
-            if ok:
-                chosen.append(i)
-            return ok
-
-        got = _walk_outcome(lambda n, q, d: lex_min_walk(n, q, barred.append, d),
-                            n, query, done)
+        net, pins, bars = _stand_in(n, lambda _chosen, _barred: answers[len(net.log)])
+        got = _walk_outcome(lambda: lex_min_walk(net, pins, bars, _INF, done))
         greedy_log = []
 
         def feasible(chosen, barred):
             greedy_log.append((chosen, barred))
             return answers[len(greedy_log) - 1]
 
-        want = _walk_outcome(lex_min_greedy, n, feasible, done)
-        assert (walk_log, got) == (greedy_log, want)
+        want = _walk_outcome(lambda: lex_min_greedy(n, feasible, done))
+        assert ([(chosen, barred) for chosen, barred, _ok in net.log], got) == (greedy_log, want)
         exhausted += want == "exhausted"
     assert 20 <= exhausted <= 180
 
 
 def _recording_walk(runs):
-    """``lex_min_walk`` that logs each query's (chosen, barred, answer) and each
-    ``done`` verdict, and the result, into ``runs``."""
+    """``lex_min_walk`` on a ``_WalkNetwork`` around the solver's network,
+    logging the index count, the probes, each ``done`` verdict and the
+    result into ``runs``."""
     original = maxflow.lex_min_walk
 
-    def walk(n, query, bar, done):
-        log, dones, chosen, barred = [], [], [], []
-
-        def logged_query(i):
-            ok = query(i)
-            log.append((chosen + [i], barred[:], ok))
-            if ok:
-                chosen.append(i)
-            return ok
-
-        def logged_bar(i):
-            bar(i)
-            barred.append(i)
+    def walk(net, pins, bars, inf, done):
+        logged, dones = _WalkNetwork(pins, bars, inf, net), []
 
         def logged_done(got):
             dones.append(done(got))
             return dones[-1]
 
-        result = original(n, logged_query, logged_bar, logged_done)
-        runs.append((n, log, dones, result))
+        result = original(logged, pins, bars, inf, logged_done)
+        runs.append((len(pins), logged.log, dones, result))
         return result
 
     return walk
@@ -587,43 +638,65 @@ def test_lex_min_walk_replays_the_reference_greedy_on_solver_runs(monkeypatch):
 
 
 def test_each_index_is_pinned_in_and_barred_at_most_once(monkeypatch):
-    """Per extraction, each index is queried (pinned in) at most once and
-    barred at most once, and no arc is added twice."""
+    """Per extraction, each index is queried (pinned in) at most once; its
+    pin arcs are set once, or twice when the query is rejected and undone,
+    and its bar arc once, exactly when it is rejected.  The network keeps
+    its arcs: ``len(net.head)`` and every ``len(net.adj[v])`` stay as built
+    at every probe and after the walk."""
     original = maxflow.lex_min_walk
-    add_edge = FlowNetwork.add_edge
-    added = [None]
     extractions = 0
 
-    def counted_add_edge(net, u, v, cap):
-        if added[0] is not None:
-            assert (u, v) not in added[0]
-            added[0].add((u, v))
-        return add_edge(net, u, v, cap)
-
-    def walk(n, query, bar, done):
+    def walk(net, pins, bars, inf, done):
         nonlocal extractions
-        queried, barred = [], []
-        added[0] = set()
+        shape = (len(net.head), [len(arcs) for arcs in net.adj])
+        logged = _WalkNetwork(pins, bars, inf, net)
+        logged_probe = logged.max_flow
 
-        def counted_query(i):
-            queried.append(i)
-            return query(i)
+        def checked_probe(s, t, probe=False):
+            assert (len(net.head), [len(arcs) for arcs in net.adj]) == shape
+            return logged_probe(s, t, probe)
 
-        def counted_bar(i):
-            barred.append(i)
-            bar(i)
-
+        logged.max_flow = checked_probe
         try:
-            return original(n, counted_query, counted_bar, done)
+            return original(logged, pins, bars, inf, done)
         finally:
-            added[0] = None
+            assert (len(net.head), [len(arcs) for arcs in net.adj]) == shape
+            queried = [chosen[-1] for chosen, _barred, _ok in logged.log]
+            rejected = {chosen[-1] for chosen, _barred, ok in logged.log if not ok}
             assert len(set(queried)) == len(queried)
-            assert len(set(barred)) == len(barred) and set(barred) <= set(queried)
+            touched = Counter(a for a, _old, _new in logged.sets)
+            for i, pin in enumerate(pins):
+                want = 2 if i in rejected else 1 if i in queried else 0
+                assert [touched[a] for a in pin] == [want] * len(pin)
+                assert touched[bars[i]] == (i in rejected)
             extractions += 1
 
-    monkeypatch.setattr(FlowNetwork, "add_edge", counted_add_edge)
     _solver_runs(monkeypatch, walk)
     assert extractions >= 20
+
+
+def test_walks_pin_and_bar_the_arcs_of_their_index(monkeypatch):
+    """The arcs each solver hands its walk: a source is pinned by its arc
+    s -> i and barred by its arc i -> t; a vertex v is pinned by its arcs
+    s -> v_in and v_out -> t and barred by its split arc v_in -> v_out."""
+    original = maxflow.lex_min_walk
+    walks = {1: 0, 2: 0}
+
+    def walk(net, pins, bars, inf, done):
+        ends = [(net.head[a ^ 1], net.head[a]) for a in range(0, len(net.head), 2)]
+        for i, pin in enumerate(pins):
+            if len(pin) == 1:  # the ratio network: source i is node 2 + i
+                assert ends[pin[0] // 2] == (0, 2 + i)
+                assert ends[bars[i] // 2] == (2 + i, 1)
+            else:  # the cutset network: vertex i is nodes 2 + 2i -> 3 + 2i
+                assert [ends[a // 2] for a in pin] == [(0, 2 + 2 * i), (3 + 2 * i, 1)]
+                assert ends[bars[i] // 2] == (2 + 2 * i, 3 + 2 * i)
+            assert all(a % 2 == 0 for a in (*pin, bars[i]))
+        walks[len(pins[0]) if pins else 1] += 1
+        return original(net, pins, bars, inf, done)
+
+    _solver_runs(monkeypatch, walk)
+    assert walks[1] >= 10 and walks[2] >= 6
 
 
 def _random_relation(rng, max_src=7, max_dst=6):
@@ -768,40 +841,41 @@ def test_bruteforce_memory_does_not_grow_with_the_subset_count():
     assert peak < 64 * 1024
 
 
-def test_arc_list_network_matches_add_edge_calls():
+def test_arc_list_network_lays_arc_k_out_at_index_2k():
+    """Arc k of the list runs forward as arc 2k and back as arc 2k + 1, and
+    each node lists the arcs leaving it in increasing index order."""
     rng = random.Random(1989)
     for _ in range(300):
         n, arcs, _s, _t = _random_network(rng)
-        laid_out = FlowNetwork(n, arcs)
-        built = _build(n, arcs)
-        assert (laid_out.head, laid_out.cap, laid_out.adj) == (built.head, built.cap, built.adj)
-        extra = (rng.randrange(n), rng.randrange(n), rng.choice([0, 1, 10 ** 13]))
-        assert laid_out.add_edge(*extra) == built.add_edge(*extra)
-        assert (laid_out.head, laid_out.cap, laid_out.adj) == (built.head, built.cap, built.adj)
+        net = FlowNetwork(n, arcs)
+        tails = [end for u, v, _c in arcs for end in (u, v)]
+        assert net.head == [end for u, v, _c in arcs for end in (v, u)]
+        assert net.cap == [c for _u, _v, cap in arcs for c in (cap, 0)]
+        assert net.adj == [[a for a, u in enumerate(tails) if u == w] for w in range(n)]
 
 
 def _cold_min_ratio(sources, neighbors, weight):
     """The ratio solver before its rounds were nested: every round re-weighs
     the full source set from zero flow, and a rejected witness query is
-    undone by installing a copy of every capacity as a new list."""
+    undone by installing a copy of every capacity as a new list.  Its
+    network lists the source arcs, the middle arcs, the target arcs and
+    then one bar arc per source, built at capacity 0."""
     sources = sorted(sources)
     sw, dw, nbr = _integerize(sources, neighbors, weight)
     n, m = len(sw), len(dw)
-    net = FlowNetwork(2 + n + m)
-    for i in range(n):
-        net.add_edge(0, 2 + i, 0)
-    for i in range(n):
-        for k in nbr[i]:
-            net.add_edge(2 + i, 2 + n + k, 0)
-    for k in range(m):
-        net.add_edge(2 + n + k, 1, 0)
-    first_target = len(net.head) - 2 * m
+    net = FlowNetwork(2 + n + m, [*((0, 2 + i, 0) for i in range(n)),
+                                  *((2 + i, 2 + n + k, 0) for i in range(n) for k in nbr[i]),
+                                  *((2 + n + k, 1, 0) for k in range(m)),
+                                  *((2 + i, 1, 0) for i in range(n))])
+    first_target = len(net.head) - 2 * m - 2 * n
+    first_bar = len(net.head) - 2 * n
 
     def reweigh(num, den):
         inf = num * sum(sw) + den * sum(dw) + 1
         cap = [inf, 0] * (len(net.head) // 2)
         cap[:2 * n:2] = [num * w for w in sw]
-        cap[first_target::2] = [den * w for w in dw]
+        cap[first_target:first_bar:2] = [den * w for w in dw]
+        cap[first_bar::2] = [0] * n
         net.cap[:] = cap
         return inf
 
@@ -825,12 +899,11 @@ def _cold_min_ratio(sources, neighbors, weight):
         for i in chosen[kept[0]:]:
             net.set_cap(2 * i, inf)
         for i in barred[kept[1]:]:
-            net.add_edge(2 + i, 1, inf)
+            net.set_cap(first_bar + 2 * i, inf)
         if not net.max_flow(0, 1, probe=True):
             base[:] = net.cap
             kept[:] = len(chosen), len(barred)
             return True
-        net.truncate(len(base))
         net.cap = base[:]
         return False
 
@@ -982,11 +1055,12 @@ def _largest_optimal_set_runs(monkeypatch):
         sides.append(source_side(net, s))
         return sides[-1]
 
-    def recorded_walk(n, query, bar, done):
-        def logged(i):
-            queries.append((i, query(i)))
-            return queries[-1][1]
-        return walk(n, logged, bar, done)
+    def recorded_walk(net, pins, bars, inf, done):
+        logged = _WalkNetwork(pins, bars, inf, net)
+        try:
+            return walk(logged, pins, bars, inf, done)
+        finally:
+            queries.extend((chosen[-1], ok) for chosen, _barred, ok in logged.log)
 
     monkeypatch.setattr(FlowNetwork, "source_side", recorded_side)
     monkeypatch.setattr(maxflow, "lex_min_walk", recorded_walk)
