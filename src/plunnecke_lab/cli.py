@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import random
 import sys
@@ -413,20 +412,23 @@ def _cmd_generate(args) -> int:
 # The most instances one run draws: `verify` builds every bundle before it
 # checks the first.
 MAX_COUNT = 10_000
+# The largest `generate --dim`: 21 axes of period 2 or more exceed
+# MAX_PERIOD_BOX anyway, so this only refuses runs of 1-periods.
+MAX_DIM = 20
 
-# The range each numeric option admits, per command: a cyclic modulus is at
-# least 2, counts, worker numbers, sizes and heights are at least 1, a
-# dimension is positive, and no run draws more than MAX_COUNT instances.
-# A height is at most MAX_ORDER, since an orbit graph's height is the order
-# of A^h; a modulus, a translate-set size and a layer-0 size are at most
-# MAX_GROUP_ORDER.
+# The range each numeric option admits, per command (None: no upper bound):
+# a cyclic modulus is at least 2, counts, worker numbers, sizes and heights
+# are at least 1, a dimension is in 1..MAX_DIM, and no run draws more than
+# MAX_COUNT instances.  A height is at most MAX_ORDER, since an orbit
+# graph's height is the order of A^h; a modulus, a translate-set size and a
+# layer-0 size are at most MAX_GROUP_ORDER.
 _BOUNDS = {
-    "verify": {"count": (1, MAX_COUNT), "jobs": (1, math.inf)},
+    "verify": {"count": (1, MAX_COUNT), "jobs": (1, None)},
     "orbit-graph": {"h": (1, MAX_ORDER)},
     "generate": {"count": (1, MAX_COUNT), "max_n": (2, MAX_GROUP_ORDER),
                  "max_a": (1, MAX_GROUP_ORDER), "max_h": (1, MAX_ORDER),
                  "max_layer0": (1, MAX_GROUP_ORDER),
-                 "max_period": (1, math.inf), "dim": (1, math.inf)},
+                 "max_period": (1, None), "dim": (1, MAX_DIM)},
 }
 
 
@@ -438,7 +440,7 @@ def _check_bounds(args) -> None:
         flag = "--" + key.replace("_", "-")
         if value < low:
             raise InputError(f"{flag} must be at least {low} (got {value})")
-        if value > high:
+        if high is not None and value > high:
             raise InputError(f"{flag} must be at most {high} (got {value})")
 
 

@@ -129,8 +129,8 @@ def min_weight_cutset(g: LayeredMeasureGraph, C) -> CutsetReport:
     and probes for more flow (``max_flow(0, 1, probe=True)``, which pushes
     nothing), and a rejected vertex gets their old capacities back and has
     its split arc raised to infinity for good, so every probe runs on the
-    network of the textbook greedy's query (see ``lex_min_walk``).  Each
-    change keeps the network's residual closures, so a probe searches only
+    network of the textbook greedy's query (see ``lex_min_walk``).  The
+    walk's probes share its residual closures, so a probe searches only
     from the arcs raised since the last accepted query.
     ``is_cutset`` runs on the empty set, then once the chosen vertices'
     weight reaches the minimum.

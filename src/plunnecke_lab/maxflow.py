@@ -15,9 +15,10 @@ result unchanged.  Its witness and the minimum-weight cutset's come from
 ``lex_min_walk``, whose every query pins one index in and probes once
 (``max_flow(s, t, probe=True)``, which pushes nothing).  Each network is
 built with every arc its walk pins or bars, so a walk only sets
-capacities.  A probe searches only from the arcs the walk
-raised since the last probe that found no path: the network keeps the
-residual closures of s and of t between probes (``FlowNetwork``).
+capacities.  A walk's probes share the residual closures of s and of t
+that the walk opens, so each searches only from the arcs raised since the
+walk's last probe that found no path; any other probe starts afresh
+(``FlowNetwork``).
 """
 
 from __future__ import annotations
@@ -49,18 +50,14 @@ class FlowNetwork:
     Arcs are fixed at construction: an arc a caller may need later is
     built in at capacity 0.  ``max_flow`` augments the flow ``cap`` already
     holds and returns the flow it adds, so after raising some capacities
-    (``set_cap``) it finds just the extra flow they admit; with
-    ``probe=True`` it only says whether any exists.
+    it finds just the extra flow they admit; with ``probe=True`` it only
+    says whether any exists.
 
-    Probes keep two closures of the residual network from call to call: the
-    nodes s reaches, and nodes known to reach t.  A probe that finds no path
-    commits them, and later probes search only from the arcs raised since
-    (``_probe``).  So between probes every change to ``cap`` goes through
-    ``set_cap``, which notes a raise.  A lowering that leaves the arc no
-    lower than it held at the last committing probe keeps the closures:
-    with raising, it is all a witness walk does between such probes.  Any
-    other lowering, a new ``cap`` list, or a full ``max_flow`` drops both
-    closures, and the next probe starts again from s alone.
+    A probe searches between two closures of the residual network: the
+    nodes s reaches, and nodes known to reach t (``_probe``).  While
+    ``lex_min_walk`` runs on the network, its probes share the walk's
+    closures; any other probe starts afresh from {s} and {t}, so ``cap``
+    may be written freely outside a walk.
     """
 
     def __init__(self, n: int, arcs):
@@ -77,42 +74,23 @@ class FlowNetwork:
         for a, (u, v, _c) in enumerate(arcs):
             adj[u].append(2 * a)
             adj[v].append(2 * a + 1)
-        # the probe closures (see _probe): the (s, t, cap) they belong to, or
-        # None; _from_s and _to_t mark their nodes, _leaving and _entering
-        # hold the noted arcs, and _floor[a] is what arc a held at the last
-        # commit, once a has changed since
-        self._key = None
-
-    def set_cap(self, a: int, c: int) -> None:
-        """Set arc ``a``'s residual capacity to ``c``.
-
-        A raise is noted for the probe closures; lowering an arc below what
-        it held at the last committed probe drops them.
-        """
-        cap = self.cap
-        if self._key is not None:
-            if c < self._floor.setdefault(a, cap[a]):
-                self._key = None
-            elif c > cap[a]:
-                self._note(a)
-        cap[a] = c
+        self._walk = None  # the running walk's closures (_closures), or None
 
     def max_flow(self, s: int, t: int, probe: bool = False) -> int:
         """Augment to a maximum s-t flow and return the flow this call added.
 
         Each phase labels BFS levels until t is labelled, then finishes a
-        blocking flow on the level graph; the probe closures are dropped.
-        ``probe=True`` runs no phase and pushes nothing: it returns 1 if the
-        residual network has an s-t path, so more flow exists, and 0 if
-        ``cap`` holds a maximum flow already.  It searches only from the
-        arcs changed since the last probe that returned 0 (``_probe``).
-        ``s == t`` is refused in both modes.
+        blocking flow on the level graph.  ``probe=True`` runs no phase
+        and pushes nothing: it returns 1 if the residual network has an s-t
+        path, so more flow exists, and 0 if ``cap`` holds a maximum flow
+        already.  A probe of a running walk searches only from the arcs the
+        walk raised since its last probe that returned 0; any other probe
+        searches from s (``_probe``).  ``s == t`` is refused in both modes.
         """
         if s == t:
             raise ValueError(f"source and sink are the same node ({s})")
         if probe:
             return self._probe(s, t)
-        self._key = None
         adj, head, cap = self.adj, self.head, self.cap
         total = 0
         while True:
@@ -175,31 +153,45 @@ class FlowNetwork:
                     v = head[path.pop() ^ 1]
                     ptr[v] += 1
 
+    def _closures(self, s: int, t: int) -> tuple:
+        """Fresh probe closures for (s, t): the source side {s}, with every
+        arc out of s noted, and the sink side {t}.  They rely on no arc yet.
+        """
+        from_s, to_t = [False] * self.n, [False] * self.n
+        from_s[s] = to_t[t] = True
+        return s, t, from_s, to_t, self.adj[s][:], []
+
+    def _raise(self, a: int, c: int) -> None:
+        """Raise arc ``a`` to ``c`` in the running walk, noting it if it
+        leaves the walk's source side or enters its sink side."""
+        self.cap[a] = c
+        _s, _t, from_s, to_t, leaving, entering = self._walk
+        if from_s[self.head[a ^ 1]]:
+            leaving.append(a)
+        if to_t[self.head[a]]:
+            entering.append(a)
+
     def _probe(self, s: int, t: int) -> int:
         """1 if t is reachable from s in the residual network, else 0.
 
-        With no closures kept for (s, t, cap), the source side starts as
-        {s} with every arc out of s noted, and the sink side as {t}.  The
-        search starts from the noted arcs that leave the source side, and
-        stops at the first node of the sink side.  If it reaches one, it
-        forgets the nodes it reached.  Otherwise it commits: the source side
-        keeps them, the sink side grows back from the noted arcs that enter
-        it, and no arc stays noted.  A node joins each side at most once,
-        when its arcs are scanned, so the committing probes of one walk
-        scan each arc at most twice in all, plus the arcs noted; a probe
-        that finds a path also scans the arcs of the nodes it forgets.
+        A probe from s to t of the running walk uses the walk's closures;
+        any other probe opens fresh ones and drops them after.  The search
+        starts from the noted arcs that leave the source side, and stops at
+        the first node of the sink side.  If it reaches one, it forgets the
+        nodes it reached.  Otherwise it commits: the source side keeps
+        them, the sink side grows back from the noted arcs that enter it,
+        and no arc stays noted.  A node joins each side at most once, when
+        its arcs are scanned, so the committing probes of one walk scan
+        each arc at most twice in all, plus the arcs noted; a probe that
+        finds a path also scans the arcs of the nodes it forgets.
         """
         adj, head, cap = self.adj, self.head, self.cap
-        key = self._key
-        if key is None or key[2] is not cap or key[0] != s or key[1] != t:
-            # {s} with its arcs noted, and {t}: they rely on no arc yet
-            self._key = (s, t, cap)
-            self._from_s, self._to_t = [False] * self.n, [False] * self.n
-            self._from_s[s] = self._to_t[t] = True
-            self._leaving, self._entering, self._floor = adj[s][:], [], {}
-        from_s, to_t = self._from_s, self._to_t
+        walk = self._walk
+        if walk is None or walk[0] != s or walk[1] != t:
+            walk = self._closures(s, t)
+        _s, _t, from_s, to_t, leaving, entering = walk
         reached: list[int] = []
-        stack = [self._leaving]
+        stack = [leaving]
         while stack:
             for a in stack.pop():
                 if cap[a]:
@@ -212,22 +204,14 @@ class FlowNetwork:
                         from_s[w] = True
                         reached.append(w)
                         stack.append(adj[w])
-        self._reach_t([head[a ^ 1] for a in self._entering if cap[a]])
-        self._leaving, self._entering, self._floor = [], [], {}
+        self._reach_t(to_t, [head[a ^ 1] for a in entering if cap[a]])
+        del leaving[:], entering[:]
         return 0
 
-    def _note(self, a: int) -> None:
-        """Note arc ``a``, just raised, if it leaves the source side or
-        enters the sink side."""
-        if self._from_s[self.head[a ^ 1]]:
-            self._leaving.append(a)
-        if self._to_t[self.head[a]]:
-            self._entering.append(a)
-
-    def _reach_t(self, nodes) -> None:
-        """Add ``nodes``, and every node that reaches one of them in the
-        residual network, to the sink side."""
-        adj, head, cap, to_t = self.adj, self.head, self.cap, self._to_t
+    def _reach_t(self, to_t: list[bool], nodes) -> None:
+        """Mark ``nodes``, and every node that reaches one of them in the
+        residual network, in the sink side ``to_t``."""
+        adj, head, cap = self.adj, self.head, self.cap
         stack = []
         for v in nodes:
             if not to_t[v]:
@@ -346,28 +330,39 @@ def lex_min_walk(net: FlowNetwork, pins, bars, inf: int, done) -> list[int]:
     ``i`` for the rest of the walk.  So each query sees the chosen and
     barred sets of the textbook greedy, which tries the indices after the
     last chosen one in turn with every skipped one barred, with the bars
-    set in the order of that greedy's lists.  Every change goes through
-    ``net.set_cap`` and keeps the probe closures, since an undone pin only
-    lowers arcs back.  ``done(chosen)`` is called on the walk's own list,
-    empty first and then after each acceptance, so a caller can fold in
-    just ``chosen[-1]``.
+    set in the order of that greedy's lists.
+
+    The walk opens fresh residual closures at its start, {0} with every
+    arc out of 0 noted and {1}, and drops them when it returns or raises:
+    its probes share them, and any other probe starts afresh.  A pin or a bar is raised
+    through ``net._raise``, which notes the arc for the next probe.  An
+    undone pin is written straight back into ``net.cap``: pins and bars are
+    disjoint and an index's pin arcs change only at its own query, so each
+    gets back what the walk's last committing probe saw.  ``done(chosen)``
+    is called on the walk's own list, empty first and then after each
+    acceptance, so a caller can fold in just ``chosen[-1]``; it must leave
+    the network alone.
     """
     chosen: list[int] = []
     if done(chosen):
         return chosen
-    for i, pin in enumerate(pins):
-        old = [net.cap[a] for a in pin]
-        for a in pin:
-            net.set_cap(a, inf)
-        if net.max_flow(0, 1, probe=True):
-            for a, c in zip(pin, old):
-                net.set_cap(a, c)
-            net.set_cap(bars[i], inf)
-        else:
-            chosen.append(i)
-            if done(chosen):
-                return chosen
-    raise RuntimeError("no feasible extension of the lex-min witness")
+    net._walk = net._closures(0, 1)
+    try:
+        for i, pin in enumerate(pins):
+            old = [net.cap[a] for a in pin]
+            for a in pin:
+                net._raise(a, inf)
+            if net.max_flow(0, 1, probe=True):
+                for a, c in zip(pin, old):
+                    net.cap[a] = c
+                net._raise(bars[i], inf)
+            else:
+                chosen.append(i)
+                if done(chosen):
+                    return chosen
+        raise RuntimeError("no feasible extension of the lex-min witness")
+    finally:
+        net._walk = None
 
 
 def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
@@ -409,11 +404,11 @@ def min_ratio_mincut(sources, neighbors, weight, *, witness: bool = True
     capacity back and then has its bar arc, built in at capacity 0 from the
     source to the sink, raised to infinity for good, so every probe runs on
     the network of the textbook greedy's query (see ``lex_min_walk``).
-    Each change keeps the network's closures, so a probe searches only
-    from the arcs its query and the bars since the last accepted query
-    raised.  A probe pushes nothing, so it asks whether the
-    pinned network's maximum flow exceeds the last round's value, whichever
-    maximum flow the round left.  S_{R-1} holds every source chosen so far
+    The walk's probes share its closures, so a probe searches only from
+    the arcs its query and the bars since the last accepted query raised.
+    A probe pushes nothing, so it asks whether the pinned network's maximum
+    flow exceeds the last round's value, whichever maximum flow the round
+    left.  S_{R-1} holds every source chosen so far
     and none barred, so the walk accepts exactly its sources, and the
     witness is the shortest prefix of sorted S_{R-1} whose ratio, folded
     into integer sums at each acceptance, is lam*.  ``witness=False`` skips

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from plunnecke_lab import cli, density, dynamics, generators, jsonio
-from plunnecke_lab.cli import MAX_COUNT, MAX_ORDER, main
+from plunnecke_lab.cli import MAX_COUNT, MAX_DIM, MAX_ORDER, main
 from plunnecke_lab.reports import CSV_COLUMNS
 
 
@@ -135,14 +135,14 @@ class TestVerify:
 
     def test_instance_files_are_accepted(self, tmp_path, o1_file):
         bundle = {"instance": "O1", "theorem": "thm-3.5",
-                  "graph": json.loads(open(o1_file).read())}
+                  "graph": json.loads(Path(o1_file).read_text())}
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(bundle))
         assert main(["verify", "thm-3.5", str(path)]) == 0
 
     def test_theorem_mismatch_exits_two(self, tmp_path, o1_file):
         bundle = {"instance": "O1", "theorem": "thm-4.2",
-                  "graph": json.loads(open(o1_file).read())}
+                  "graph": json.loads(Path(o1_file).read_text())}
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(bundle))
         assert main(["verify", "thm-3.5", str(path)]) == 2
@@ -151,7 +151,7 @@ class TestVerify:
         assert main(["verify", "thm-9.9"]) == 2
 
     def test_hypothesis_refusal_exits_two(self, tmp_path, o1_file):
-        bundle = {"instance": "O1", "graph": json.loads(open(o1_file).read()),
+        bundle = {"instance": "O1", "graph": json.loads(Path(o1_file).read_text()),
                   "C": "5/1"}  # 25 > D_2 = 3
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(bundle))
@@ -495,19 +495,32 @@ class TestGenerateCommand:
         assert not list(tmp_path.iterdir())
 
 
-    @pytest.mark.parametrize("kind, flag, value", [
-        ("orbit", "--max-h", MAX_ORDER + 1), ("graph", "--max-h", MAX_ORDER + 1),
-        ("graph", "--max-layer0", dynamics.MAX_GROUP_ORDER + 1),
-        ("action", "--max-n", dynamics.MAX_GROUP_ORDER + 1),
-        ("orbit", "--max-a", dynamics.MAX_GROUP_ORDER + 1),
+    @pytest.mark.parametrize("kind, flag, value, most, extra", [
+        ("orbit", "--max-h", MAX_ORDER + 1, MAX_ORDER, ()),
+        ("graph", "--max-h", MAX_ORDER + 1, MAX_ORDER, ()),
+        ("graph", "--max-layer0", dynamics.MAX_GROUP_ORDER + 1, dynamics.MAX_GROUP_ORDER, ()),
+        ("action", "--max-n", dynamics.MAX_GROUP_ORDER + 1, dynamics.MAX_GROUP_ORDER, ()),
+        ("orbit", "--max-a", dynamics.MAX_GROUP_ORDER + 1, dynamics.MAX_GROUP_ORDER, ()),
+        # past a C ssize_t, which the period-box check could not take
+        ("periodic", "--dim", 99999999999999999999, MAX_DIM, ()),
+        # 1-periods pass every box check, so only the bound stops these
+        ("periodic", "--dim", MAX_DIM + 1, MAX_DIM, ("--max-period", "1")),
+        ("periodic", "--dim", 1_000_000, MAX_DIM, ("--max-period", "1")),
     ])
-    def test_sizes_past_their_maximum_exit_two(self, tmp_path, capsys, kind, flag, value):
+    def test_sizes_past_their_maximum_exit_two(self, tmp_path, capsys, kind, flag, value,
+                                                most, extra):
         out_dir = tmp_path / "gen"
-        assert main(["generate", kind, flag, str(value), "--dir", str(out_dir)]) == 2
+        assert main(["generate", kind, flag, str(value), *extra, "--dir", str(out_dir)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": f"{flag} must be at most {value - 1} (got {value})",
+        assert err == {"error": f"{flag} must be at most {most} (got {value})",
                        "kind": "input"}
         assert not out_dir.exists()
+
+    def test_the_largest_dimension_of_one_periods_is_generated(self, tmp_path):
+        assert main(["generate", "periodic", "--dim", str(MAX_DIM), "--max-period", "1",
+                     "--dir", str(tmp_path), "--out", str(tmp_path / "manifest.json")]) == 0
+        doc = json.loads((tmp_path / "periodic_0000_0000.json").read_text())
+        assert doc["period"] == [1] * MAX_DIM
 
     def test_cyclic_action_past_the_budget_is_refused_at_once(self, tmp_path, capsys):
         # --max-n is in range, but three cycles of length 500000 are not

@@ -424,11 +424,9 @@ class TestPinnedQueries:
             last = [state(net)]
             bar_arcs = set(bars)
 
-            class Watched:
-                cap = net.cap
-
-                def set_cap(self, a, c):
-                    net.set_cap(a, c)
+            class Watched(list):
+                def __setitem__(self, a, c):
+                    super().__setitem__(a, c)
                     if a in bar_arcs:
                         arcs, cap, degrees = state(net)
                         old_arcs, old_cap, old_degrees = last[0]
@@ -438,14 +436,17 @@ class TestPinnedQueries:
                         seen["rejected"] += 1
                         last[0] = arcs, cap, degrees
 
-                def max_flow(self, s, t, probe=False):
-                    got = net.max_flow(s, t, probe)
-                    if not got:
-                        seen["accepted"] += 1
-                        last[0] = state(net)
-                    return got
+            search = net.max_flow
 
-            return original(Watched(), pins, bars, inf, done)
+            def max_flow(s, t, probe=False):
+                got = search(s, t, probe)
+                if not got:
+                    seen["accepted"] += 1
+                    last[0] = state(net)
+                return got
+
+            net.cap, net.max_flow = Watched(net.cap), max_flow
+            return original(net, pins, bars, inf, done)
 
         monkeypatch.setattr(maxflow, "lex_min_walk", watched)
         monkeypatch.setattr(magnification, "lex_min_walk", watched)

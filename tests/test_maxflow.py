@@ -166,11 +166,12 @@ def _checked_probe(net, s, t, max_flow=FlowNetwork.max_flow):
 
 
 def test_probe_matches_a_breadth_first_search_in_walk_states():
-    """Random networks in the states a witness walk leaves: at a maximum
-    flow, with pins raised, some of them undone after a probe that found a
-    path, with bars raised (1-3 arcs built in at capacity 0), and with every
-    arc lowered back to what it held at the maximum flow.  Every change goes
-    through ``set_cap``."""
+    """Random networks in the states a witness walk leaves, with the walk's
+    closures opened by hand: at a maximum flow, with pins raised, some of
+    them undone after a probe that found a path, and with bars raised (1-3
+    arcs built in at capacity 0), each raise through ``_raise`` as the walk
+    makes it.  Then, with the closures dropped as a walk's end drops them,
+    every arc is written back to what it held at the maximum flow."""
     rng = random.Random(2026)
     answers = []
     for _ in range(400):
@@ -179,20 +180,21 @@ def test_probe_matches_a_breadth_first_search_in_walk_states():
                 for _bar in range(rng.randint(1, 3))]
         net = FlowNetwork(n, arcs + bars)
         net.max_flow(s, t)
+        net._walk = net._closures(s, t)
         answers.append(_checked_probe(net, s, t))
         mark, at_max = 2 * len(arcs), net.cap[:]
         for arc in rng.sample(range(0, mark, 2), min(mark // 2, rng.randint(1, 3))):
             old = net.cap[arc]
-            net.set_cap(arc, old + rng.choice([1, 4, 10 ** 15]))  # a pin
+            net._raise(arc, old + rng.choice([1, 4, 10 ** 15]))  # a pin
             answers.append(_checked_probe(net, s, t))
             if answers[-1] and rng.random() < 0.5:
-                net.set_cap(arc, old)  # the pin undone
+                net.cap[arc] = old  # the pin undone
                 answers.append(_checked_probe(net, s, t))
         for bar in range(mark, len(net.head), 2):
-            net.set_cap(bar, rng.choice([0, 1, 10 ** 15]))
+            net._raise(bar, rng.choice([0, 1, 10 ** 15]))
             answers.append(_checked_probe(net, s, t))
-        for a, c in enumerate(at_max):
-            net.set_cap(a, c)
+        net._walk = None
+        net.cap[:] = at_max
         answers.append(_checked_probe(net, s, t))
     assert answers.count(0) >= 300 and answers.count(1) >= 300
 
@@ -239,56 +241,78 @@ def test_probe_matches_a_breadth_first_search_on_product_actions(size, monkeypat
 
 
 def _committed(net, s, t):
-    """Probe once, expecting no path, so that the probe commits its closures."""
+    """Probe once, expecting no path; in a walk, the probe commits its
+    closures."""
     assert net.max_flow(s, t, probe=True) == 0
 
 
-@pytest.mark.parametrize("change", ["set_cap back past a commit", "new cap list",
-                                    "set_cap below", "max_flow"])
+@pytest.mark.parametrize("before", ["a probe", "a walk that returns", "a walk that raises",
+                                    "an empty walk and a probe"])
 @pytest.mark.parametrize("side", ["source", "sink"])
-def test_a_change_that_takes_away_drops_the_kept_closures(change, side):
-    """After a committed probe saw node 2 on one side (reached from s 0 over
-    arc 0, or reaching t 1 over it), each change that takes that arc away
-    must make the next probe search afresh.  Raising arc 2, 2 -> t or
-    s -> 2, then closes a path only on the stale side, so a stale probe
-    would answer 1.  "set_cap back past a commit" lowers arc 0 to what it
-    held at an earlier commit, before the last one saw it raised."""
-    net = FlowNetwork(3, [(0, 2, 0), (2, 1, 0)] if side == "source" else [(2, 1, 0), (0, 2, 0)])
-    if side == "sink" or change == "set_cap back past a commit":
-        _committed(net, 0, 1)  # keep closures, so that the next raise is noted
-    net.set_cap(0, 1)
-    _committed(net, 0, 1)
-    if change == "new cap list":
-        net.cap = [0] * len(net.cap)
-    elif change == "max_flow":
-        net.set_cap(2, 1)
-        assert net.max_flow(0, 1) == 1 and net.cap[0] == net.cap[2] == 0
-    else:
-        net.set_cap(0, 0)
-    net.set_cap(2, 1)
-    assert _bfs_reaches(net, 0, 1) == 0
-    assert net.max_flow(0, 1, probe=True) == 0
+def test_a_direct_write_to_cap_is_seen_by_the_next_probe(side, before):
+    """Node 2 is reached from s 0 but reaches no t 1, or reaches t but is
+    not reached.  After a probe or a walk, writing the missing arc straight
+    into ``cap`` as arc 2 opens a path, and the next probe must find it:
+    closures kept past their probe or their walk would answer 0.  Each walk
+    pins arc 0, and its probe commits; the empty walk is done at once."""
+    net = FlowNetwork(3, [(0, 2, 1), (2, 1, 0)] if side == "source" else [(2, 1, 1), (0, 2, 0)])
+    if before == "a walk that returns":
+        assert lex_min_walk(net, [(0,)], [2], 5, lambda chosen: bool(chosen)) == [0]
+    elif before == "a walk that raises":
+        with pytest.raises(RuntimeError, match="no feasible extension"):
+            lex_min_walk(net, [(0,)], [2], 5, lambda _chosen: False)
+    elif before == "an empty walk and a probe":
+        assert lex_min_walk(net, [(0,)], [2], 5, lambda _chosen: True) == []
+    if "probe" in before:
+        _committed(net, 0, 1)
+    net.cap[2] = 1
+    assert _bfs_reaches(net, 0, 1) == 1
+    assert net.max_flow(0, 1, probe=True) == 1
 
 
 def test_a_probe_between_other_nodes_searches_afresh():
-    """Closures committed for s = 0 and t = 1 say nothing about 2 -> 1 or
-    0 -> 3; kept, they would answer 0 to both."""
-    net = FlowNetwork(4, [(0, 3, 1), (2, 1, 1)])
-    _committed(net, 0, 1)
-    assert net.max_flow(2, 1, probe=True) == 1
-    _committed(net, 0, 1)
-    assert net.max_flow(0, 3, probe=True) == 1
+    """In a walk whose probe has committed closures for s = 0 and t = 1, a
+    probe from 2 to 1 or from 0 to 3 searches afresh: the walk's closures
+    would answer 0 to both.  The walk pins arc 3 -> 0 and would bar 1 -> 2."""
+    net = FlowNetwork(4, [(0, 3, 1), (2, 1, 1), (3, 0, 0), (1, 2, 0)])
+    answers = []
+
+    def done(chosen):
+        if chosen:
+            answers.extend([net.max_flow(2, 1, probe=True), net.max_flow(0, 3, probe=True)])
+        return bool(chosen)
+
+    assert lex_min_walk(net, [(4,)], [6], 5, done) == [0]
+    assert answers == [1, 1]
+
+
+def test_a_committing_probe_of_a_walk_keeps_its_sides_and_no_notes():
+    """Index 0 is rejected, since pinning s -> 2 opens 2 -> t; its bar
+    2 -> t is then raised and noted, so the commit of index 1's probe puts
+    node 2 on the sink side, with nothing that does not reach it, and
+    leaves no arc noted.  ``done`` reads the walk's closures after it."""
+    net = FlowNetwork(4, [(0, 2, 0), (2, 1, 1), (2, 1, 0), (0, 3, 0), (3, 1, 0)])
+    seen = []
+
+    def done(chosen):
+        if chosen:
+            seen.append(net._walk[2:])
+        return bool(chosen)
+
+    assert lex_min_walk(net, [(0,), (6,)], [4, 8], 5, done) == [1]
+    assert seen == [([True, False, False, True], [False, True, True, False], [], [])]
 
 
 def test_the_sink_side_grows_only_over_arcs_with_capacity():
-    """An arc into t noted with capacity 0 at a commit does not put its
-    tail on the sink side: raising arc 0 -> 2 later closes no path."""
+    """An arc into t noted with capacity 0 at a commit (a pin raised and
+    undone) does not put its tail on the sink side: raising arc 0 -> 2
+    later closes no path."""
     net = FlowNetwork(3, [(2, 1, 0), (0, 2, 0)])
+    net._walk = net._closures(0, 1)
+    net._raise(0, 4)
+    net.cap[0] = 0
     _committed(net, 0, 1)
-    net.set_cap(0, 4)
-    net.set_cap(0, 0)  # lowered back to what the commit saw: no drop
-    _committed(net, 0, 1)
-    net.set_cap(2, 1)
+    net._raise(2, 1)
     assert _bfs_reaches(net, 0, 1) == 0
     assert net.max_flow(0, 1, probe=True) == 0
 
@@ -298,10 +322,11 @@ def test_the_sink_side_grows_only_against_residual_arcs():
     2 reaches but which reaches nothing, must not join it, so raising
     arc 0 -> 3 later closes no path."""
     net = FlowNetwork(4, [(2, 1, 0), (2, 3, 1), (0, 3, 0)])
+    net._walk = net._closures(0, 1)
     _committed(net, 0, 1)
-    net.set_cap(0, 1)
+    net._raise(0, 1)
     _committed(net, 0, 1)
-    net.set_cap(4, 1)
+    net._raise(4, 1)
     assert _bfs_reaches(net, 0, 1) == 0
     assert net.max_flow(0, 1, probe=True) == 0
 
@@ -414,7 +439,7 @@ def test_zero_capacity_arcs_leave_the_network_that_never_had_them():
         assert saved[mark:] == [0] * (2 * len(extra))
         assert net.source_side(s) == fresh.source_side(s)
         for a in range(mark, len(net.head), 2):
-            net.set_cap(a, rng.choice([0, 1, 7, 10 ** 15]))
+            net.cap[a] = rng.choice([0, 1, 7, 10 ** 15])
         net.max_flow(s, t)
         net.cap[:] = saved
         assert net.max_flow(s, t) == 0
@@ -447,30 +472,40 @@ def test_mincut_agrees_with_bruteforce_on_product_actions(seed):
         sources, neighbors, weights)
 
 
-class _WalkNetwork:
-    """What ``lex_min_walk`` asks of a network, with each probe logged.
+class _LoggedCap(list):
+    """A capacity list that hands each write to ``write(arc, old, new)``."""
 
-    Wraps ``net``, or with ``net=None`` stands in for one: its capacities
-    start as ``caps``, and a probe answers ``accept(chosen, barred)``, True
-    for no more flow.  ``log`` gets each probe's (chosen, barred, accepted):
-    the indices whose every pin arc, and those whose bar arc, ``set_cap``
-    last set to ``inf``, each list in the order the indices were raised.
-    ``sets`` gets each ``set_cap`` as (arc, old, new).
+    def __init__(self, caps, write):
+        super().__init__(caps)
+        self.write = write
+
+    def __setitem__(self, a, c):
+        old = self[a]
+        super().__setitem__(a, c)
+        self.write(a, old, c)
+
+
+class _WalkLog:
+    """What ``lex_min_walk`` does to ``net``, logged.
+
+    Gives ``net`` a ``_LoggedCap`` and wraps its probe.  ``sets`` gets each
+    write to ``cap`` as (arc, old, new), and ``log`` each probe's (chosen,
+    barred, accepted): the indices whose every pin arc, and those whose bar
+    arc, was last set to ``inf``, each list in the order the indices were
+    raised.  With ``accept``, a probe answers ``accept(chosen, barred)``,
+    True for no more flow, instead of searching.
     """
 
-    def __init__(self, pins, bars, inf, net=None, caps=None, accept=None):
-        self.net, self.accept, self.pins, self.inf = net, accept, pins, inf
-        self.cap = caps if net is None else net.cap
+    def __init__(self, net, pins, bars, inf, accept=None):
+        self.accept, self.pins, self.inf = accept, pins, inf
         self.bar_of = {a: i for i, a in enumerate(bars)}
         self.at_inf = {}  # the arcs set to inf, in the order they were set
         self.log, self.sets = [], []
+        net.cap = _LoggedCap(net.cap, self.write)
+        self.probe, net.max_flow = net.max_flow, self.max_flow
 
-    def set_cap(self, a, c):
-        self.sets.append((a, self.cap[a], c))
-        if self.net is None:
-            self.cap[a] = c
-        else:
-            self.net.set_cap(a, c)
+    def write(self, a, old, c):
+        self.sets.append((a, old, c))
         self.at_inf.pop(a, None)
         if c == self.inf:
             self.at_inf[a] = None
@@ -482,8 +517,8 @@ class _WalkNetwork:
                         if all(a in order for a in pin))
         barred = sorted((order[a], i) for a, i in self.bar_of.items() if a in order)
         chosen, barred = [i for _k, i in chosen], [i for _k, i in barred]
-        got = (0 if self.accept(chosen, barred) else 1) if self.net is None \
-            else self.net.max_flow(s, t, probe)
+        got = self.probe(s, t, probe) if self.accept is None \
+            else 0 if self.accept(chosen, barred) else 1
         self.log.append((chosen, barred, not got))
         return got
 
@@ -492,19 +527,21 @@ _INF = 10 ** 6
 
 
 def _stand_in(n, accept):
-    """A ``_WalkNetwork`` standing in for an n-index walk's network: index
+    """A network for an n-index walk whose probes answer ``accept``: index
     i's pin arcs are 2i and 2(n + i), its bar arc 2(2n + i), and every arc
-    starts below ``_INF``.  Returns it with the pins and the bars."""
+    starts below ``_INF``.  Returns it, its ``_WalkLog``, the pins and the
+    bars."""
     pins = [(2 * i, 2 * (n + i)) for i in range(n)]
     bars = [2 * (2 * n + i) for i in range(n)]
-    caps = [a % 7 for a in range(6 * n)]
-    return _WalkNetwork(pins, bars, _INF, caps=caps, accept=accept), pins, bars
+    net = FlowNetwork(2, [(0, 1, 0)] * (3 * n))
+    net.cap = [a % 7 for a in range(6 * n)]
+    return net, _WalkLog(net, pins, bars, _INF, accept), pins, bars
 
 
 def test_lex_min_walk_queries_only_add_constraints():
     """Each query pins its own index on top of the last accepted query's
     pins and bars.  A rejected one gives its pin arcs back what they held
-    and raises its bar arc; nothing else changes, so every ``set_cap``
+    and raises its bar arc; nothing else changes, so every write to ``cap``
     raises an arc to ``inf`` or undoes a pin, and the walk ends with the
     accepted indices pinned, the rejected ones barred and every other arc
     as it started."""
@@ -528,12 +565,13 @@ def test_lex_min_walk_queries_only_add_constraints():
             return bool(got) and (len(got) >= target or got[-1] == n - 1)
 
         target = rng.randint(1, n)
-        net, pins, bars = _stand_in(n, accept)
+        net, logged, pins, bars = _stand_in(n, accept)
         start = net.cap[:]
         witness = lex_min_walk(net, pins, bars, _INF, done)
-        assert net.log and witness == accepted
+        assert logged.log and witness == accepted
         undone = {a for i in rejected for a in pins[i]}
-        assert all(new == _INF or (a in undone and new == start[a]) for a, _old, new in net.sets)
+        assert all(new == _INF or (a in undone and new == start[a])
+                   for a, _old, new in logged.sets)
         held = {a for i in accepted for a in pins[i]} | {bars[i] for i in rejected}
         assert net.cap == [_INF if a in held else c for a, c in enumerate(start)]
 
@@ -559,7 +597,7 @@ def test_lex_min_walk_replays_the_reference_greedy_on_answer_sequences():
         def done(chosen):
             return len(chosen) >= target
 
-        net, pins, bars = _stand_in(n, lambda _chosen, _barred: answers[len(net.log)])
+        net, logged, pins, bars = _stand_in(n, lambda _chosen, _barred: answers[len(logged.log)])
         got = _walk_outcome(lambda: lex_min_walk(net, pins, bars, _INF, done))
         greedy_log = []
 
@@ -568,25 +606,25 @@ def test_lex_min_walk_replays_the_reference_greedy_on_answer_sequences():
             return answers[len(greedy_log) - 1]
 
         want = _walk_outcome(lambda: lex_min_greedy(n, feasible, done))
-        assert ([(chosen, barred) for chosen, barred, _ok in net.log], got) == (greedy_log, want)
+        assert ([(chosen, barred) for chosen, barred, _ok in logged.log], got) == (greedy_log, want)
         exhausted += want == "exhausted"
     assert 20 <= exhausted <= 180
 
 
 def _recording_walk(runs):
-    """``lex_min_walk`` on a ``_WalkNetwork`` around the solver's network,
+    """``lex_min_walk`` on the solver's network through a ``_WalkLog``,
     logging the index count, the probes, each ``done`` verdict and the
     result into ``runs``."""
     original = maxflow.lex_min_walk
 
     def walk(net, pins, bars, inf, done):
-        logged, dones = _WalkNetwork(pins, bars, inf, net), []
+        logged, dones = _WalkLog(net, pins, bars, inf), []
 
         def logged_done(got):
             dones.append(done(got))
             return dones[-1]
 
-        result = original(logged, pins, bars, inf, logged_done)
+        result = original(net, pins, bars, inf, logged_done)
         runs.append((len(pins), logged.log, dones, result))
         return result
 
@@ -649,16 +687,16 @@ def test_each_index_is_pinned_in_and_barred_at_most_once(monkeypatch):
     def walk(net, pins, bars, inf, done):
         nonlocal extractions
         shape = (len(net.head), [len(arcs) for arcs in net.adj])
-        logged = _WalkNetwork(pins, bars, inf, net)
-        logged_probe = logged.max_flow
+        logged = _WalkLog(net, pins, bars, inf)
+        logged_probe = net.max_flow
 
         def checked_probe(s, t, probe=False):
             assert (len(net.head), [len(arcs) for arcs in net.adj]) == shape
             return logged_probe(s, t, probe)
 
-        logged.max_flow = checked_probe
+        net.max_flow = checked_probe
         try:
-            return original(logged, pins, bars, inf, done)
+            return original(net, pins, bars, inf, done)
         finally:
             assert (len(net.head), [len(arcs) for arcs in net.adj]) == shape
             queried = [chosen[-1] for chosen, _barred, _ok in logged.log]
@@ -897,9 +935,9 @@ def _cold_min_ratio(sources, neighbors, weight):
 
     def feasible(chosen, barred):
         for i in chosen[kept[0]:]:
-            net.set_cap(2 * i, inf)
+            net.cap[2 * i] = inf
         for i in barred[kept[1]:]:
-            net.set_cap(first_bar + 2 * i, inf)
+            net.cap[first_bar + 2 * i] = inf
         if not net.max_flow(0, 1, probe=True):
             base[:] = net.cap
             kept[:] = len(chosen), len(barred)
@@ -1056,9 +1094,9 @@ def _largest_optimal_set_runs(monkeypatch):
         return sides[-1]
 
     def recorded_walk(net, pins, bars, inf, done):
-        logged = _WalkNetwork(pins, bars, inf, net)
+        logged = _WalkLog(net, pins, bars, inf)
         try:
-            return walk(logged, pins, bars, inf, done)
+            return walk(net, pins, bars, inf, done)
         finally:
             queries.extend((chosen[-1], ok) for chosen, _barred, ok in logged.log)
 
